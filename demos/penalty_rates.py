@@ -6,16 +6,7 @@ itself, not resampling noise. The sup and integral deficits shrink like
 1/n^2 on this problem and consecutive mean paths contract like 1/n.
 """
 
-import numpy as np
-
-from mrbsde import (
-    TimeGrid,
-    deficit_metrics,
-    mollify_obstacle,
-    rate_fit,
-    simulate_forward,
-    solve_penalized,
-)
+from mrbsde import TimeGrid, mollify_obstacle, penalty_ladder, rate_fit, simulate_forward
 from mrbsde.cli import build_config
 
 cfg = build_config({"preset": "SINE", "numerics": {"M": 8000, "N": 100}})
@@ -25,23 +16,16 @@ u_k = mollify_obstacle(cfg.spec.obstacle, 40, grid)
 
 levels = (25, 50, 100, 200, 400, 800)
 print(f"{'n':>5s} {'sup deficit^2':>14s} {'integral deficit^2':>19s} {'cauchy to n/2':>14s}")
-sup_vals, int_vals, cauchy_vals = [], [], []
-prev = None
-for n in levels:
-    sol = solve_penalized(cfg.spec, u_k, n, cloud, cfg.basis)
-    sup_sq, int_sq = deficit_metrics(sol, u_k, cloud.mean_kappa)
-    cauchy = np.max(np.abs(sol.mean_path - prev)) if prev is not None else float("nan")
-    print(f"{n:5d} {sup_sq:14.3e} {int_sq:19.3e} {cauchy:14.3e}")
-    sup_vals.append(sup_sq)
-    int_vals.append(int_sq)
-    if prev is not None:
-        cauchy_vals.append(cauchy)
-    prev = sol.mean_path
+records = []
+for rec, _ in penalty_ladder(cfg.spec, u_k, levels, cloud, cfg.basis):
+    cauchy = rec.cauchy_mean_dist if rec.cauchy_mean_dist is not None else float("nan")
+    print(f"{rec.n:5d} {rec.sup_neg_sq:14.3e} {rec.integral_neg_sq:19.3e} {cauchy:14.3e}")
+    records.append(rec)
 
 for label, xs, ys in (
-    ("sup deficit^2", levels, sup_vals),
-    ("integral deficit^2", levels, int_vals),
-    ("mean-path cauchy", levels[:-1], cauchy_vals),
+    ("sup deficit^2", levels, [rec.sup_neg_sq for rec in records]),
+    ("integral deficit^2", levels, [rec.integral_neg_sq for rec in records]),
+    ("mean-path cauchy", levels[:-1], [rec.cauchy_mean_dist for rec in records[1:]]),
 ):
     fit = rate_fit(xs, ys)
     print(f"{label:>19s}: slope {fit.slope:+.2f}  (R^2 {fit.r_squared:.4f})")

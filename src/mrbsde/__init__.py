@@ -14,7 +14,6 @@ from .diagnostics import (
     RateFit,
     StabilityRow,
     apriori_report,
-    deficit_metrics,
     rate_fit,
     stability_experiment,
 )
@@ -48,9 +47,7 @@ from .paths import (
     MomentVector,
     TimeGrid,
     empirical_moments,
-    empirical_w2_1d,
     simulate_forward,
-    w2_dirac_bound,
 )
 from .penalized import (
     PenalizedSolution,
@@ -80,7 +77,9 @@ from .reflect import (
     ConvergenceSchedule,
     LevelRecord,
     ReflectedSolution,
+    deficit_metrics,
     flatness_residual,
+    penalty_ladder,
     recover_compensator,
     solve_reflected,
 )

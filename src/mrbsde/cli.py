@@ -1,10 +1,11 @@
 """Config ingestion, experiment orchestration, and artifact emission.
 
 Config documents are JSON with sections problem / numerics / schedule plus
-seed, threads, and output. Parsing is strict: unknown keys are errors, and
-defaults exist only for the explicitly optional fields (quad_points,
-basis degree, thread count). Artifacts are written atomically and the
-manifest is emitted even when a run fails, with a failed marker.
+seed, threads, and output. Parsing is strict: the keys of each problem
+component and of the schedule are the fields of its spec dataclass, an
+absent key takes the dataclass default, unknown keys are errors, and every
+number must be finite. Artifacts are written atomically and the manifest
+is emitted even when a run fails, with a failed marker.
 
 The thread-count knob is recorded nowhere in the artifacts: outputs are a
 pure function of (problem, numerics, schedule, seed), so artifacts stay
@@ -16,19 +17,21 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
+import functools
 import json
 import math
 import os
 import sys
 import tempfile
-import time
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .diagnostics import apriori_report, deficit_metrics, rate_fit, stability_experiment
+from .diagnostics import apriori_report, rate_fit, stability_experiment
 from .errors import ConfigError, MrbsdeError, NonPositiveError, NotConverged, ParseError
 from .mollify import mollify_obstacle
 from .oracle import (
@@ -38,19 +41,10 @@ from .oracle import (
     unconstrained_mean_path,
 )
 from .paths import TimeGrid, simulate_forward
-from .penalized import RegressionBasis, solve_penalized
+from .penalized import RegressionBasis
 from .presets import PRESETS, preset_config
-from .problem import (
-    BoundarySpec,
-    DriverSpec,
-    ForwardSDESpec,
-    KappaSpec,
-    ObstacleCurve,
-    ProblemSpec,
-    TerminalSpec,
-    validate_problem,
-)
-from .reflect import ConvergenceSchedule, LevelRecord, flatness_residual, solve_reflected
+from .problem import BoundarySpec, ProblemSpec, validate_problem
+from .reflect import ConvergenceSchedule, penalty_ladder, solve_reflected
 
 _STABILITY_EPS = (0.1, 0.05, 0.025)
 _ORACLE_REFINE = 200  # fine-grid nodes per solver step in oracle-check
@@ -61,7 +55,7 @@ _ORACLE_PENALTY = 1.0e6
 # strict document -> object builders
 
 
-def _check_keys(doc: dict, allowed: set, required: set, where: str) -> None:
+def _check_keys(doc: dict, allowed, required, where: str) -> None:
     if not isinstance(doc, dict):
         raise ParseError(f"section {where} must be an object, got {type(doc).__name__}")
     for key in doc:
@@ -72,26 +66,17 @@ def _check_keys(doc: dict, allowed: set, required: set, where: str) -> None:
             raise ParseError(f"missing key {key!r} in {where}")
 
 
-def _num(doc: dict, key: str, where: str, default=None, integer: bool = False):
-    if key not in doc:
-        return default
-    val = doc[key]
+def _num(val, where: str, integer: bool = False):
+    """Check one config number: not a bool, finite, integral when asked."""
     if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ParseError(f"key {key!r} in {where} must be a number, got {val!r}")
+        raise ParseError(f"{where} must be a number, got {val!r}")
+    if isinstance(val, float) and not math.isfinite(val):
+        raise ParseError(f"{where} must be finite, got {val!r}")
     if integer:
-        if float(val) != int(val):
-            raise ParseError(f"key {key!r} in {where} must be an integer, got {val!r}")
+        if val != int(val):
+            raise ParseError(f"{where} must be an integer, got {val!r}")
         return int(val)
-    return float(val)
-
-
-def _num_list(doc: dict, key: str, where: str) -> tuple:
-    val = doc.get(key, ())
-    if not isinstance(val, (list, tuple)):
-        raise ParseError(f"key {key!r} in {where} must be an array")
-    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in val):
-        raise ParseError(f"key {key!r} in {where} must contain only numbers")
-    return tuple(float(v) for v in val)
+    return val
 
 
 def _build(cls, where: str, **kwargs):
@@ -101,117 +86,64 @@ def _build(cls, where: str, **kwargs):
         raise ParseError(f"invalid {where}: {exc}") from exc
 
 
+# Keys a config must give although the dataclass has a default for them.
+_REQUIRED = {
+    ProblemSpec: ("driver", "boundary", "terminal", "obstacle", "kappa", "brownian_dim", "horizon"),
+    BoundarySpec: ("family", "beta"),
+    ConvergenceSchedule: ("n_levels", "k_levels", "deficit_tol", "cauchy_tol"),
+}
+
+
+def _value(tp, val, where: str):
+    """Read one config value as the field annotation ``tp`` says."""
+    if type(None) in typing.get_args(tp):  # an optional field: X | None
+        return None if val is None else _value(typing.get_args(tp)[0], val, where)
+    if dataclasses.is_dataclass(tp):
+        return _section(tp, val, where)
+    if tp is float:
+        return float(_num(val, where))
+    if tp is int:
+        return _num(val, where, integer=True)
+    if tp is str:
+        if not isinstance(val, str):
+            raise ParseError(f"{where} must be a string, got {val!r}")
+        return val
+    if tp is dict:
+        if not isinstance(val, dict):
+            raise ParseError(f"{where} must be an object")
+        return {key: _num(v, f"{where}.{key}") for key, v in val.items()}
+    if not isinstance(val, (list, tuple)):  # tuple, or tuple[int, ...] for integer entries
+        raise ParseError(f"{where} must be an array")
+    integer = typing.get_args(tp)[:1] == (int,)
+    return tuple(_num(v, f"{where}[{i}]", integer) for i, v in enumerate(val))
+
+
+@functools.cache
+def _schema(cls) -> tuple[dict, tuple]:
+    """Field annotations and required keys of a config section's dataclass."""
+    required = _REQUIRED.get(cls) or tuple(
+        f.name
+        for f in dataclasses.fields(cls)
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    )
+    return typing.get_type_hints(cls), required
+
+
+def _section(cls, doc: dict, where: str):
+    """Build dataclass ``cls`` from one config object.
+
+    The keys are the dataclass fields and absent keys take the dataclass
+    defaults; the fields without a default, and those ``_REQUIRED`` names,
+    must be present.
+    """
+    types, required = _schema(cls)
+    _check_keys(doc, types, required, where)
+    return _build(cls, where, **{key: _value(types[key], val, f"{where}.{key}") for key, val in doc.items()})
+
+
 def build_problem(doc: dict) -> ProblemSpec:
     """Construct a ProblemSpec from a config 'problem' section (strict keys)."""
-    _check_keys(
-        doc,
-        {"driver", "boundary", "terminal", "obstacle", "kappa", "brownian_dim", "horizon", "forward"},
-        {"driver", "boundary", "terminal", "obstacle", "kappa", "brownian_dim", "horizon"},
-        "problem",
-    )
-
-    drv = doc["driver"]
-    _check_keys(drv, {"family", "coefficients", "lipschitz_L_f"}, {"family"}, "problem.driver")
-    coeffs = drv.get("coefficients", {})
-    if not isinstance(coeffs, dict):
-        raise ParseError("problem.driver.coefficients must be an object")
-    driver = _build(
-        DriverSpec,
-        "problem.driver",
-        family=drv["family"],
-        coefficients=coeffs,
-        lipschitz_L_f=_num(drv, "lipschitz_L_f", "problem.driver", 0.0),
-    )
-
-    bnd = doc["boundary"]
-    _check_keys(bnd, {"family", "beta", "growth_L_g", "psi"}, {"family", "beta"}, "problem.boundary")
-    boundary = _build(
-        BoundarySpec,
-        "problem.boundary",
-        family=bnd["family"],
-        beta=_num(bnd, "beta", "problem.boundary"),
-        growth_L_g=_num(bnd, "growth_L_g", "problem.boundary", 1.0),
-        psi=_num(bnd, "psi", "problem.boundary", 0.0),
-    )
-
-    term = doc["terminal"]
-    _check_keys(
-        term,
-        {"mode", "mean", "std", "payoff", "strike", "declared_mean"},
-        {"mode"},
-        "problem.terminal",
-    )
-    terminal = _build(
-        TerminalSpec,
-        "problem.terminal",
-        mode=term["mode"],
-        mean=_num(term, "mean", "problem.terminal", 0.0),
-        std=_num(term, "std", "problem.terminal", 1.0),
-        payoff=term.get("payoff", "identity"),
-        strike=_num(term, "strike", "problem.terminal", 0.0),
-        declared_mean=_num(term, "declared_mean", "problem.terminal", None),
-    )
-
-    obs = doc["obstacle"]
-    _check_keys(
-        obs,
-        {"family", "value", "amplitude", "omega", "center", "intercept", "slope", "knots_t", "knots_u"},
-        {"family"},
-        "problem.obstacle",
-    )
-    obstacle = _build(
-        ObstacleCurve,
-        "problem.obstacle",
-        family=obs["family"],
-        value=_num(obs, "value", "problem.obstacle", 0.0),
-        amplitude=_num(obs, "amplitude", "problem.obstacle", 0.0),
-        omega=_num(obs, "omega", "problem.obstacle", math.pi),
-        center=_num(obs, "center", "problem.obstacle", 0.0),
-        intercept=_num(obs, "intercept", "problem.obstacle", 0.0),
-        slope=_num(obs, "slope", "problem.obstacle", 0.0),
-        knots_t=_num_list(obs, "knots_t", "problem.obstacle"),
-        knots_u=_num_list(obs, "knots_u", "problem.obstacle"),
-    )
-
-    kap = doc["kappa"]
-    _check_keys(
-        kap,
-        {"family", "rate", "knots_t", "knots_v", "h_kind", "h_scale"},
-        {"family"},
-        "problem.kappa",
-    )
-    kappa = _build(
-        KappaSpec,
-        "problem.kappa",
-        family=kap["family"],
-        rate=_num(kap, "rate", "problem.kappa", 0.0),
-        knots_t=_num_list(kap, "knots_t", "problem.kappa"),
-        knots_v=_num_list(kap, "knots_v", "problem.kappa"),
-        h_kind=kap.get("h_kind", "const"),
-        h_scale=_num(kap, "h_scale", "problem.kappa", 1.0),
-    )
-
-    forward = None
-    if "forward" in doc and doc["forward"] is not None:
-        fwd = doc["forward"]
-        _check_keys(fwd, {"x0", "drift_const", "drift_lin", "sigma"}, set(), "problem.forward")
-        forward = ForwardSDESpec(
-            x0=_num(fwd, "x0", "problem.forward", 0.0),
-            drift_const=_num(fwd, "drift_const", "problem.forward", 0.0),
-            drift_lin=_num(fwd, "drift_lin", "problem.forward", 0.0),
-            sigma=_num(fwd, "sigma", "problem.forward", 1.0),
-        )
-
-    return ProblemSpec(
-        driver=driver,
-        boundary=boundary,
-        terminal=terminal,
-        obstacle=obstacle,
-        kappa=kappa,
-        brownian_dim=_num(doc, "brownian_dim", "problem", integer=True),
-        horizon=_num(doc, "horizon", "problem"),
-        forward=forward,
-    )
+    return _section(ProblemSpec, doc, "problem")
 
 
 @dataclass(frozen=True)
@@ -268,8 +200,8 @@ def build_config(doc: dict) -> RunConfig:
 
     numerics = merged["numerics"]
     _check_keys(numerics, {"M", "N", "basis", "degree", "quad_points"}, {"M", "N", "basis"}, "numerics")
-    m_particles = _num(numerics, "M", "numerics", integer=True)
-    n_steps = _num(numerics, "N", "numerics", integer=True)
+    m_particles = _num(numerics["M"], "numerics.M", integer=True)
+    n_steps = _num(numerics["N"], "numerics.N", integer=True)
     if m_particles < 2:
         raise ConfigError(f"M must be >= 2, got {m_particles}")
     if n_steps < 2:
@@ -278,32 +210,19 @@ def build_config(doc: dict) -> RunConfig:
         RegressionBasis,
         "numerics.basis",
         kind=numerics["basis"],
-        degree=_num(numerics, "degree", "numerics", 2, integer=True),
+        degree=_num(numerics.get("degree", 2), "numerics.degree", integer=True),
     )
     if basis.kind == "forward" and spec.forward is None:
         raise ConfigError("numerics.basis 'forward' needs forward SDE coefficients in the problem")
-    quad_points = _num(numerics, "quad_points", "numerics", 64, integer=True)
+    features = spec.brownian_dim if basis.kind == "brownian" else 1
+    n_basis = 1 if basis.kind == "constant" else 1 + basis.degree * features
+    if m_particles <= n_basis:
+        raise ConfigError(f"M must exceed the {n_basis} regression basis functions, got {m_particles}")
+    quad_points = _num(numerics.get("quad_points", 64), "numerics.quad_points", integer=True)
 
-    sched = merged["schedule"]
-    _check_keys(
-        sched,
-        {"n_levels", "k_levels", "deficit_tol", "cauchy_tol"},
-        {"n_levels", "k_levels", "deficit_tol", "cauchy_tol"},
-        "schedule",
-    )
-    if not isinstance(sched["n_levels"], (list, tuple)) or not isinstance(sched["k_levels"], (list, tuple)):
-        raise ParseError("schedule levels must be arrays")
-    schedule = _build(
-        ConvergenceSchedule,
-        "schedule",
-        n_levels=tuple(sched["n_levels"]),
-        k_levels=tuple(int(k) for k in sched["k_levels"]),
-        deficit_tol=_num(sched, "deficit_tol", "schedule"),
-        cauchy_tol=_num(sched, "cauchy_tol", "schedule"),
-    )
-
-    seed = _num(merged, "seed", "config", integer=True)
-    threads = _num(merged, "threads", "config", 0, integer=True)
+    schedule = _section(ConvergenceSchedule, merged["schedule"], "schedule")
+    seed = _num(merged["seed"], "config.seed", integer=True)
+    threads = _num(merged.get("threads", 0), "config.threads", integer=True)
     output = merged["output"]
     if not isinstance(output, str):
         raise ParseError("config key 'output' must be a string")
@@ -323,20 +242,22 @@ def build_config(doc: dict) -> RunConfig:
     )
 
 
-def parse_config(path) -> RunConfig:
-    """Load and strictly resolve a JSON config file."""
+def _load_json(path) -> dict:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ParseError("config root must be a JSON object")
-    return build_config(doc)
+    return doc
+
+
+def parse_config(path) -> RunConfig:
+    """Load and strictly resolve a JSON config file."""
+    return build_config(_load_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -554,49 +475,22 @@ def run_experiment(config: RunConfig, subcommand: str) -> RunArtifacts:
                 }
 
         elif subcommand == "rates":
-            k = max(config.schedule.k_levels)
-            u_k = mollify_obstacle(config.spec.obstacle, k, grid, config.quad_points)
+            u_k = mollify_obstacle(config.spec.obstacle, max(config.schedule.k_levels), grid, config.quad_points)
             records = []
-            sup_vals, int_vals, cauchy_vals = [], [], []
-            prev_mean = None
-            last_sol = None
-            for n in config.schedule.n_levels:
-                t0 = time.perf_counter()
-                sol = solve_penalized(config.spec, u_k, n, cloud, config.basis)
-                wall_ms = (time.perf_counter() - t0) * 1000.0
-                sup_sq, integral_sq = deficit_metrics(sol, u_k, cloud.mean_kappa)
-                cauchy = (
-                    float(np.max(np.abs(sol.mean_path - prev_mean))) if prev_mean is not None else None
-                )
-                records.append(
-                    LevelRecord(
-                        k=k,
-                        n=n,
-                        sup_deficit=math.sqrt(sup_sq),
-                        sup_neg_sq=sup_sq,
-                        integral_neg_sq=integral_sq,
-                        cauchy_mean_dist=cauchy,
-                        flatness_residual=flatness_residual(sol.mean_path, u_k.values, sol.K),
-                        mollify_gap=u_k.sup_gap,
-                        wall_ms=wall_ms,
-                    )
-                )
-                sup_vals.append(sup_sq)
-                int_vals.append(integral_sq)
-                if cauchy is not None:
-                    cauchy_vals.append(cauchy)
-                prev_mean = sol.mean_path
-                last_sol = sol
-
+            for record, sol in penalty_ladder(config.spec, u_k, config.schedule.n_levels, cloud, config.basis):
+                records.append(record)
+            levels = [rec.n for rec in records]
             diagnostics["rates"] = {
-                "k": k,
-                "sup_neg_sq": _rate_summary(config.schedule.n_levels, sup_vals, "sup_neg_sq"),
-                "integral_neg_sq": _rate_summary(config.schedule.n_levels, int_vals, "integral_neg_sq"),
+                "k": u_k.level,
+                "sup_neg_sq": _rate_summary(levels, [rec.sup_neg_sq for rec in records], "sup_neg_sq"),
+                "integral_neg_sq": _rate_summary(
+                    levels, [rec.integral_neg_sq for rec in records], "integral_neg_sq"
+                ),
                 "cauchy_mean_dist": _rate_summary(
-                    config.schedule.n_levels[: len(cauchy_vals)], cauchy_vals, "cauchy"
+                    levels[:-1], [rec.cauchy_mean_dist for rec in records[1:]], "cauchy"
                 ),
             }
-            apri = apriori_report(last_sol, config.spec, cloud)
+            apri = apriori_report(sol, config.spec, cloud)
             diagnostics["apriori_ratio"] = apri.ratio
             write_atomic(outdir / "convergence.csv", _convergence_csv(records))
             files.append("convergence.csv")
@@ -628,20 +522,12 @@ def run_experiment(config: RunConfig, subcommand: str) -> RunArtifacts:
                 diagnostics["stability"]["slope"] = None
                 diagnostics["stability"]["r_squared"] = None
 
-    except NotConverged as exc:
+    except Exception as exc:
         manifest["status"] = "failed"
-        manifest["error"] = str(exc)
-        if exc.trace:
+        manifest["error"] = str(exc) if isinstance(exc, MrbsdeError) else f"{type(exc).__name__}: {exc}"
+        if isinstance(exc, NotConverged) and exc.trace:
             write_atomic(outdir / "convergence.csv", _convergence_csv(exc.trace))
-            files.append("convergence.csv")
         write_atomic(outdir / "report.json", _report_json(manifest, diagnostics))
-        files.append("report.json")
-        raise
-    except MrbsdeError as exc:
-        manifest["status"] = "failed"
-        manifest["error"] = str(exc)
-        write_atomic(outdir / "report.json", _report_json(manifest, diagnostics))
-        files.append("report.json")
         raise
 
     write_atomic(outdir / "report.json", _report_json(manifest, diagnostics))
@@ -664,17 +550,7 @@ def main(argv=None) -> int:
 
     try:
         if args.config is not None:
-            path = Path(args.config)
-            try:
-                doc = json.loads(path.read_text(encoding="utf-8"))
-            except OSError as exc:
-                raise ParseError(f"cannot read config {path}: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise ParseError(
-                    f"invalid JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-                ) from exc
-            if not isinstance(doc, dict):
-                raise ParseError("config root must be a JSON object")
+            doc = _load_json(args.config)
         elif args.preset is not None:
             doc = {}
         else:

@@ -49,27 +49,6 @@ def rate_fit(levels, errors) -> RateFit:
     return RateFit(tuple(levels), tuple(errors), float(slope), float(intercept), r2)
 
 
-def deficit_metrics(
-    solution: PenalizedSolution, u_k: SmoothObstacle, mean_kappa: np.ndarray
-) -> tuple[float, float]:
-    """Sup and weighted-integral squares of the mean path's obstacle deficit.
-
-    Returns (sup_j |y^-(t_j)|^2, sum_j |y^-(t_j)|^2 (dt + d mean_kappa_j)).
-    Both range over the left-endpoint nodes j < N, the nodes the penalty
-    measure touches: the terminal node carries the raw terminal-vs-obstacle
-    datum, which no penalty level can move and which the bound under test
-    has zero by its terminal condition.
-    """
-    mean_kappa = np.asarray(mean_kappa, dtype=float)
-    if u_k.values.shape != solution.mean_path.shape or mean_kappa.shape != solution.mean_path.shape:
-        raise LengthMismatch("solution, obstacle and mean_kappa must share the grid")
-    neg = np.maximum(u_k.values[:-1] - solution.mean_path[:-1], 0.0)
-    weights = solution.grid.dt + np.diff(mean_kappa)
-    sup_sq = float(np.max(neg**2))
-    integral_sq = float(np.sum(neg**2 * weights))
-    return sup_sq, integral_sq
-
-
 @dataclass(frozen=True)
 class StabilityRow:
     epsilon: float

@@ -1,4 +1,4 @@
-"""Forward Monte Carlo machinery: particle clouds, clock paths, measure utilities.
+"""Forward Monte Carlo machinery: particle clouds, clock paths, empirical moments.
 
 All randomness flows through a Philox counter-based generator keyed by the
 master seed; the array slot (particle, step, coordinate) fixes the counter
@@ -41,11 +41,10 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class MomentVector:
-    """First moments of a (Y, Z) cloud plus the second moment of Y."""
+    """First moments of a (Y, Z) cloud."""
 
     m_y: float
     m_z: np.ndarray
-    m_y2: float
 
 
 @dataclass(frozen=True)
@@ -170,33 +169,9 @@ def _as_particle_matrix(z_samples, m: int) -> np.ndarray:
 
 
 def empirical_moments(y_samples: np.ndarray, z_samples: np.ndarray) -> MomentVector:
-    """Arithmetic means and second moment of Y, reduced in fixed index order."""
+    """Arithmetic means of Y and Z, reduced in fixed index order."""
     y = np.asarray(y_samples, dtype=float)
     if y.size == 0:
         raise EmptyCloud("empirical_moments needs at least one sample")
     z = _as_particle_matrix(z_samples, y.shape[0])
-    return MomentVector(m_y=float(y.mean()), m_z=z.mean(axis=0), m_y2=float(np.mean(y * y)))
-
-
-def w2_dirac_bound(y_samples: np.ndarray, z_samples: np.ndarray) -> float:
-    """Root mean square bound (E[|Y|^2 + |Z|^2])^(1/2) dominating W2(law, dirac_0)."""
-    y = np.asarray(y_samples, dtype=float)
-    if y.size == 0:
-        raise EmptyCloud("w2_dirac_bound needs at least one sample")
-    z = _as_particle_matrix(z_samples, y.shape[0])
-    return float(math.sqrt(np.mean(y * y) + np.mean(np.sum(z * z, axis=1))))
-
-
-def empirical_w2_1d(a: np.ndarray, b: np.ndarray) -> float:
-    """Exact 2-Wasserstein distance between two equal-size 1-d empirical measures.
-
-    Sorting both samples realizes the optimal matching in one dimension.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise LengthMismatch(f"need equal-length 1-d samples, got {a.shape} and {b.shape}")
-    if a.size == 0:
-        raise EmptyCloud("empirical_w2_1d needs at least one sample")
-    diff = np.sort(a) - np.sort(b)
-    return float(math.sqrt(np.mean(diff * diff)))
+    return MomentVector(m_y=float(y.mean()), m_z=z.mean(axis=0))

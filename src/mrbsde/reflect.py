@@ -9,7 +9,9 @@ inside and stops on the deficit and mean-path Cauchy tolerances.
 
 from __future__ import annotations
 
+import math
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +28,7 @@ class ConvergenceSchedule:
     """Level ladders and stopping tolerances for the outer loop."""
 
     n_levels: tuple = (25, 50, 100, 200, 400, 800)
-    k_levels: tuple = (10, 20, 40)
+    k_levels: tuple[int, ...] = (10, 20, 40)
     deficit_tol: float = 0.02
     cauchy_tol: float = 0.004
 
@@ -35,6 +37,10 @@ class ConvergenceSchedule:
         object.__setattr__(self, "k_levels", tuple(self.k_levels))
         if not self.n_levels or not self.k_levels:
             raise ValueError("schedules must be non-empty")
+        if not all(n >= 0 for n in self.n_levels):
+            raise ValueError("penalty levels n must be >= 0")
+        if not all(k >= 1 for k in self.k_levels):
+            raise ValueError("smoothing levels k must be >= 1")
         if any(b <= a for a, b in zip(self.n_levels, self.n_levels[1:])):
             raise ValueError("n schedule must be strictly increasing")
         if any(b <= a for a, b in zip(self.k_levels, self.k_levels[1:])):
@@ -116,9 +122,28 @@ def flatness_residual(mean_path: np.ndarray, u_values: np.ndarray, K: np.ndarray
     return float(np.sum((mean_path[:-1] - u_values[:-1]) * np.diff(K)))
 
 
-def recover_compensator(
-    solution: PenalizedSolution, spec: ProblemSpec | None = None, cloud: ForwardCloud | None = None
-) -> CompensatorRecovery:
+def deficit_metrics(
+    solution: PenalizedSolution, u_k: SmoothObstacle, mean_kappa: np.ndarray
+) -> tuple[float, float]:
+    """Sup and weighted-integral squares of the mean path's obstacle deficit.
+
+    Returns (sup_j |y^-(t_j)|^2, sum_j |y^-(t_j)|^2 (dt + d mean_kappa_j)).
+    Both range over the left-endpoint nodes j < N, the nodes the penalty
+    measure touches: the terminal node carries the raw terminal-vs-obstacle
+    datum, which no penalty level can move and which the bound under test
+    has zero by its terminal condition.
+    """
+    mean_kappa = np.asarray(mean_kappa, dtype=float)
+    if u_k.values.shape != solution.mean_path.shape or mean_kappa.shape != solution.mean_path.shape:
+        raise LengthMismatch("solution, obstacle and mean_kappa must share the grid")
+    neg = np.maximum(u_k.values[:-1] - solution.mean_path[:-1], 0.0)
+    weights = solution.grid.dt + np.diff(mean_kappa)
+    sup_sq = float(np.max(neg**2))
+    integral_sq = float(np.sum(neg**2 * weights))
+    return sup_sq, integral_sq
+
+
+def recover_compensator(solution: PenalizedSolution) -> CompensatorRecovery:
     """Recover K from the mean path and the run's own drift averages.
 
     K_t = E[Y_0] - E[Y_t] - int_0^t E[f] ds - int_0^t E[g dkappa], with the
@@ -126,8 +151,6 @@ def recover_compensator(
     step in the solution), discretized with left endpoints. Monotonicity
     violations beyond tolerance are reported as warnings, never clipped.
     """
-    if cloud is not None and cloud.grid != solution.grid:
-        raise LengthMismatch("cloud grid does not match solution grid")
     mean = solution.mean_path
     drift_cum = np.concatenate([[0.0], np.cumsum(solution.mean_f_dt + solution.mean_g_dkappa)])
     K = mean[0] - mean - drift_cum
@@ -142,6 +165,41 @@ def recover_compensator(
             f"recovered compensator decreases by {-worst:.3g} at step {j} (tolerance {tol:.3g})"
         )
     return CompensatorRecovery(K=K, warnings=tuple(warnings))
+
+
+def penalty_ladder(
+    spec: ProblemSpec,
+    u_k: SmoothObstacle,
+    n_levels,
+    cloud: ForwardCloud,
+    basis: RegressionBasis,
+) -> Iterator[tuple[LevelRecord, PenalizedSolution]]:
+    """Solve the penalized equation at each level n against u_k, yielding (record, solution).
+
+    ``wall_ms`` times the backward pass alone; the Cauchy distance is to
+    the previous level's mean path. The caller stops the ladder by leaving
+    the loop: no level runs before it is asked for.
+    """
+    prev_mean = None
+    for n in n_levels:
+        t0 = time.perf_counter()
+        sol = solve_penalized(spec, u_k, n, cloud, basis)
+        wall_ms = (time.perf_counter() - t0) * 1000.0
+        sup_sq, integral_sq = deficit_metrics(sol, u_k, cloud.mean_kappa)
+        cauchy = float(np.max(np.abs(sol.mean_path - prev_mean))) if prev_mean is not None else None
+        prev_mean = sol.mean_path
+        record = LevelRecord(
+            k=u_k.level,
+            n=n,
+            sup_deficit=math.sqrt(sup_sq),
+            sup_neg_sq=sup_sq,
+            integral_neg_sq=integral_sq,
+            cauchy_mean_dist=cauchy,
+            flatness_residual=flatness_residual(sol.mean_path, u_k.values, sol.K),
+            mollify_gap=u_k.sup_gap,
+            wall_ms=wall_ms,
+        )
+        yield record, sol
 
 
 def solve_reflected(
@@ -160,77 +218,42 @@ def solve_reflected(
     obstacle is within deficit_tol / 2 of the raw obstacle in sup norm.
     Raises NotConverged (with the trace attached) when a ladder runs out.
     """
-    from .diagnostics import deficit_metrics  # local import: diagnostics builds on this module's peers
-
     if cloud.grid != grid:
         raise LengthMismatch("cloud grid does not match requested grid")
 
     trace: list[LevelRecord] = []
-    last_solution: PenalizedSolution | None = None
-    last_uk: SmoothObstacle | None = None
-    k_converged = False
-
     for k in schedule.k_levels:
         u_k = mollify_obstacle(spec.obstacle, k, grid, quad_points)
-        prev_mean = None
-        n_converged = False
-        for n in schedule.n_levels:
-            t0 = time.perf_counter()
-            sol = solve_penalized(spec, u_k, n, cloud, basis)
-            wall_ms = (time.perf_counter() - t0) * 1000.0
-            deficit = np.maximum(u_k.values[:-1] - sol.mean_path[:-1], 0.0)
-            sup_deficit = float(deficit.max())
-            sup_sq, integral_sq = deficit_metrics(sol, u_k, cloud.mean_kappa)
-            cauchy = (
-                float(np.max(np.abs(sol.mean_path - prev_mean))) if prev_mean is not None else None
-            )
-            flat = flatness_residual(sol.mean_path, u_k.values, sol.K)
-            trace.append(
-                LevelRecord(
-                    k=k,
-                    n=n,
-                    sup_deficit=sup_deficit,
-                    sup_neg_sq=sup_sq,
-                    integral_neg_sq=integral_sq,
-                    cauchy_mean_dist=cauchy,
-                    flatness_residual=flat,
-                    mollify_gap=u_k.sup_gap,
-                    wall_ms=wall_ms,
-                )
-            )
-            prev_mean = sol.mean_path
-            last_solution, last_uk = sol, u_k
-            if cauchy is not None:
-                cauchy_ok = cauchy <= schedule.cauchy_tol
+        for record, sol in penalty_ladder(spec, u_k, schedule.n_levels, cloud, basis):
+            trace.append(record)
+            if record.cauchy_mean_dist is not None:
+                cauchy_ok = record.cauchy_mean_dist <= schedule.cauchy_tol
             else:
                 # No pair to measure yet. A run whose penalty never fired is
                 # exactly level-independent; a single-level schedule has no
                 # pair by construction.
                 cauchy_ok = sol.K[-1] == 0.0 or len(schedule.n_levels) == 1
-            if sup_deficit <= schedule.deficit_tol and cauchy_ok:
-                n_converged = True
+            if record.sup_deficit <= schedule.deficit_tol and cauchy_ok:
                 break
-        if not n_converged:
+        else:
             raise NotConverged(
                 f"penalty ladder exhausted at k={k} above tolerance "
                 f"(deficit {schedule.deficit_tol:.3g}, cauchy {schedule.cauchy_tol:.3g})",
                 trace=tuple(trace),
             )
         if u_k.sup_gap <= schedule.deficit_tol / 2.0:
-            k_converged = True
             break
-
-    if not k_converged:
+    else:
         raise NotConverged(
-            f"mollification ladder exhausted with obstacle gap {last_uk.sup_gap:.3g} "
+            f"mollification ladder exhausted with obstacle gap {u_k.sup_gap:.3g} "
             f"above {schedule.deficit_tol / 2.0:.3g}",
             trace=tuple(trace),
         )
 
-    recovery = recover_compensator(last_solution, spec, cloud)
+    recovery = recover_compensator(sol)
     return ReflectedSolution(
-        solution=last_solution,
-        obstacle=last_uk,
+        solution=sol,
+        obstacle=u_k,
         K=recovery.K,
         trace=tuple(trace),
         warnings=recovery.warnings,

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from mrbsde import ConfigError, NotConverged, ParseError
+from mrbsde import cli
 from mrbsde.cli import build_config, main, parse_config, run_experiment, write_atomic
 
 TINY = {
@@ -78,8 +79,9 @@ class TestParseConfig:
         with pytest.raises(ParseError, match="unknown preset"):
             build_config({"preset": "COSINE"})
 
-    def test_hard_problem_error_surfaces(self):
-        bad = {"preset": "SINE", "problem": {"boundary": {"family": "zero", "beta": 0.5}}}
+    def test_hard_problem_error_surfaces(self, tmp_path):
+        bad = {"preset": "SINE", "problem": {"boundary": {"family": "zero", "beta": 0.5}},
+               "output": str(tmp_path / "run")}
         cfg = build_config(bad)  # construction is permissive
         with pytest.raises(ConfigError, match="beta"):
             run_experiment(cfg, "solve")
@@ -87,6 +89,49 @@ class TestParseConfig:
     def test_forward_basis_requires_forward_sde(self):
         with pytest.raises(ConfigError, match="forward"):
             build_config({"preset": "SINE", "numerics": {"basis": "forward"}})
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("problem", "horizon", float("nan")),
+            ("numerics", "M", float("inf")),
+            (None, "seed", float("nan")),
+            ("schedule", "deficit_tol", float("nan")),
+            ("schedule", "k_levels", [8.7]),
+            ("schedule", "k_levels", ["a"]),
+            ("schedule", "n_levels", ["25", "50"]),
+            ("schedule", "n_levels", [True]),
+            ("problem", "driver", {"family": "affine", "coefficients": {"mean_y": float("nan")}}),
+            ("problem", "driver", {"family": ["zero"]}),
+        ],
+    )
+    def test_non_finite_or_mistyped_number_is_a_parse_error(self, tmp_path, section, key, value):
+        doc = tiny_doc(tmp_path / "out")
+        (doc.setdefault(section, {}) if section else doc)[key] = value
+        path = write_doc(tmp_path, doc)  # json.dumps writes NaN and Infinity literals
+        with pytest.raises(ParseError, match=key):
+            parse_config(path)
+        assert main(["solve", "--config", str(path)]) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "levels, message",
+        [({"n_levels": [-5, 25]}, "n must be >= 0"), ({"k_levels": [0, 8]}, "k must be >= 1")],
+    )
+    def test_out_of_range_level_is_rejected(self, levels, message):
+        schedule = dict(TINY["schedule"], **levels)
+        with pytest.raises(ParseError, match=message):
+            build_config({"preset": "SINE", "schedule": schedule})
+
+    def test_undecodable_config_file(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(ParseError, match="cannot read config"):
+            parse_config(path)
+
+    def test_fewer_particles_than_basis_functions(self):
+        with pytest.raises(ConfigError, match="41 regression basis functions"):
+            build_config({"preset": "SINE", "numerics": {"M": 20, "degree": 40}})
 
 
 class TestRunExperiment:
@@ -212,6 +257,34 @@ class TestRunExperiment:
         assert "penalty ladder exhausted" in report["manifest"]["error"]
         assert (tmp_path / "run" / "convergence.csv").exists()
         assert not (tmp_path / "run" / "mean_path.csv").exists()
+
+    def test_unexpected_error_writes_failed_manifest(self, tmp_path, monkeypatch):
+        def broken_simulation(*args, **kwargs):
+            raise RuntimeError("simulated crash")
+
+        monkeypatch.setattr(cli, "simulate_forward", broken_simulation)
+        cfg = build_config(tiny_doc(tmp_path / "run"))
+        with pytest.raises(RuntimeError):
+            run_experiment(cfg, "solve")
+        manifest = json.loads((tmp_path / "run" / "report.json").read_text())["manifest"]
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == "RuntimeError: simulated crash"
+
+    def test_rates_and_solve_share_the_level_ladder(self, tmp_path):
+        # Tolerances no level can meet: solve records every level, then fails.
+        schedule = {"n_levels": [25, 50, 100], "k_levels": [8], "deficit_tol": 1e-12,
+                    "cauchy_tol": 1e-12}
+        run_experiment(build_config(tiny_doc(tmp_path / "rates", schedule=schedule)), "rates")
+        with pytest.raises(NotConverged):
+            run_experiment(build_config(tiny_doc(tmp_path / "solve", schedule=schedule)), "solve")
+
+        def rows_without_wall_ms(outdir):
+            lines = (outdir / "convergence.csv").read_text().splitlines()
+            return [line.rsplit(",", 1)[0] for line in lines]
+
+        rates_rows = rows_without_wall_ms(tmp_path / "rates")
+        assert len(rates_rows) == 1 + 3
+        assert rates_rows == rows_without_wall_ms(tmp_path / "solve")
 
 
 class TestMainEntry:

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -7,14 +5,11 @@ from mrbsde import (
     EmptyCloud,
     ForwardSDESpec,
     KappaSpec,
-    LengthMismatch,
     SimulationError,
     TerminalSpec,
     TimeGrid,
     empirical_moments,
-    empirical_w2_1d,
     simulate_forward,
-    w2_dirac_bound,
 )
 from tests.util import zero_problem
 
@@ -109,83 +104,19 @@ class TestSimulateForward:
 class TestEmpiricalMoments:
     def test_all_zero(self):
         mv = empirical_moments(np.zeros(5), np.zeros((5, 1)))
-        assert mv.m_y == 0.0 and mv.m_y2 == 0.0
+        assert mv.m_y == 0.0
         np.testing.assert_allclose(mv.m_z, [0.0])
 
     def test_two_point(self):
         mv = empirical_moments(np.array([1.0, 3.0]), np.zeros((2, 1)))
         assert mv.m_y == 2.0
-        assert mv.m_y2 == 5.0
-        assert mv.m_y2 >= mv.m_y**2
 
     def test_law_of_large_numbers_band(self):
         rng = np.random.default_rng(7)
         y = rng.standard_normal(1_000_000)
         mv = empirical_moments(y, np.zeros((y.size, 1)))
         assert abs(mv.m_y) < 5e-3
-        assert abs(mv.m_y2 - 1.0) < 1e-2
 
     def test_empty_raises(self):
         with pytest.raises(EmptyCloud):
             empirical_moments(np.array([]), np.zeros((0, 1)))
-
-
-class TestW2DiracBound:
-    def test_zero_cloud(self):
-        assert w2_dirac_bound(np.zeros(4), np.zeros((4, 1))) == 0.0
-
-    def test_single_particle_euclidean(self):
-        assert w2_dirac_bound(np.array([3.0]), np.array([[4.0]])) == 5.0
-
-    def test_unit_cloud(self):
-        assert w2_dirac_bound(np.array([1.0, 1.0]), np.zeros((2, 1))) == 1.0
-
-    def test_dominates_marginal_distance(self):
-        rng = np.random.default_rng(21)
-        for _ in range(50):
-            y = rng.normal(0, 2, 16)
-            z = rng.normal(0, 2, (16, 2))
-            assert w2_dirac_bound(y, z) >= empirical_w2_1d(y, np.zeros(16)) - 1e-12
-
-
-class TestEmpiricalW2:
-    def test_identical_samples(self):
-        a = np.array([0.3, -1.2, 2.0])
-        assert empirical_w2_1d(a, a.copy()) == 0.0
-
-    def test_translated_point_mass(self):
-        assert empirical_w2_1d(np.array([0.0, 0.0]), np.array([1.0, 1.0])) == 1.0
-
-    def test_brute_force_matching_oracle(self):
-        # exact W2 at M = 2 is the best of the two pairings
-        a = np.array([0.0, 1.0])
-        b = np.array([0.0, 2.0])
-        best = min(
-            np.sqrt(np.mean((a - np.array(perm)) ** 2)) for perm in itertools.permutations(b)
-        )
-        assert abs(empirical_w2_1d(a, b) - best) < 1e-15
-        assert abs(empirical_w2_1d(a, b) - np.sqrt(0.5)) < 1e-12
-
-    def test_brute_force_on_random_clouds(self):
-        rng = np.random.default_rng(4)
-        for _ in range(25):
-            a, b = rng.normal(0, 1, (2, 5))
-            best = min(
-                np.sqrt(np.mean((np.sort(a) - np.array(perm)) ** 2))
-                for perm in itertools.permutations(b)
-            )
-            assert abs(empirical_w2_1d(a, b) - best) < 1e-12
-
-    def test_metric_properties_on_small_sets(self):
-        rng = np.random.default_rng(17)
-        for _ in range(100):
-            a, b, c = rng.normal(0, 1, (3, 8))
-            dab = empirical_w2_1d(a, b)
-            assert dab == empirical_w2_1d(b, a)
-            assert dab <= empirical_w2_1d(a, c) + empirical_w2_1d(c, b) + 1e-12
-        a = rng.normal(0, 1, 8)
-        assert empirical_w2_1d(a, np.sort(a)) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            empirical_w2_1d(np.zeros(3), np.zeros(4))

@@ -90,7 +90,7 @@ class TestRecoverCompensator:
         cloud = simulate_forward(spec, GRID, 3000, seed=9)
         u_k = mollify_obstacle(spec.obstacle, 25, GRID)
         sol = solve_penalized(spec, u_k, 300, cloud, BASIS)
-        rec = recover_compensator(sol, spec, cloud)
+        rec = recover_compensator(sol)
         assert np.max(np.abs(rec.K - sol.K)) <= 1e-10
 
     def test_unconstrained_run_recovers_zero(self):
@@ -98,7 +98,7 @@ class TestRecoverCompensator:
         cloud = simulate_forward(spec, GRID, 3000, seed=9)
         u_k = mollify_obstacle(ObstacleCurve("constant", value=-1.0), 25, GRID)
         sol = solve_penalized(spec, u_k, 300, cloud, BASIS)
-        rec = recover_compensator(sol, spec, cloud)
+        rec = recover_compensator(sol)
         assert np.max(np.abs(rec.K)) <= 2.0 * float(np.max(sol.residual_y)) + 1e-12
 
     def test_monotonicity_violation_warns_without_clipping(self):
