@@ -6,7 +6,14 @@ itself, not resampling noise. The sup and integral deficits shrink like
 1/n^2 on this problem and consecutive mean paths contract like 1/n.
 """
 
-from mrbsde import TimeGrid, mollify_obstacle, penalty_ladder, rate_fit, simulate_forward
+from mrbsde import (
+    TimeGrid,
+    mollify_obstacle,
+    penalty_ladder,
+    rate_fit,
+    regression_operator,
+    simulate_forward,
+)
 from mrbsde.cli import build_config
 
 cfg = build_config({"preset": "SINE", "numerics": {"M": 8000, "N": 100}})
@@ -17,7 +24,7 @@ u_k = mollify_obstacle(cfg.spec.obstacle, 40, grid)
 levels = (25, 50, 100, 200, 400, 800)
 print(f"{'n':>5s} {'sup deficit^2':>14s} {'integral deficit^2':>19s} {'cauchy to n/2':>14s}")
 records = []
-for rec, _ in penalty_ladder(cfg.spec, u_k, levels, cloud, cfg.basis):
+for rec, _ in penalty_ladder(cfg.spec, u_k, levels, cloud, regression_operator(cloud, cfg.basis)):
     cauchy = rec.cauchy_mean_dist if rec.cauchy_mean_dist is not None else float("nan")
     print(f"{rec.n:5d} {rec.sup_neg_sq:14.3e} {rec.integral_neg_sq:19.3e} {cauchy:14.3e}")
     records.append(rec)

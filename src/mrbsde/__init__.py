@@ -52,9 +52,11 @@ from .paths import (
 from .penalized import (
     PenalizedSolution,
     RegressionBasis,
+    RegressionOperator,
     implicit_mean_penalty,
     penalty_increment,
     regress_conditional,
+    regression_operator,
     solve_penalized,
 )
 from .presets import PRESETS, preset_config

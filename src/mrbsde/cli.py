@@ -41,7 +41,7 @@ from .oracle import (
     unconstrained_mean_path,
 )
 from .paths import TimeGrid, simulate_forward
-from .penalized import RegressionBasis
+from .penalized import RegressionBasis, regression_operator
 from .presets import PRESETS, preset_config
 from .problem import BoundarySpec, ProblemSpec, validate_problem
 from .reflect import ConvergenceSchedule, penalty_ladder, solve_reflected
@@ -477,7 +477,8 @@ def run_experiment(config: RunConfig, subcommand: str) -> RunArtifacts:
         elif subcommand == "rates":
             u_k = mollify_obstacle(config.spec.obstacle, max(config.schedule.k_levels), grid, config.quad_points)
             records = []
-            for record, sol in penalty_ladder(config.spec, u_k, config.schedule.n_levels, cloud, config.basis):
+            operator = regression_operator(cloud, config.basis)
+            for record, sol in penalty_ladder(config.spec, u_k, config.schedule.n_levels, cloud, operator):
                 records.append(record)
             levels = [rec.n for rec in records]
             diagnostics["rates"] = {

@@ -1,9 +1,11 @@
 """Forward Monte Carlo machinery: particle clouds, clock paths, empirical moments.
 
 All randomness flows through a Philox counter-based generator keyed by the
-master seed; the array slot (particle, step, coordinate) fixes the counter
-offset of every variate, so a cloud is a pure function of
-(spec, grid, M, seed) no matter how the consuming code is scheduled.
+master seed; the slot (particle, step, coordinate) fixes the counter offset
+of every variate, so a cloud is a pure function of (spec, grid, M, seed) no
+matter how the consuming code is scheduled. The variates are drawn particle
+by particle but stored time-major, so that the backward pass reads each
+step's slice of the cloud as one contiguous block.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import numpy as np
 
 from .errors import EmptyCloud, LengthMismatch, SimulationError
 from .problem import ProblemSpec
+
+_BLOCK_VALUES = 1 << 16  # values per block of particles drawn at once: 512 KB
 
 
 @dataclass(frozen=True)
@@ -51,6 +55,8 @@ class MomentVector:
 class ForwardCloud:
     """M simulated particles: increments, forward state, clock paths, terminal draws.
 
+    The arrays are time-major: row j of ``dB``, ``brownian``, ``kappa`` and
+    ``forward_state`` holds every particle at step j, contiguously.
     ``mean_kappa`` is the per-node sample mean of kappa, frozen here so the
     backward solver's penalty measure d(s + E[kappa_s]) does not move when
     particles are revisited.
@@ -58,16 +64,16 @@ class ForwardCloud:
 
     grid: TimeGrid
     seed: int
-    dB: np.ndarray  # (M, N, d)
-    brownian: np.ndarray  # (M, N+1, d), cumulative sums, B_0 = 0
-    kappa: np.ndarray  # (M, N+1)
+    dB: np.ndarray  # (N, M, d)
+    brownian: np.ndarray  # (N+1, M, d), cumulative sums, B_0 = 0
+    kappa: np.ndarray  # (N+1, M)
     xi: np.ndarray  # (M,)
     mean_kappa: np.ndarray  # (N+1,)
-    forward_state: np.ndarray | None = None  # (M, N+1) when a forward SDE is simulated
+    forward_state: np.ndarray | None = None  # (N+1, M) when a forward SDE is simulated
 
     @property
     def M(self) -> int:
-        return self.dB.shape[0]
+        return self.dB.shape[1]
 
     @property
     def d(self) -> int:
@@ -79,6 +85,20 @@ class ForwardCloud:
         if xi.shape != self.xi.shape:
             raise LengthMismatch(f"terminal shape {xi.shape} != {self.xi.shape}")
         return replace(self, xi=xi)
+
+
+def _partial_sums(increments: np.ndarray) -> np.ndarray:
+    """Running sums over the leading (time) axis, from a zero first row, in time order.
+
+    Row by row: ``np.cumsum`` along the leading axis of a time-major array
+    walks each particle with a stride and takes about twice as long.
+    """
+    out = np.empty((increments.shape[0] + 1,) + increments.shape[1:])
+    out[0] = 0.0
+    out[1] = increments[0]
+    for j in range(1, increments.shape[0]):
+        np.add(out[j], increments[j], out=out[j + 1])
+    return out
 
 
 def simulate_forward(
@@ -98,53 +118,61 @@ def simulate_forward(
 
     N, d, dt = grid.N, spec.brownian_dim, grid.dt
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    dB = rng.standard_normal((M, N, d)) * math.sqrt(dt)
+    # Consecutive particle blocks continue one variate stream, so the cloud
+    # equals a single (M, N, d) draw, transposed.
+    dB = np.empty((N, M, d))
+    sqrt_dt = math.sqrt(dt)
+    block = max(1, _BLOCK_VALUES // (N * d))
+    for start in range(0, M, block):
+        draw = rng.standard_normal((min(block, M - start), N, d))
+        np.multiply(draw.transpose(1, 0, 2), sqrt_dt, out=dB[:, start : start + draw.shape[0]])
 
     if debug_checks:
         mean_bound = 5.0 / math.sqrt(M * N)
-        coord_means = dB.reshape(-1, d).mean(axis=0) / math.sqrt(dt)
+        coord_means = dB.reshape(-1, d).mean(axis=0) / sqrt_dt
         if np.any(np.abs(coord_means) > mean_bound):
             raise SimulationError(f"increment sample mean {coord_means} outside {mean_bound:.3g} band")
         var = dB.reshape(-1, d).var(axis=0)
         if np.any(np.abs(var - dt) > 0.1 * dt):
             raise SimulationError(f"increment sample variance {var} not within 10% of dt {dt}")
 
-    brownian = np.zeros((M, N + 1, d))
-    np.cumsum(dB, axis=1, out=brownian[:, 1:, :])
+    brownian = _partial_sums(dB)
 
     forward_state = None
     if spec.forward is not None:
         fwd = spec.forward
-        forward_state = np.empty((M, N + 1))
-        forward_state[:, 0] = fwd.x0
+        forward_state = np.empty((N + 1, M))
+        forward_state[0] = fwd.x0
         for j in range(N):
-            x = forward_state[:, j]
-            forward_state[:, j + 1] = x + (fwd.drift_const + fwd.drift_lin * x) * dt + fwd.sigma * dB[:, j, 0]
-            if not np.all(np.isfinite(forward_state[:, j + 1])):
+            x = forward_state[j]
+            forward_state[j + 1] = x + (fwd.drift_const + fwd.drift_lin * x) * dt + fwd.sigma * dB[j, :, 0]
+            if not np.all(np.isfinite(forward_state[j + 1])):
                 raise SimulationError(f"forward state non-finite at step {j + 1}")
 
     times = grid.times
     kap = spec.kappa
     if kap.family == "zero":
-        kappa = np.zeros((M, N + 1))
+        kappa = np.zeros((N + 1, M))
     elif kap.family == "linear":
-        kappa = np.broadcast_to(kap.rate * times, (M, N + 1)).copy()
+        kappa = np.broadcast_to((kap.rate * times)[:, None], (N + 1, M)).copy()
     elif kap.family == "curve":
         curve = np.interp(times, kap.knots_t, kap.knots_v)
         curve = curve - curve[0]  # kappa_0 = 0 by convention
-        kappa = np.broadcast_to(curve, (M, N + 1)).copy()
+        kappa = np.broadcast_to(curve[:, None], (N + 1, M)).copy()
     else:
         if forward_state is None:
             raise SimulationError("pathwise-integral kappa requires a forward SDE")
-        kappa = np.zeros((M, N + 1))
-        h_vals = kap.eval_h(forward_state[:, :-1])
-        np.cumsum(h_vals * dt, axis=1, out=kappa[:, 1:])
+        kappa = _partial_sums(kap.eval_h(forward_state[:-1]) * dt)
+    # Each row summed sequentially in particle order, as a reduction over the
+    # particle-major layout did; a reduction along the contiguous row would
+    # sum pairwise and move the last digits.
+    mean_kappa = np.array([np.cumsum(row)[-1] for row in kappa]) / M
 
     term = spec.terminal
     if term.mode == "direct-sampler":
-        xi = term.sample_direct(brownian[:, -1, 0], grid.T)
+        xi = term.sample_direct(brownian[-1, :, 0], grid.T)
     else:
-        xi = term.apply_payoff(forward_state[:, -1])
+        xi = term.apply_payoff(forward_state[-1])
 
     return ForwardCloud(
         grid=grid,
@@ -153,7 +181,7 @@ def simulate_forward(
         brownian=brownian,
         kappa=kappa,
         xi=np.asarray(xi, dtype=float),
-        mean_kappa=kappa.mean(axis=0),
+        mean_kappa=mean_kappa,
         forward_state=forward_state,
     )
 

@@ -65,8 +65,8 @@ def build_design(features: np.ndarray | None, basis: RegressionBasis) -> np.ndar
     return np.column_stack(cols)
 
 
-def _solve_regularized(design: np.ndarray, targets: np.ndarray):
-    """Normal equations, with a fixed relative Tikhonov fudge on near-singular Grams."""
+def _checked_gram(design: np.ndarray) -> np.ndarray:
+    """Gram matrix of a design, with a fixed relative Tikhonov fudge when near-singular."""
     gram = design.T @ design
     n_basis = gram.shape[0]
     cond = np.linalg.cond(gram)
@@ -75,8 +75,18 @@ def _solve_regularized(design: np.ndarray, targets: np.ndarray):
         cond = np.linalg.cond(gram)
         if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise RankDeficient(f"regularized Gram condition {cond:.3g} exceeds {_COND_LIMIT:.0e}")
+    return gram
+
+
+def _fit(design: np.ndarray, gram: np.ndarray, targets: np.ndarray):
+    """Fitted values and coefficients from the normal equations of a checked Gram."""
     coef = np.linalg.solve(gram, design.T @ targets)
     return design @ coef, coef
+
+
+def _check_particle_count(m: int, n_basis: int) -> None:
+    if m <= n_basis:
+        raise ValueError(f"need more particles ({m}) than basis functions ({n_basis})")
 
 
 def regress_conditional(targets: np.ndarray, features: np.ndarray | None, basis: RegressionBasis):
@@ -90,11 +100,70 @@ def regress_conditional(targets: np.ndarray, features: np.ndarray | None, basis:
     design = build_design(
         features if features is not None else np.empty((targets.shape[0], 0)), basis
     )
-    if targets.shape[0] <= design.shape[1]:
-        raise ValueError(
-            f"need more particles ({targets.shape[0]}) than basis functions ({design.shape[1]})"
-        )
-    return _solve_regularized(design, targets)
+    _check_particle_count(targets.shape[0], design.shape[1])
+    return _fit(design, _checked_gram(design), targets)
+
+
+@dataclass(frozen=True, eq=False)
+class RegressionOperator:
+    """Per-step regression data of one (cloud, basis) pair, shared by every pass on it.
+
+    ``grams[j]`` is the checked Gram matrix of step j's design, formed by
+    the first pass that reaches step j from the design it builds there and
+    reused by every later pass. The design itself is rebuilt each pass from
+    the cloud's step-j feature row, so the operator holds no particle-sized
+    array of its own; ``features`` is a reference to the cloud's array, not
+    a copy. Nothing here depends on the penalty or smoothing level, the
+    driver or the terminal, so one operator serves every level and every
+    terminal perturbation of a cloud. Build it with
+    :func:`regression_operator`.
+    """
+
+    basis: RegressionBasis
+    grid: TimeGrid
+    M: int
+    features: np.ndarray | None  # cloud.brownian, cloud.forward_state, or None for an intercept
+    grams: list  # N entries, None until a pass reaches the step
+
+    def design(self, j: int) -> np.ndarray:
+        return build_design(np.empty((self.M, 0)) if self.features is None else self.features[j], self.basis)
+
+    def fit(self, j: int, targets: np.ndarray):
+        """Fitted values and coefficients of ``targets`` on step j's design."""
+        design = self.design(j)
+        if self.grams[j] is None:
+            self.grams[j] = _checked_gram(design)
+        return _fit(design, self.grams[j], targets)
+
+    def check_cloud(self, cloud: ForwardCloud) -> None:
+        """Raise unless ``cloud`` has the grid, particle count and features this was built on."""
+        if cloud.grid != self.grid or cloud.M != self.M:
+            raise LengthMismatch("regression operator was built on another grid or particle count")
+        if _feature_source(cloud, self.basis) is not self.features:
+            raise LengthMismatch("regression operator was built on another cloud's features")
+
+
+def _feature_source(cloud: ForwardCloud, basis: RegressionBasis) -> np.ndarray | None:
+    if basis.kind == "constant" or basis.degree == 0:
+        return None
+    return cloud.forward_state if basis.kind == "forward" else cloud.brownian
+
+
+def regression_operator(cloud: ForwardCloud, basis: RegressionBasis) -> RegressionOperator:
+    """Regression operator of ``basis`` on ``cloud``, for every pass on that cloud.
+
+    Fails here, before any backward pass, when the basis cannot be fitted:
+    a forward basis on a cloud without a forward state, or no more
+    particles than basis functions. A Gram matrix that stays singular after
+    regularization raises ``RankDeficient`` in the first pass, at the first
+    step whose Gram it forms.
+    """
+    if basis.kind == "forward" and cloud.forward_state is None:
+        raise ValueError("forward basis requested but the cloud has no forward state")
+    features = _feature_source(cloud, basis)
+    width = 0 if features is None else (cloud.d if basis.kind == "brownian" else 1)
+    _check_particle_count(cloud.M, 1 + width * basis.degree)
+    return RegressionOperator(basis, cloud.grid, cloud.M, features, [None] * cloud.grid.N)
 
 
 def implicit_mean_penalty(p_val: float, u_val: float, n: float, delta: float) -> float:
@@ -146,22 +215,12 @@ class PenalizedSolution:
         return np.diff(self.K)
 
 
-def _features_at(cloud: ForwardCloud, basis: RegressionBasis, j: int):
-    if basis.kind == "forward":
-        if cloud.forward_state is None:
-            raise ValueError("forward basis requested but the cloud has no forward state")
-        return cloud.forward_state[:, j]
-    if basis.kind == "brownian":
-        return cloud.brownian[:, j, :]
-    return np.empty((cloud.M, 0))
-
-
 def solve_penalized(
     spec: ProblemSpec,
     u_k: SmoothObstacle,
     n: float,
     cloud: ForwardCloud,
-    basis: RegressionBasis,
+    operator: RegressionOperator,
 ) -> PenalizedSolution:
     """Run the backward induction from Y(T) = xi down to t = 0.
 
@@ -169,11 +228,14 @@ def solve_penalized(
     the integrand and the conditional mean, take the law moments from the
     step-(j+1) cloud, apply f and g explicitly at the conditional mean, and
     shift every particle by the implicit mean-level penalty increment. K is
-    deterministic, so the shift is common to all particles.
+    deterministic, so the shift is common to all particles. ``operator``
+    must have been built on this cloud (or on one that differs only in its
+    terminal draws); it supplies each step's design and checked Gram.
     """
     grid = cloud.grid
     if u_k.grid != grid:
         raise LengthMismatch("smooth obstacle grid does not match the cloud grid")
+    operator.check_cloud(cloud)
     N, M, d, dt = grid.N, cloud.M, cloud.d, grid.dt
     times = grid.times
 
@@ -188,13 +250,9 @@ def solve_penalized(
     z_target_std = np.zeros((N, d))
 
     for j in range(N - 1, -1, -1):
-        design = build_design(_features_at(cloud, basis, j), basis)
-        if M <= design.shape[1]:
-            raise ValueError(f"need more particles ({M}) than basis functions ({design.shape[1]})")
-
-        z_targets = Y[j + 1][:, None] * cloud.dB[:, j, :] / dt  # (M, d)
+        z_targets = Y[j + 1][:, None] * cloud.dB[j] / dt  # (M, d)
         stacked = np.column_stack([z_targets, Y[j + 1]])
-        fitted, _ = _solve_regularized(design, stacked)
+        fitted, _ = operator.fit(j, stacked)
         Z[j] = fitted[:, :d]
         cond_mean = fitted[:, d]
         resid = stacked - fitted
@@ -209,7 +267,7 @@ def solve_penalized(
 
         f_vals = eval_driver(spec.driver, times[j], cond_mean, Z[j], m_y, m_z)
         g_vals = eval_boundary(spec.boundary, times[j], cond_mean)
-        dkap = cloud.kappa[:, j + 1] - cloud.kappa[:, j]
+        dkap = cloud.kappa[j + 1] - cloud.kappa[j]
         y0 = cond_mean + f_vals * dt + g_vals * dkap
 
         p_val = float(y0.mean())

@@ -458,9 +458,9 @@ def validate_problem(spec: ProblemSpec, samples: int = 10_000, seed: int = 0) ->
         )
     )
 
-    kap = cloud.kappa
-    start_ok = bool(np.all(kap[:, 0] == 0.0))
-    mono_kappa = float(np.min(np.diff(kap, axis=1))) if kap.shape[1] > 1 else 0.0
+    kap = cloud.kappa  # (N+1, M)
+    start_ok = bool(np.all(kap[0] == 0.0))
+    mono_kappa = float(np.min(np.diff(kap, axis=0))) if kap.shape[0] > 1 else 0.0
     a5_ok = start_ok and mono_kappa >= -1e-12
     checks.append(
         ValidationCheck(
@@ -470,7 +470,7 @@ def validate_problem(spec: ProblemSpec, samples: int = 10_000, seed: int = 0) ->
             mono_kappa,
         )
     )
-    exp_spot = float(np.mean(np.exp(np.minimum(kap[:, -1], 700.0))))
+    exp_spot = float(np.mean(np.exp(np.minimum(kap[-1], 700.0))))
     checks.append(
         ValidationCheck(
             "A5-exp-moment",

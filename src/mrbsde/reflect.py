@@ -19,7 +19,13 @@ import numpy as np
 from .errors import LengthMismatch, NotConverged
 from .mollify import SmoothObstacle, mollify_obstacle
 from .paths import ForwardCloud, TimeGrid
-from .penalized import PenalizedSolution, RegressionBasis, solve_penalized
+from .penalized import (
+    PenalizedSolution,
+    RegressionBasis,
+    RegressionOperator,
+    regression_operator,
+    solve_penalized,
+)
 from .problem import ProblemSpec
 
 
@@ -172,18 +178,19 @@ def penalty_ladder(
     u_k: SmoothObstacle,
     n_levels,
     cloud: ForwardCloud,
-    basis: RegressionBasis,
+    operator: RegressionOperator,
 ) -> Iterator[tuple[LevelRecord, PenalizedSolution]]:
     """Solve the penalized equation at each level n against u_k, yielding (record, solution).
 
     ``wall_ms`` times the backward pass alone; the Cauchy distance is to
     the previous level's mean path. The caller stops the ladder by leaving
-    the loop: no level runs before it is asked for.
+    the loop: no level runs before it is asked for. Every level shares the
+    caller's regression operator for ``cloud``.
     """
     prev_mean = None
     for n in n_levels:
         t0 = time.perf_counter()
-        sol = solve_penalized(spec, u_k, n, cloud, basis)
+        sol = solve_penalized(spec, u_k, n, cloud, operator)
         wall_ms = (time.perf_counter() - t0) * 1000.0
         sup_sq, integral_sq = deficit_metrics(sol, u_k, cloud.mean_kappa)
         cauchy = float(np.max(np.abs(sol.mean_path - prev_mean))) if prev_mean is not None else None
@@ -200,6 +207,7 @@ def penalty_ladder(
             wall_ms=wall_ms,
         )
         yield record, sol
+        del sol  # a level the caller has dropped must not outlive it into the next pass
 
 
 def solve_reflected(
@@ -217,14 +225,16 @@ def solve_reflected(
     are cauchy_tol-close. The mollification loop stops when the smooth
     obstacle is within deficit_tol / 2 of the raw obstacle in sup norm.
     Raises NotConverged (with the trace attached) when a ladder runs out.
+    One regression operator serves every level of both loops.
     """
     if cloud.grid != grid:
         raise LengthMismatch("cloud grid does not match requested grid")
 
+    operator = regression_operator(cloud, basis)
     trace: list[LevelRecord] = []
     for k in schedule.k_levels:
         u_k = mollify_obstacle(spec.obstacle, k, grid, quad_points)
-        for record, sol in penalty_ladder(spec, u_k, schedule.n_levels, cloud, basis):
+        for record, sol in penalty_ladder(spec, u_k, schedule.n_levels, cloud, operator):
             trace.append(record)
             if record.cauchy_mean_dist is not None:
                 cauchy_ok = record.cauchy_mean_dist <= schedule.cauchy_tol
@@ -235,6 +245,7 @@ def solve_reflected(
                 cauchy_ok = sol.K[-1] == 0.0 or len(schedule.n_levels) == 1
             if record.sup_deficit <= schedule.deficit_tol and cauchy_ok:
                 break
+            del sol  # a rejected level's arrays are freed before the next pass
         else:
             raise NotConverged(
                 f"penalty ladder exhausted at k={k} above tolerance "
@@ -243,6 +254,7 @@ def solve_reflected(
             )
         if u_k.sup_gap <= schedule.deficit_tol / 2.0:
             break
+        del sol
     else:
         raise NotConverged(
             f"mollification ladder exhausted with obstacle gap {u_k.sup_gap:.3g} "

@@ -12,6 +12,7 @@ from mrbsde import (
     deficit_metrics,
     mollify_obstacle,
     rate_fit,
+    regression_operator,
     simulate_forward,
     solve_penalized,
     stability_experiment,
@@ -67,7 +68,7 @@ class TestDeficitMetrics:
         spec = zero_problem()
         cloud = simulate_forward(spec, GRID, 2000, seed=1)
         u_k = mollify_obstacle(ObstacleCurve("constant", value=-1.0), 20, GRID)
-        sol = solve_penalized(spec, u_k, 100, cloud, BASIS)
+        sol = solve_penalized(spec, u_k, 100, cloud, regression_operator(cloud, BASIS))
         assert deficit_metrics(sol, u_k, cloud.mean_kappa) == (0.0, 0.0)
 
     def test_synthetic_constant_deficit(self):
@@ -88,9 +89,10 @@ class TestDeficitMetrics:
         spec = zero_problem(obstacle=SINE)
         cloud = simulate_forward(spec, GRID, 4000, seed=2)
         u_k = mollify_obstacle(SINE, 30, GRID)
+        op = regression_operator(cloud, BASIS)
         sups = []
         for n in (25, 50, 100, 200, 400, 800):
-            sol = solve_penalized(spec, u_k, n, cloud, BASIS)
+            sol = solve_penalized(spec, u_k, n, cloud, op)
             sups.append(deficit_metrics(sol, u_k, cloud.mean_kappa)[0])
         assert all(b < a for a, b in zip(sups, sups[1:]))
 
@@ -133,6 +135,22 @@ class TestStabilityExperiment:
         )
         assert rows[0].sup_mean_sq_dy > 0.0
 
+    def test_node_reductions_equal_full_difference_arrays(self):
+        # the rows are reduced node by node; the reference forms dY and dZ whole
+        spec = zero_problem(obstacle=SINE, brownian_dim=2)
+        cloud = simulate_forward(spec, GRID, 10_000, seed=3)
+        u_k = mollify_obstacle(SINE, 20, GRID)
+        rows = stability_experiment(spec, GRID, cloud, (0.1, 0.05), u_k, 200, BASIS)
+        op = regression_operator(cloud, BASIS)
+        base = solve_penalized(spec, u_k, 200, cloud, op)
+        for row in rows:
+            pert = solve_penalized(spec, u_k, 200, cloud.with_terminal(cloud.xi + row.epsilon), op)
+            dY, dZ = pert.Y - base.Y, pert.Z - base.Z
+            assert row.sup_mean_sq_dy == float(np.max(np.mean(dY**2, axis=1)))
+            assert row.integral_mean_sq_dz == float(
+                np.sum(np.mean(np.sum(dZ[:-1] ** 2, axis=2), axis=1)) * GRID.dt
+            )
+
     def test_duplicate_epsilons_rejected(self):
         spec = zero_problem(obstacle=SINE)
         cloud = simulate_forward(spec, GRID, 2000, seed=3)
@@ -147,7 +165,7 @@ class TestAprioriReport:
                                                   declared_mean=0.0))
         cloud = simulate_forward(spec, GRID, 2000, seed=4)
         u_k = mollify_obstacle(ObstacleCurve("constant", value=-1.0), 20, GRID)
-        sol = solve_penalized(spec, u_k, 100, cloud, BASIS)
+        sol = solve_penalized(spec, u_k, 100, cloud, regression_operator(cloud, BASIS))
         rep = apriori_report(sol, spec, cloud)
         assert rep.degenerate
         assert rep.lhs == 0.0
@@ -156,7 +174,7 @@ class TestAprioriReport:
         spec = zero_problem(obstacle=SINE)
         cloud = simulate_forward(spec, GRID, 4000, seed=4)
         u_k = mollify_obstacle(SINE, 30, GRID)
-        sol = solve_penalized(spec, u_k, 400, cloud, BASIS)
+        sol = solve_penalized(spec, u_k, 400, cloud, regression_operator(cloud, BASIS))
         rep = apriori_report(sol, spec, cloud)
         assert not rep.degenerate
         for value in (rep.sup_mean_sq_y, rep.integral_mean_sq_z, rep.terminal_sq,
@@ -171,6 +189,6 @@ class TestAprioriReport:
         ratios = []
         for m in (10_000, 20_000):
             cloud = simulate_forward(spec, GRID, m, seed=4)
-            sol = solve_penalized(spec, u_k, 400, cloud, BASIS)
+            sol = solve_penalized(spec, u_k, 400, cloud, regression_operator(cloud, BASIS))
             ratios.append(apriori_report(sol, spec, cloud).ratio)
         assert abs(ratios[1] - ratios[0]) / ratios[0] < 0.2

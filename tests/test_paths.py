@@ -11,6 +11,7 @@ from mrbsde import (
     empirical_moments,
     simulate_forward,
 )
+from mrbsde import paths
 from tests.util import zero_problem
 
 
@@ -48,8 +49,8 @@ class TestSimulateForward:
     def test_linear_kappa_terminal_value(self):
         spec = zero_problem(kappa=KappaSpec("linear", rate=2.0))
         cloud = simulate_forward(spec, TimeGrid(1.0, 10), 16, seed=0)
-        assert np.allclose(cloud.kappa[:, -1], 2.0)
-        assert np.all(cloud.kappa[:, 0] == 0.0)
+        assert np.allclose(cloud.kappa[-1], 2.0)
+        assert np.all(cloud.kappa[0] == 0.0)
         assert np.all(np.diff(cloud.mean_kappa) >= 0)
 
     def test_integral_kappa_nonnegative_nondecreasing(self):
@@ -58,8 +59,8 @@ class TestSimulateForward:
             forward=ForwardSDESpec(x0=1.0, sigma=0.3),
         )
         cloud = simulate_forward(spec, TimeGrid(1.0, 16), 64, seed=5)
-        assert np.all(cloud.kappa[:, 0] == 0.0)
-        assert np.all(np.diff(cloud.kappa, axis=1) >= 0.0)
+        assert np.all(cloud.kappa[0] == 0.0)
+        assert np.all(np.diff(cloud.kappa, axis=0) >= 0.0)
 
     def test_forward_state_reduces_to_brownian(self):
         spec = zero_problem(
@@ -68,7 +69,7 @@ class TestSimulateForward:
         )
         cloud = simulate_forward(spec, TimeGrid(1.0, 8), 32, seed=1)
         np.testing.assert_allclose(cloud.forward_state, cloud.brownian[:, :, 0], atol=1e-14)
-        np.testing.assert_allclose(cloud.xi, cloud.brownian[:, -1, 0])
+        np.testing.assert_allclose(cloud.xi, cloud.brownian[-1, :, 0])
 
     def test_direct_sampler_matches_declared_law(self):
         spec = zero_problem(terminal=TerminalSpec("direct-sampler", mean=1.5, std=2.0, declared_mean=1.5))
@@ -93,6 +94,29 @@ class TestSimulateForward:
             simulate_forward(zero_problem(), TimeGrid(1.0, 8), 1, seed=0)
         with pytest.raises(ValueError):
             simulate_forward(zero_problem(), TimeGrid(1.0, 1), 8, seed=0)
+
+    def test_time_major_increments_equal_one_particle_major_draw(self):
+        spec = zero_problem(brownian_dim=2)
+        grid = TimeGrid(1.0, 6)
+        m = 2 * (paths._BLOCK_VALUES // 12) + 7  # two full draw blocks and a partial third
+        cloud = simulate_forward(spec, grid, m, seed=3)
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(3)))
+        draw = rng.standard_normal((m, 6, 2)) * np.sqrt(grid.dt)
+        assert cloud.dB.shape == (6, m, 2) and cloud.dB.flags.c_contiguous
+        assert np.array_equal(cloud.dB, draw.transpose(1, 0, 2))
+        assert np.array_equal(cloud.brownian[1:], np.cumsum(draw, axis=1).transpose(1, 0, 2))
+
+    def test_mean_kappa_is_the_sequential_particle_sum(self):
+        spec = zero_problem(
+            kappa=KappaSpec("integral", h_kind="square", h_scale=0.5),
+            forward=ForwardSDESpec(x0=1.0, sigma=0.3),
+        )
+        m = 5003
+        cloud = simulate_forward(spec, TimeGrid(1.0, 16), m, seed=5)
+        total = np.zeros(17)
+        for particle in cloud.kappa.T:
+            total = total + particle
+        assert np.array_equal(cloud.mean_kappa, total / m)
 
     def test_with_terminal_replaces_only_xi(self):
         cloud = simulate_forward(zero_problem(), TimeGrid(1.0, 8), 32, seed=0)

@@ -5,9 +5,12 @@ from hypothesis import strategies as st
 
 from mrbsde import (
     BoundarySpec,
+    ConvergenceSchedule,
     DriverSpec,
+    ForwardSDESpec,
     KappaSpec,
     LengthMismatch,
+    NotConverged,
     ObstacleCurve,
     RankDeficient,
     RegressionBasis,
@@ -16,10 +19,14 @@ from mrbsde import (
     mollify_obstacle,
     penalty_increment,
     regress_conditional,
+    regression_operator,
     simulate_forward,
     skorokhod_closed_form,
     solve_penalized,
+    solve_reflected,
+    stability_experiment,
 )
+from mrbsde import penalized
 from tests.util import zero_problem
 
 GRID = TimeGrid(1.0, 50)
@@ -28,6 +35,10 @@ SINE = ObstacleCurve("sine", amplitude=0.5)
 
 def small_cloud(spec=None, M=4000, seed=11, grid=GRID):
     return simulate_forward(spec or zero_problem(), grid, M, seed)
+
+
+def brownian_operator(cloud, degree=2):
+    return regression_operator(cloud, RegressionBasis("brownian", degree))
 
 
 class TestRegression:
@@ -146,7 +157,7 @@ class TestSolvePenalized:
         spec = zero_problem()
         cloud = small_cloud(spec)
         u_k = mollify_obstacle(ObstacleCurve("constant", value=-1.0), 10, GRID)
-        sol = solve_penalized(spec, u_k, 0.0, cloud, RegressionBasis("brownian", 1))
+        sol = solve_penalized(spec, u_k, 0.0, cloud, brownian_operator(cloud, 1))
         assert np.all(sol.K == 0.0)
         np.testing.assert_allclose(sol.Y[-1], cloud.xi)
         # martingale mean: stays near the terminal sample mean
@@ -156,15 +167,16 @@ class TestSolvePenalized:
         spec = zero_problem()
         cloud = small_cloud(spec)
         u_k = mollify_obstacle(ObstacleCurve("constant", value=-1.0), 10, GRID)
+        op = brownian_operator(cloud)
         for n in (10.0, 1e3, 1e6):
-            sol = solve_penalized(spec, u_k, n, cloud, RegressionBasis("brownian", 2))
+            sol = solve_penalized(spec, u_k, n, cloud, op)
             assert np.all(sol.K == 0.0)
 
     def test_sine_mean_path_against_closed_form(self):
         spec = zero_problem(obstacle=SINE)
         cloud = small_cloud(spec, M=8000)
         u_k = mollify_obstacle(SINE, 30, GRID)
-        sol = solve_penalized(spec, u_k, 500, cloud, RegressionBasis("brownian", 2))
+        sol = solve_penalized(spec, u_k, 500, cloud, brownian_operator(cloud))
         fine = np.linspace(0.0, 1.0, 50 * 200 + 1)
         mean_star, _ = skorokhod_closed_form(0.0, SINE.evaluate(fine))
         assert np.max(np.abs(sol.mean_path - mean_star[::200])) <= 0.03
@@ -173,7 +185,7 @@ class TestSolvePenalized:
         spec = zero_problem(obstacle=SINE)
         cloud = small_cloud(spec)
         u_k = mollify_obstacle(SINE, 30, GRID)
-        sol = solve_penalized(spec, u_k, 200, cloud, RegressionBasis("brownian", 2))
+        sol = solve_penalized(spec, u_k, 200, cloud, brownian_operator(cloud))
         dK = sol.dK
         assert np.any(dK > 0)
         active = dK > 0
@@ -185,9 +197,10 @@ class TestSolvePenalized:
         spec = zero_problem(obstacle=SINE)
         cloud = small_cloud(spec)
         u_k = mollify_obstacle(SINE, 30, GRID)
+        op = brownian_operator(cloud)
         sups = []
         for n in (25, 50, 100, 200, 400, 800):
-            sol = solve_penalized(spec, u_k, n, cloud, RegressionBasis("brownian", 2))
+            sol = solve_penalized(spec, u_k, n, cloud, op)
             sups.append(float(np.max(np.maximum(u_k.values[:-1] - sol.mean_path[:-1], 0.0))))
         assert all(b <= a + 1e-3 for a, b in zip(sups, sups[1:]))
 
@@ -197,8 +210,9 @@ class TestSolvePenalized:
                             obstacle=SINE)
         cloud = small_cloud(spec)
         u_k = mollify_obstacle(SINE, 30, GRID)
-        lo = solve_penalized(spec, u_k, 50, cloud, RegressionBasis("brownian", 2))
-        hi = solve_penalized(spec, u_k, 800, cloud, RegressionBasis("brownian", 2))
+        op = brownian_operator(cloud)
+        lo = solve_penalized(spec, u_k, 50, cloud, op)
+        hi = solve_penalized(spec, u_k, 800, cloud, op)
         spread_lo = lo.Y - lo.mean_path[:, None]
         spread_hi = hi.Y - hi.mean_path[:, None]
         np.testing.assert_allclose(spread_lo, spread_hi, atol=1e-10)
@@ -208,14 +222,14 @@ class TestSolvePenalized:
         grid = TimeGrid(1.0, 100)
         cloud = simulate_forward(spec, grid, 2000, seed=2)
         u_k = mollify_obstacle(SINE, 30, grid)
-        sol = solve_penalized(spec, u_k, 1e6, cloud, RegressionBasis("brownian", 2))
+        sol = solve_penalized(spec, u_k, 1e6, cloud, brownian_operator(cloud))
         assert np.all(np.isfinite(sol.Y)) and np.all(np.isfinite(sol.K))
 
     def test_terminal_row_is_exact_terminal_draw(self):
         spec = zero_problem(obstacle=SINE)
         cloud = small_cloud(spec)
         u_k = mollify_obstacle(SINE, 20, GRID)
-        sol = solve_penalized(spec, u_k, 100, cloud, RegressionBasis("brownian", 2))
+        sol = solve_penalized(spec, u_k, 100, cloud, brownian_operator(cloud))
         assert np.array_equal(sol.Y[-1], cloud.xi)
         assert sol.K[0] == 0.0
         np.testing.assert_allclose(sol.mean_path, sol.Y.mean(axis=1))
@@ -225,7 +239,7 @@ class TestSolvePenalized:
         cloud = small_cloud(spec)
         u_other = mollify_obstacle(SINE, 20, TimeGrid(1.0, 40))
         with pytest.raises(LengthMismatch):
-            solve_penalized(spec, u_other, 100, cloud, RegressionBasis("brownian", 2))
+            solve_penalized(spec, u_other, 100, cloud, brownian_operator(cloud))
 
     def test_nonlinear_driver_and_boundary_smoke(self):
         spec = zero_problem(
@@ -237,7 +251,7 @@ class TestSolvePenalized:
         )
         cloud = small_cloud(spec)
         u_k = mollify_obstacle(SINE, 25, GRID)
-        sol = solve_penalized(spec, u_k, 300, cloud, RegressionBasis("brownian", 2))
+        sol = solve_penalized(spec, u_k, 300, cloud, brownian_operator(cloud))
         assert np.all(np.isfinite(sol.Y)) and np.all(np.isfinite(sol.Z))
         assert np.all(sol.dK >= 0.0)
         active = sol.dK > 0
@@ -249,9 +263,85 @@ class TestSolvePenalized:
         spec = zero_problem(obstacle=SINE, brownian_dim=2)
         cloud = simulate_forward(spec, GRID, 8000, seed=13)
         u_k = mollify_obstacle(SINE, 30, GRID)
-        sol = solve_penalized(spec, u_k, 200, cloud, RegressionBasis("brownian", 1))
+        sol = solve_penalized(spec, u_k, 200, cloud, brownian_operator(cloud, 1))
         assert sol.Z.shape == (GRID.N + 1, 8000, 2)
         z_mean = sol.Z.mean(axis=1)
         band = 4.0 * sol.z_target_std.max() / np.sqrt(8000)
         assert np.max(np.abs(z_mean[:, 0] - 1.0)) <= band
         assert np.max(np.abs(z_mean[:, 1])) <= band
+
+
+class TestRegressionOperator:
+    def test_reused_operator_gives_bit_identical_solutions(self):
+        spec = zero_problem(obstacle=SINE, kappa=KappaSpec("linear", rate=1.0),
+                            boundary=BoundarySpec("linear-monotone", beta=-1.0))
+        cloud = small_cloud(spec)
+        u_k = mollify_obstacle(SINE, 30, GRID)
+        shared = brownian_operator(cloud)
+        for n in (25, 800):
+            a = solve_penalized(spec, u_k, n, cloud, shared)
+            b = solve_penalized(spec, u_k, n, cloud, brownian_operator(cloud))
+            for field in ("Y", "Z", "K", "mean_path", "residual_y", "residual_z", "z_target_std"):
+                assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+    def test_rank_deficient_basis_fails_at_the_first_step_of_the_first_pass(self, monkeypatch):
+        spec = zero_problem(obstacle=SINE)
+        cloud = small_cloud(spec, M=400)
+        op = regression_operator(cloud, RegressionBasis("brownian", 120))
+        steps = []
+        design = penalized.RegressionOperator.design
+
+        def recording(self, j):
+            steps.append(j)
+            return design(self, j)
+
+        monkeypatch.setattr(penalized.RegressionOperator, "design", recording)
+        with pytest.raises(RankDeficient):
+            solve_penalized(spec, mollify_obstacle(SINE, 20, GRID), 100, cloud, op)
+        assert steps == [GRID.N - 1]
+
+    def test_unfittable_basis_fails_when_built(self):
+        with pytest.raises(ValueError, match="more particles"):
+            regression_operator(small_cloud(M=40), RegressionBasis("brownian", 40))
+        with pytest.raises(ValueError, match="no forward state"):
+            regression_operator(small_cloud(M=40), RegressionBasis("forward", 2))
+
+    def test_forward_basis_reads_the_forward_state(self):
+        spec = zero_problem(forward=ForwardSDESpec(x0=1.0, sigma=0.3))
+        cloud = small_cloud(spec, M=500)
+        op = regression_operator(cloud, RegressionBasis("forward", 2))
+        assert op.features is cloud.forward_state
+        design = op.design(7)
+        assert np.array_equal(design[:, 1], cloud.forward_state[7])
+
+    def test_operator_of_another_cloud_is_rejected(self):
+        spec = zero_problem(obstacle=SINE)
+        cloud = small_cloud(spec)
+        u_k = mollify_obstacle(SINE, 20, GRID)
+        op = brownian_operator(cloud)
+        solve_penalized(spec, u_k, 100, cloud.with_terminal(cloud.xi + 1.0), op)  # same features
+        for other in (small_cloud(spec, seed=12), small_cloud(spec, M=3000)):
+            with pytest.raises(LengthMismatch):
+                solve_penalized(spec, u_k, 100, other, op)
+
+    def test_gram_checked_once_per_step_per_cloud(self, monkeypatch):
+        checks = []
+
+        def counting(design):
+            checks.append(design.shape)
+            return checked_gram(design)
+
+        checked_gram = penalized._checked_gram
+        monkeypatch.setattr(penalized, "_checked_gram", counting)
+        spec = zero_problem(obstacle=SINE)
+        cloud = small_cloud(spec)
+        schedule = ConvergenceSchedule(n_levels=(25, 50, 100), k_levels=(5, 10), deficit_tol=1e-9)
+        with pytest.raises(NotConverged) as exc:
+            solve_reflected(spec, GRID, cloud, schedule, RegressionBasis("brownian", 2))
+        assert len(exc.value.trace) == 3  # three passes, one operator
+        assert len(checks) == GRID.N
+
+        checks.clear()
+        u_k = mollify_obstacle(SINE, 20, GRID)
+        stability_experiment(spec, GRID, cloud, (0.1, 0.05), u_k, 100, RegressionBasis("brownian", 2))
+        assert len(checks) == GRID.N  # base and two perturbed passes
