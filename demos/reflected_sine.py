@@ -17,7 +17,7 @@ grid = TimeGrid(cfg.spec.horizon, cfg.N)
 
 print(f"simulating {cfg.M} particles on {cfg.N} steps (seed {cfg.seed}) ...")
 cloud = simulate_forward(cfg.spec, grid, cfg.M, cfg.seed)
-refl = solve_reflected(cfg.spec, grid, cloud, cfg.schedule, cfg.basis)
+refl = solve_reflected(cfg.spec, cloud, cfg.schedule, cfg.basis)
 final = refl.trace[-1]
 print(f"converged at mollification level k={final.k}, penalty level n={final.n:.0f} "
       f"after {len(refl.trace)} level runs\n")

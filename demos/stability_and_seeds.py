@@ -23,9 +23,7 @@ grid = TimeGrid(cfg.spec.horizon, cfg.N)
 cloud = simulate_forward(cfg.spec, grid, cfg.M, cfg.seed)
 u_k = mollify_obstacle(cfg.spec.obstacle, 40, grid)
 
-rows = stability_experiment(
-    cfg.spec, grid, cloud, (0.1, 0.05, 0.025), u_k, 800, cfg.basis
-)
+rows = stability_experiment(cfg.spec, cloud, (0.1, 0.05, 0.025), u_k, 800, cfg.basis)
 print(f"{'epsilon':>8s} {'sup_t E|dY|^2':>14s} {'int E|dZ|^2':>12s}")
 for r in rows:
     print(f"{r.epsilon:8.3f} {r.sup_mean_sq_dy:14.3e} {r.integral_mean_sq_dz:12.3e}")
@@ -35,7 +33,7 @@ print(f"quadratic scaling: log-log slope {fit.slope:.3f} (2.0 expected)\n")
 paths = {}
 for seed in (7, 8):
     cl = simulate_forward(cfg.spec, grid, cfg.M, seed)
-    paths[seed] = solve_reflected(cfg.spec, grid, cl, cfg.schedule, cfg.basis)
+    paths[seed] = solve_reflected(cfg.spec, cl, cfg.schedule, cfg.basis)
 gap_mean = np.max(np.abs(paths[7].mean_path - paths[8].mean_path))
 gap_k = np.max(np.abs(paths[7].K - paths[8].K))
 print(f"independent seeds 7 vs 8 at M={cfg.M}:")

@@ -20,7 +20,6 @@ from .diagnostics import (
 from .errors import (
     ConfigError,
     ConstraintInfeasible,
-    EmptyCloud,
     LengthMismatch,
     MrbsdeError,
     NoSelfConvergence,
@@ -42,20 +41,12 @@ from .oracle import (
     unconstrained_mean_path,
     write_reference_table,
 )
-from .paths import (
-    ForwardCloud,
-    MomentVector,
-    TimeGrid,
-    empirical_moments,
-    simulate_forward,
-)
+from .paths import ForwardCloud, TimeGrid, simulate_forward
 from .penalized import (
     PenalizedSolution,
     RegressionBasis,
     RegressionOperator,
     implicit_mean_penalty,
-    penalty_increment,
-    regress_conditional,
     regression_operator,
     solve_penalized,
 )
@@ -69,7 +60,6 @@ from .problem import (
     ProblemSpec,
     TerminalSpec,
     ValidationCheck,
-    ValidationReport,
     eval_boundary,
     eval_driver,
     validate_problem,

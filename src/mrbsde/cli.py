@@ -141,11 +141,6 @@ def _section(cls, doc: dict, where: str):
     return _build(cls, where, **{key: _value(types[key], val, f"{where}.{key}") for key, val in doc.items()})
 
 
-def build_problem(doc: dict) -> ProblemSpec:
-    """Construct a ProblemSpec from a config 'problem' section (strict keys)."""
-    return _section(ProblemSpec, doc, "problem")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved run request."""
@@ -196,7 +191,7 @@ def build_config(doc: dict) -> RunConfig:
         if scalar not in merged:
             raise ParseError(f"missing key {scalar!r} in config")
 
-    spec = build_problem(merged["problem"])
+    spec = _section(ProblemSpec, merged["problem"], "problem")
 
     numerics = merged["numerics"]
     _check_keys(numerics, {"M", "N", "basis", "degree", "quad_points"}, {"M", "N", "basis"}, "numerics")
@@ -214,8 +209,7 @@ def build_config(doc: dict) -> RunConfig:
     )
     if basis.kind == "forward" and spec.forward is None:
         raise ConfigError("numerics.basis 'forward' needs forward SDE coefficients in the problem")
-    features = spec.brownian_dim if basis.kind == "brownian" else 1
-    n_basis = 1 if basis.kind == "constant" else 1 + basis.degree * features
+    n_basis = basis.size(spec.brownian_dim)
     if m_particles <= n_basis:
         raise ConfigError(f"M must exceed the {n_basis} regression basis functions, got {m_particles}")
     quad_points = _num(numerics.get("quad_points", 64), "numerics.quad_points", integer=True)
@@ -423,15 +417,13 @@ def run_experiment(config: RunConfig, subcommand: str) -> RunArtifacts:
     files: list[str] = []
     diagnostics: dict = {}
     try:
-        report = validate_problem(config.spec, samples=1000, seed=config.seed)
-        failed = [c for c in report.checks if c.status == "fail"]
+        checks = validate_problem(config.spec, samples=1000, seed=config.seed)
+        failed = [c for c in checks if c.status == "fail"]
         if failed:
             raise ConfigError(
                 "problem validation failed: " + "; ".join(f"{c.assumption}: {c.detail}" for c in failed)
             )
-        diagnostics["validation"] = [
-            {"assumption": c.assumption, "status": c.status, "detail": c.detail} for c in report.checks
-        ]
+        diagnostics["validation"] = [dataclasses.asdict(c) for c in checks]
 
         grid = TimeGrid(config.spec.horizon, config.N)
         cloud = simulate_forward(config.spec, grid, config.M, config.seed)
@@ -439,7 +431,7 @@ def run_experiment(config: RunConfig, subcommand: str) -> RunArtifacts:
         u_vals = config.spec.obstacle.evaluate(times)
 
         if subcommand in ("solve", "oracle-check"):
-            refl = solve_reflected(config.spec, grid, cloud, config.schedule, config.basis, config.quad_points)
+            refl = solve_reflected(config.spec, cloud, config.schedule, config.basis, config.quad_points)
             apri = apriori_report(refl.solution, config.spec, cloud)
             final = refl.trace[-1]
             diagnostics["final_level"] = {"k": final.k, "n": final.n}
@@ -447,16 +439,7 @@ def run_experiment(config: RunConfig, subcommand: str) -> RunArtifacts:
             diagnostics["flatness_residual"] = final.flatness_residual
             diagnostics["K_T"] = float(refl.K[-1])
             diagnostics["compensator_warnings"] = list(refl.warnings)
-            diagnostics["apriori"] = {
-                "sup_mean_sq_y": apri.sup_mean_sq_y,
-                "integral_mean_sq_z": apri.integral_mean_sq_z,
-                "terminal_sq": apri.terminal_sq,
-                "integral_f_origin_sq": apri.integral_f_origin_sq,
-                "integral_psi_sq_dkappa": apri.integral_psi_sq_dkappa,
-                "compensator_terminal_sq": apri.compensator_terminal_sq,
-                "ratio": apri.ratio,
-                "degenerate": apri.degenerate,
-            }
+            diagnostics["apriori"] = dataclasses.asdict(apri)
             mean_z = refl.Z.mean(axis=1)
             write_atomic(
                 outdir / "mean_path.csv",
@@ -477,9 +460,13 @@ def run_experiment(config: RunConfig, subcommand: str) -> RunArtifacts:
         elif subcommand == "rates":
             u_k = mollify_obstacle(config.spec.obstacle, max(config.schedule.k_levels), grid, config.quad_points)
             records = []
+            n_levels = config.schedule.n_levels
             operator = regression_operator(cloud, config.basis)
-            for record, sol in penalty_ladder(config.spec, u_k, config.schedule.n_levels, cloud, operator):
+            for record, sol in penalty_ladder(config.spec, u_k, n_levels, cloud, operator):
                 records.append(record)
+                if record.n == n_levels[-1]:
+                    apriori_ratio = apriori_report(sol, config.spec, cloud).ratio
+                del sol  # only one level's solution is alive while the next pass runs
             levels = [rec.n for rec in records]
             diagnostics["rates"] = {
                 "k": u_k.level,
@@ -491,8 +478,7 @@ def run_experiment(config: RunConfig, subcommand: str) -> RunArtifacts:
                     levels[:-1], [rec.cauchy_mean_dist for rec in records[1:]], "cauchy"
                 ),
             }
-            apri = apriori_report(sol, config.spec, cloud)
-            diagnostics["apriori_ratio"] = apri.ratio
+            diagnostics["apriori_ratio"] = apriori_ratio
             write_atomic(outdir / "convergence.csv", _convergence_csv(records))
             files.append("convergence.csv")
 
@@ -500,21 +486,8 @@ def run_experiment(config: RunConfig, subcommand: str) -> RunArtifacts:
             k = max(config.schedule.k_levels)
             n = max(config.schedule.n_levels)
             u_k = mollify_obstacle(config.spec.obstacle, k, grid, config.quad_points)
-            rows = stability_experiment(
-                config.spec, grid, cloud, _STABILITY_EPS, u_k, n, config.basis
-            )
-            diagnostics["stability"] = {
-                "k": k,
-                "n": n,
-                "rows": [
-                    {
-                        "epsilon": r.epsilon,
-                        "sup_mean_sq_dy": r.sup_mean_sq_dy,
-                        "integral_mean_sq_dz": r.integral_mean_sq_dz,
-                    }
-                    for r in rows
-                ],
-            }
+            rows = stability_experiment(config.spec, cloud, _STABILITY_EPS, u_k, n, config.basis)
+            diagnostics["stability"] = {"k": k, "n": n, "rows": [dataclasses.asdict(r) for r in rows]}
             try:
                 fit = rate_fit([r.epsilon for r in rows], [r.sup_mean_sq_dy for r in rows])
                 diagnostics["stability"]["slope"] = fit.slope

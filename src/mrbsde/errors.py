@@ -17,10 +17,6 @@ class SimulationError(MrbsdeError):
     """Forward simulation produced non-finite states."""
 
 
-class EmptyCloud(MrbsdeError):
-    """An operation received an empty particle cloud."""
-
-
 class LengthMismatch(MrbsdeError):
     """Paired sample arrays or grid functions have different lengths."""
 

@@ -34,7 +34,6 @@ class MeanProblem:
     terminal_mean: float
     obstacle: ObstacleCurve
     horizon: float
-    lipschitz: float = 0.0
     mean_kappa: Callable[[np.ndarray], np.ndarray] | None = None
 
 
@@ -165,21 +164,11 @@ def mean_reduction(spec: ProblemSpec) -> tuple[MeanProblem, bool] | None:
         return out
 
     y_independent = cy == 0.0 and (beta == 0.0 or kappa_rate is None)
-    if kap.family == "linear":
-        rate_bound = kap.rate
-    elif kap.family == "curve":
-        knots_t = np.asarray(kap.knots_t)
-        knots_v = np.asarray(kap.knots_v)
-        rate_bound = float(np.max(np.diff(knots_v) / np.diff(knots_t)))
-    else:
-        rate_bound = 0.0
-    lip = abs(cy) + abs(beta) * rate_bound
     problem = MeanProblem(
         drift=drift,
         terminal_mean=spec.terminal.mean,
         obstacle=spec.obstacle,
         horizon=T,
-        lipschitz=lip,
         mean_kappa=mean_kappa,
     )
     return problem, y_independent

@@ -1,4 +1,4 @@
-"""Forward Monte Carlo machinery: particle clouds, clock paths, empirical moments.
+"""Forward Monte Carlo machinery: particle clouds and clock paths.
 
 All randomness flows through a Philox counter-based generator keyed by the
 master seed; the slot (particle, step, coordinate) fixes the counter offset
@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptyCloud, LengthMismatch, SimulationError
+from .errors import LengthMismatch, SimulationError
 from .problem import ProblemSpec
 
 _BLOCK_VALUES = 1 << 16  # values per block of particles drawn at once: 512 KB
@@ -41,14 +41,6 @@ class TimeGrid:
     @property
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.N + 1)
-
-
-@dataclass(frozen=True)
-class MomentVector:
-    """First moments of a (Y, Z) cloud."""
-
-    m_y: float
-    m_z: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -101,15 +93,11 @@ def _partial_sums(increments: np.ndarray) -> np.ndarray:
     return out
 
 
-def simulate_forward(
-    spec: ProblemSpec, grid: TimeGrid, M: int, seed: int, debug_checks: bool = False
-) -> ForwardCloud:
+def simulate_forward(spec: ProblemSpec, grid: TimeGrid, M: int, seed: int) -> ForwardCloud:
     """Simulate the forward inputs of the backward solver.
 
     Euler-Maruyama for the forward state when the terminal or the clock
     needs one; left-endpoint quadrature for the pathwise-integral clock.
-    ``debug_checks`` enables the increment moment diagnostics, which are
-    only meaningful for large M * N.
     """
     if M < 2:
         raise ValueError(f"M must be >= 2, got {M}")
@@ -126,15 +114,6 @@ def simulate_forward(
     for start in range(0, M, block):
         draw = rng.standard_normal((min(block, M - start), N, d))
         np.multiply(draw.transpose(1, 0, 2), sqrt_dt, out=dB[:, start : start + draw.shape[0]])
-
-    if debug_checks:
-        mean_bound = 5.0 / math.sqrt(M * N)
-        coord_means = dB.reshape(-1, d).mean(axis=0) / sqrt_dt
-        if np.any(np.abs(coord_means) > mean_bound):
-            raise SimulationError(f"increment sample mean {coord_means} outside {mean_bound:.3g} band")
-        var = dB.reshape(-1, d).var(axis=0)
-        if np.any(np.abs(var - dt) > 0.1 * dt):
-            raise SimulationError(f"increment sample variance {var} not within 10% of dt {dt}")
 
     brownian = _partial_sums(dB)
 
@@ -185,21 +164,3 @@ def simulate_forward(
         forward_state=forward_state,
     )
 
-
-def _as_particle_matrix(z_samples, m: int) -> np.ndarray:
-    """Normalize z samples to shape (M, d); a 1-d array is read as d = 1."""
-    z = np.asarray(z_samples, dtype=float)
-    if z.ndim == 1:
-        z = z[:, None]
-    if z.ndim != 2 or z.shape[0] != m:
-        raise LengthMismatch(f"expected {m} z samples, got shape {z.shape}")
-    return z
-
-
-def empirical_moments(y_samples: np.ndarray, z_samples: np.ndarray) -> MomentVector:
-    """Arithmetic means of Y and Z, reduced in fixed index order."""
-    y = np.asarray(y_samples, dtype=float)
-    if y.size == 0:
-        raise EmptyCloud("empirical_moments needs at least one sample")
-    z = _as_particle_matrix(z_samples, y.shape[0])
-    return MomentVector(m_y=float(y.mean()), m_z=z.mean(axis=0))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import LengthMismatch, NonFinite, RankDeficient
 from .mollify import SmoothObstacle
-from .paths import ForwardCloud, TimeGrid, empirical_moments
+from .paths import ForwardCloud, TimeGrid
 from .problem import ProblemSpec, eval_boundary, eval_driver
 
 _COND_LIMIT = 1e12
@@ -43,14 +43,17 @@ class RegressionBasis:
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
 
+    def size(self, d: int) -> int:
+        """Number of basis functions p on a cloud with ``d`` Brownian coordinates."""
+        if self.kind == "constant":
+            return 1
+        return 1 + self.degree * (d if self.kind == "brownian" else 1)
 
-def build_design(features: np.ndarray | None, basis: RegressionBasis) -> np.ndarray:
+
+def build_design(features: np.ndarray, basis: RegressionBasis) -> np.ndarray:
     """Design matrix: intercept plus per-coordinate powers 1..degree."""
     if basis.kind == "constant" or basis.degree == 0:
-        if features is None:
-            raise ValueError("constant basis still needs the particle count via features")
-        m = features.shape[0]
-        return np.ones((m, 1))
+        return np.ones((features.shape[0], 1))
     feats = np.asarray(features, dtype=float)
     if feats.ndim == 1:
         feats = feats[:, None]
@@ -82,26 +85,6 @@ def _fit(design: np.ndarray, gram: np.ndarray, targets: np.ndarray):
     """Fitted values and coefficients from the normal equations of a checked Gram."""
     coef = np.linalg.solve(gram, design.T @ targets)
     return design @ coef, coef
-
-
-def _check_particle_count(m: int, n_basis: int) -> None:
-    if m <= n_basis:
-        raise ValueError(f"need more particles ({m}) than basis functions ({n_basis})")
-
-
-def regress_conditional(targets: np.ndarray, features: np.ndarray | None, basis: RegressionBasis):
-    """Least-squares Monte Carlo estimate of a conditional expectation.
-
-    Returns the fitted values in particle order and the coefficient vector.
-    """
-    targets = np.asarray(targets, dtype=float)
-    if features is not None and np.asarray(features).shape[0] != targets.shape[0]:
-        raise LengthMismatch("targets and features disagree on particle count")
-    design = build_design(
-        features if features is not None else np.empty((targets.shape[0], 0)), basis
-    )
-    _check_particle_count(targets.shape[0], design.shape[1])
-    return _fit(design, _checked_gram(design), targets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,10 +143,10 @@ def regression_operator(cloud: ForwardCloud, basis: RegressionBasis) -> Regressi
     """
     if basis.kind == "forward" and cloud.forward_state is None:
         raise ValueError("forward basis requested but the cloud has no forward state")
-    features = _feature_source(cloud, basis)
-    width = 0 if features is None else (cloud.d if basis.kind == "brownian" else 1)
-    _check_particle_count(cloud.M, 1 + width * basis.degree)
-    return RegressionOperator(basis, cloud.grid, cloud.M, features, [None] * cloud.grid.N)
+    n_basis = basis.size(cloud.d)
+    if cloud.M <= n_basis:
+        raise ValueError(f"need more particles ({cloud.M}) than basis functions ({n_basis})")
+    return RegressionOperator(basis, cloud.grid, cloud.M, _feature_source(cloud, basis), [None] * cloud.grid.N)
 
 
 def implicit_mean_penalty(p_val: float, u_val: float, n: float, delta: float) -> float:
@@ -179,11 +162,6 @@ def implicit_mean_penalty(p_val: float, u_val: float, n: float, delta: float) ->
     if p_val >= u_val:
         return float(p_val)
     return float((p_val + n * delta * u_val) / (1.0 + n * delta))
-
-
-def penalty_increment(mean_after_step: float, u_val: float, n: float, delta: float) -> float:
-    """Discrete compensator increment n * (mean - u)^- * delta."""
-    return float(n * max(u_val - mean_after_step, 0.0) * delta)
 
 
 @dataclass(frozen=True)
@@ -209,10 +187,6 @@ class PenalizedSolution:
     residual_y: np.ndarray  # (N,) rms regression residual of the value target
     residual_z: np.ndarray  # (N,) rms regression residual of the integrand targets
     z_target_std: np.ndarray  # (N, d) sample std of the integrand targets
-
-    @property
-    def dK(self) -> np.ndarray:
-        return np.diff(self.K)
 
 
 def solve_penalized(
@@ -262,8 +236,8 @@ def solve_penalized(
 
         # Law moments from the step-(j+1) cloud; Z beyond the last regression
         # step does not exist, so the first backward step reuses its own Z.
-        moments = empirical_moments(Y[j + 1], Z[j + 1] if j + 1 < N else Z[j])
-        m_y, m_z = moments.m_y, moments.m_z
+        m_y = float(Y[j + 1].mean())
+        m_z = (Z[j + 1] if j + 1 < N else Z[j]).mean(axis=0)
 
         f_vals = eval_driver(spec.driver, times[j], cond_mean, Z[j], m_y, m_z)
         g_vals = eval_boundary(spec.boundary, times[j], cond_mean)

@@ -277,22 +277,6 @@ class ValidationCheck:
     assumption: str
     status: str  # pass | fail | unverifiable
     detail: str
-    worst: float | None = None
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(c.status != "fail" for c in self.checks)
-
-    def by_name(self, assumption: str) -> ValidationCheck:
-        for c in self.checks:
-            if c.assumption == assumption:
-                return c
-        raise KeyError(assumption)
 
 
 def check_hard_constraints(spec: ProblemSpec) -> None:
@@ -311,13 +295,13 @@ def check_hard_constraints(spec: ProblemSpec) -> None:
         raise ConfigError("terminal/kappa family requires forward SDE coefficients")
 
 
-def validate_problem(spec: ProblemSpec, samples: int = 10_000, seed: int = 0) -> ValidationReport:
+def validate_problem(spec: ProblemSpec, samples: int = 10_000, seed: int = 0) -> tuple[ValidationCheck, ...]:
     """Spot-check assumptions (A1)-(A5) on random samples.
 
     Hard declaration failures raise ConfigError; everything else becomes a
-    pass/fail/unverifiable entry with the worst sampled witness. Lipschitz
-    and monotonicity over continuum domains cannot be proved by sampling,
-    so a pass means no sampled counterexample.
+    pass/fail/unverifiable check whose detail names the worst sampled
+    witness. Lipschitz and monotonicity over continuum domains cannot be
+    proved by sampling, so a pass means no sampled counterexample.
     """
     if samples < 100:
         raise ConfigError(f"samples must be >= 100, got {samples}")
@@ -351,7 +335,6 @@ def validate_problem(spec: ProblemSpec, samples: int = 10_000, seed: int = 0) ->
             "A1-lipschitz",
             "pass" if lip_ok else "fail",
             f"worst sampled quotient {worst_q:.6g} vs declared L_f {spec.driver.lipschitz_L_f:.6g}",
-            worst_q,
         )
     )
 
@@ -362,28 +345,23 @@ def validate_problem(spec: ProblemSpec, samples: int = 10_000, seed: int = 0) ->
             "A1-origin-finite",
             "pass" if origin_ok else "fail",
             "phi(t,0,0,0,0) finite on sampled grid" if origin_ok else "non-finite phi at origin",
-            float(np.max(np.abs(f0))) if origin_ok else math.inf,
         )
     )
 
     # (A2) one-sided monotonicity and growth. g == 0 kills the d-kappa term
     # entirely, so the strict-beta inequality is vacuous for that family.
     if spec.boundary.family == "zero":
-        checks.append(
-            ValidationCheck("A2-monotonicity", "pass", "g identically zero; condition vacuous", 0.0)
-        )
+        checks.append(ValidationCheck("A2-monotonicity", "pass", "g identically zero; condition vacuous"))
     else:
         g1 = eval_boundary(spec.boundary, t_s, y1)
         g2 = eval_boundary(spec.boundary, t_s, y2)
         margin = (y1 - y2) * (g1 - g2) - spec.boundary.beta * (y1 - y2) ** 2
         worst_m = float(margin.max())
-        mono_ok = worst_m <= 1e-10
         checks.append(
             ValidationCheck(
                 "A2-monotonicity",
-                "pass" if mono_ok else "fail",
+                "pass" if worst_m <= 1e-10 else "fail",
                 f"worst (dy)(dg) - beta (dy)^2 = {worst_m:.6g}",
-                worst_m,
             )
         )
     g_y = eval_boundary(spec.boundary, t_s, y1)
@@ -394,7 +372,6 @@ def validate_problem(spec: ProblemSpec, samples: int = 10_000, seed: int = 0) ->
             "A2-growth",
             "pass" if worst_g <= 1e-10 else "fail",
             f"worst |g| - (psi + L_g |y|) = {worst_g:.6g} on sampled points",
-            worst_g,
         )
     )
 
@@ -414,7 +391,6 @@ def validate_problem(spec: ProblemSpec, samples: int = 10_000, seed: int = 0) ->
                 "A3-terminal-mean",
                 "pass" if gap <= band + 1e-12 else "fail",
                 f"sampled mean {xi_mean:.6g} vs declared {spec.terminal.declared_mean:.6g} (band {band:.3g})",
-                gap,
             )
         )
         u_T = float(spec.obstacle.evaluate(T))
@@ -424,17 +400,11 @@ def validate_problem(spec: ProblemSpec, samples: int = 10_000, seed: int = 0) ->
                 "A3-terminal-vs-obstacle",
                 "pass" if a3_ok else "fail",
                 f"declared E[xi] {spec.terminal.declared_mean:.6g} vs u(T) {u_T:.6g}",
-                spec.terminal.declared_mean - u_T,
             )
         )
     else:
         checks.append(
-            ValidationCheck(
-                "A3-terminal-mean",
-                "unverifiable",
-                f"no declared mean; sampled mean {xi_mean:.6g}",
-                xi_mean,
-            )
+            ValidationCheck("A3-terminal-mean", "unverifiable", f"no declared mean; sampled mean {xi_mean:.6g}")
         )
         u_T = float(spec.obstacle.evaluate(T))
         band = 4.0 * xi_std / math.sqrt(spot_m)
@@ -444,9 +414,7 @@ def validate_problem(spec: ProblemSpec, samples: int = 10_000, seed: int = 0) ->
             status, note = "fail", "sampled mean below u(T) beyond the sampling band"
         else:
             status, note = "unverifiable", "sampled mean within one band of u(T)"
-        checks.append(
-            ValidationCheck("A3-terminal-vs-obstacle", status, f"{note} (band {band:.3g})", xi_mean - u_T)
-        )
+        checks.append(ValidationCheck("A3-terminal-vs-obstacle", status, f"{note} (band {band:.3g})"))
 
     u_grid = spec.obstacle.evaluate(np.linspace(0.0, T, 512))
     checks.append(
@@ -454,7 +422,6 @@ def validate_problem(spec: ProblemSpec, samples: int = 10_000, seed: int = 0) ->
             "A4-obstacle-continuity",
             "pass" if bool(np.all(np.isfinite(u_grid))) else "fail",
             "finite on dense grid; families are continuous by construction",
-            float(np.max(np.abs(u_grid))),
         )
     )
 
@@ -467,7 +434,6 @@ def validate_problem(spec: ProblemSpec, samples: int = 10_000, seed: int = 0) ->
             "A5-kappa-monotone",
             "pass" if a5_ok else "fail",
             f"kappa_0 = 0: {start_ok}; smallest sampled increment {mono_kappa:.6g}",
-            mono_kappa,
         )
     )
     exp_spot = float(np.mean(np.exp(np.minimum(kap[-1], 700.0))))
@@ -476,7 +442,6 @@ def validate_problem(spec: ProblemSpec, samples: int = 10_000, seed: int = 0) ->
             "A5-exp-moment",
             "unverifiable",
             f"exponential moments for all mu > 0 not finite-sample checkable; spot E[e^kappa_T] = {exp_spot:.6g}",
-            exp_spot,
         )
     )
     checks.append(
@@ -484,8 +449,7 @@ def validate_problem(spec: ProblemSpec, samples: int = 10_000, seed: int = 0) ->
             "A1-exp-moment",
             "unverifiable",
             "exponential-weight integrability of phi(t,0,0,0,0) not finite-sample checkable",
-            None,
         )
     )
 
-    return ValidationReport(tuple(checks))
+    return tuple(checks)

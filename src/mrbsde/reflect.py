@@ -69,7 +69,6 @@ class LevelRecord:
     integral_neg_sq: float
     cauchy_mean_dist: float | None
     flatness_residual: float
-    mollify_gap: float
     wall_ms: float
 
 
@@ -106,14 +105,6 @@ class ReflectedSolution:
     @property
     def grid(self) -> TimeGrid:
         return self.solution.grid
-
-    @property
-    def n_levels_used(self) -> tuple:
-        return tuple(dict.fromkeys(rec.n for rec in self.trace))
-
-    @property
-    def k_levels_used(self) -> tuple:
-        return tuple(dict.fromkeys(rec.k for rec in self.trace))
 
 
 def flatness_residual(mean_path: np.ndarray, u_values: np.ndarray, K: np.ndarray) -> float:
@@ -203,7 +194,6 @@ def penalty_ladder(
             integral_neg_sq=integral_sq,
             cauchy_mean_dist=cauchy,
             flatness_residual=flatness_residual(sol.mean_path, u_k.values, sol.K),
-            mollify_gap=u_k.sup_gap,
             wall_ms=wall_ms,
         )
         yield record, sol
@@ -212,7 +202,6 @@ def penalty_ladder(
 
 def solve_reflected(
     spec: ProblemSpec,
-    grid: TimeGrid,
     cloud: ForwardCloud,
     schedule: ConvergenceSchedule,
     basis: RegressionBasis,
@@ -227,13 +216,10 @@ def solve_reflected(
     Raises NotConverged (with the trace attached) when a ladder runs out.
     One regression operator serves every level of both loops.
     """
-    if cloud.grid != grid:
-        raise LengthMismatch("cloud grid does not match requested grid")
-
     operator = regression_operator(cloud, basis)
     trace: list[LevelRecord] = []
     for k in schedule.k_levels:
-        u_k = mollify_obstacle(spec.obstacle, k, grid, quad_points)
+        u_k = mollify_obstacle(spec.obstacle, k, cloud.grid, quad_points)
         for record, sol in penalty_ladder(spec, u_k, schedule.n_levels, cloud, operator):
             trace.append(record)
             if record.cauchy_mean_dist is not None:

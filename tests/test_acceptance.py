@@ -55,7 +55,7 @@ def preset_runs():
         cfg = build_config({"preset": name})
         grid = TimeGrid(cfg.spec.horizon, cfg.N)
         cloud = simulate_forward(cfg.spec, grid, cfg.M, cfg.seed)
-        refl = solve_reflected(cfg.spec, grid, cloud, cfg.schedule, cfg.basis)
+        refl = solve_reflected(cfg.spec, cloud, cfg.schedule, cfg.basis)
         runs[name] = (cfg, cloud, refl)
     return runs
 
@@ -73,7 +73,7 @@ def test_criterion_1_sine_closed_form(sine_setup):
     doc = {"preset": "SINE", "schedule": {"n_levels": [1000], "k_levels": [50],
                                           "deficit_tol": 0.02, "cauchy_tol": 0.004}}
     run_cfg = build_config(doc)
-    refl = solve_reflected(run_cfg.spec, grid, cloud, run_cfg.schedule, run_cfg.basis)
+    refl = solve_reflected(run_cfg.spec, cloud, run_cfg.schedule, run_cfg.basis)
     mean_star, k_star = closed_form_on_grid(run_cfg.spec, grid)
     assert abs(k_star[-1] - 0.5) < 1e-9
     assert abs(k_star[75] - 0.14644660940672627) < 1e-6
@@ -177,7 +177,7 @@ def test_criterion_7_seed_independence(preset_runs, sine_setup):
     cfg, grid, _ = sine_setup
     _, _, refl7 = preset_runs["SINE"]
     cloud8 = simulate_forward(cfg.spec, grid, cfg.M, 8)
-    refl8 = solve_reflected(cfg.spec, grid, cloud8, cfg.schedule, cfg.basis)
+    refl8 = solve_reflected(cfg.spec, cloud8, cfg.schedule, cfg.basis)
     bound = 10.0 / np.sqrt(cfg.M)
     mean_gap = float(np.max(np.abs(refl7.mean_path - refl8.mean_path)))
     k_gap = float(np.max(np.abs(refl7.K - refl8.K)))
@@ -192,7 +192,7 @@ def test_criterion_7_seed_independence(preset_runs, sine_setup):
 def test_criterion_8_stability_scaling(sine_setup):
     cfg, grid, cloud = sine_setup
     u_k = mollify_obstacle(cfg.spec.obstacle, 40, grid)
-    rows = stability_experiment(cfg.spec, grid, cloud, (0.1, 0.05, 0.025), u_k, 800, cfg.basis)
+    rows = stability_experiment(cfg.spec, cloud, (0.1, 0.05, 0.025), u_k, 800, cfg.basis)
     fit = rate_fit([r.epsilon for r in rows], [r.sup_mean_sq_dy for r in rows])
     ok = report(
         "C8 stability scaling",

@@ -1,10 +1,11 @@
 import json
+import weakref
 from pathlib import Path
 
 import pytest
 
 from mrbsde import ConfigError, NotConverged, ParseError
-from mrbsde import cli
+from mrbsde import cli, reflect
 from mrbsde.cli import build_config, main, parse_config, run_experiment, write_atomic
 
 TINY = {
@@ -269,6 +270,22 @@ class TestRunExperiment:
         manifest = json.loads((tmp_path / "run" / "report.json").read_text())["manifest"]
         assert manifest["status"] == "failed"
         assert manifest["error"] == "RuntimeError: simulated crash"
+
+    @pytest.mark.parametrize("subcommand", ["rates", "solve"])
+    def test_no_earlier_solution_alive_when_a_pass_starts(self, tmp_path, monkeypatch, subcommand):
+        solutions = []
+        solve_penalized = reflect.solve_penalized
+
+        def checked(*args, **kwargs):
+            alive = [ref() for ref in solutions if ref() is not None]
+            assert not alive, f"{len(alive)} earlier solution(s) alive at pass {len(solutions) + 1}"
+            sol = solve_penalized(*args, **kwargs)
+            solutions.append(weakref.ref(sol))
+            return sol
+
+        monkeypatch.setattr(reflect, "solve_penalized", checked)
+        run_experiment(build_config(tiny_doc(tmp_path / "run")), subcommand)
+        assert len(solutions) >= 2
 
     def test_rates_and_solve_share_the_level_ladder(self, tmp_path):
         # Tolerances no level can meet: solve records every level, then fails.

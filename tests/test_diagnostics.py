@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mrbsde import (
-    DriverSpec,
     NonPositiveError,
     ObstacleCurve,
     RegressionBasis,
@@ -102,7 +101,7 @@ class TestStabilityExperiment:
         spec = zero_problem(obstacle=SINE)
         cloud = simulate_forward(spec, GRID, 2000, seed=3)
         u_k = mollify_obstacle(SINE, 20, GRID)
-        rows = stability_experiment(spec, GRID, cloud, (0.0,), u_k, 200, BASIS)
+        rows = stability_experiment(spec, cloud, (0.0,), u_k, 200, BASIS)
         assert rows[0].sup_mean_sq_dy == 0.0
         assert rows[0].integral_mean_sq_dz == 0.0
 
@@ -110,7 +109,7 @@ class TestStabilityExperiment:
         spec = zero_problem(obstacle=ObstacleCurve("constant", value=-10.0))
         cloud = simulate_forward(spec, GRID, 2000, seed=3)
         u_k = mollify_obstacle(spec.obstacle, 20, GRID)
-        rows = stability_experiment(spec, GRID, cloud, (0.25,), u_k, 200, BASIS)
+        rows = stability_experiment(spec, cloud, (0.25,), u_k, 200, BASIS)
         assert abs(rows[0].sup_mean_sq_dy - 0.25**2) <= 1e-10
         # the Z shift is only the in-sample projection of eps * dB / dt:
         # subordinate to the Y shift, vanishing with the particle count
@@ -120,27 +119,16 @@ class TestStabilityExperiment:
         spec = zero_problem(obstacle=SINE)
         cloud = simulate_forward(spec, GRID, 4000, seed=3)
         u_k = mollify_obstacle(SINE, 30, GRID)
-        rows = stability_experiment(spec, GRID, cloud, (0.1, 0.05, 0.025), u_k, 800, BASIS)
+        rows = stability_experiment(spec, cloud, (0.1, 0.05, 0.025), u_k, 800, BASIS)
         fit = rate_fit([r.epsilon for r in rows], [r.sup_mean_sq_dy for r in rows])
         assert 1.7 <= fit.slope <= 2.3
-
-    def test_driver_perturbation_supported_for_affine(self):
-        spec = zero_problem(
-            driver=DriverSpec("affine", {"mean_y": 0.3}, lipschitz_L_f=0.3), obstacle=SINE
-        )
-        cloud = simulate_forward(spec, GRID, 2000, seed=3)
-        u_k = mollify_obstacle(SINE, 20, GRID)
-        rows = stability_experiment(
-            spec, GRID, cloud, (0.1,), u_k, 200, BASIS, perturb="driver"
-        )
-        assert rows[0].sup_mean_sq_dy > 0.0
 
     def test_node_reductions_equal_full_difference_arrays(self):
         # the rows are reduced node by node; the reference forms dY and dZ whole
         spec = zero_problem(obstacle=SINE, brownian_dim=2)
         cloud = simulate_forward(spec, GRID, 10_000, seed=3)
         u_k = mollify_obstacle(SINE, 20, GRID)
-        rows = stability_experiment(spec, GRID, cloud, (0.1, 0.05), u_k, 200, BASIS)
+        rows = stability_experiment(spec, cloud, (0.1, 0.05), u_k, 200, BASIS)
         op = regression_operator(cloud, BASIS)
         base = solve_penalized(spec, u_k, 200, cloud, op)
         for row in rows:
@@ -156,7 +144,7 @@ class TestStabilityExperiment:
         cloud = simulate_forward(spec, GRID, 2000, seed=3)
         u_k = mollify_obstacle(SINE, 20, GRID)
         with pytest.raises(ValueError):
-            stability_experiment(spec, GRID, cloud, (0.1, 0.1), u_k, 200, BASIS)
+            stability_experiment(spec, cloud, (0.1, 0.1), u_k, 200, BASIS)
 
 
 class TestAprioriReport:
@@ -168,7 +156,7 @@ class TestAprioriReport:
         sol = solve_penalized(spec, u_k, 100, cloud, regression_operator(cloud, BASIS))
         rep = apriori_report(sol, spec, cloud)
         assert rep.degenerate
-        assert rep.lhs == 0.0
+        assert rep.sup_mean_sq_y + rep.integral_mean_sq_z == 0.0
 
     def test_sine_components_finite_and_ratio_recorded(self):
         spec = zero_problem(obstacle=SINE)
@@ -181,7 +169,23 @@ class TestAprioriReport:
                       rep.integral_f_origin_sq, rep.integral_psi_sq_dkappa,
                       rep.compensator_terminal_sq, rep.ratio):
             assert np.isfinite(value) and value >= 0.0
-        assert rep.lhs <= rep.ratio * rep.rhs + 1e-12
+        lhs = rep.sup_mean_sq_y + rep.integral_mean_sq_z
+        rhs = (rep.terminal_sq + rep.integral_f_origin_sq + rep.integral_psi_sq_dkappa
+               + rep.compensator_terminal_sq)
+        assert lhs <= rep.ratio * rhs + 1e-12
+
+    def test_node_reductions_equal_full_squared_arrays(self):
+        # the energies are reduced node by node; the reference squares Y and Z whole
+        spec = zero_problem(obstacle=SINE, brownian_dim=2)
+        cloud = simulate_forward(spec, GRID, 10_000, seed=4)
+        u_k = mollify_obstacle(SINE, 30, GRID)
+        sol = solve_penalized(spec, u_k, 400, cloud, regression_operator(cloud, BASIS))
+        rep = apriori_report(sol, spec, cloud)
+        assert sol.Z.shape[2] == 2
+        assert rep.sup_mean_sq_y == float(np.max(np.mean(sol.Y**2, axis=1)))
+        assert rep.integral_mean_sq_z == float(
+            np.sum(np.mean(np.sum(sol.Z[:-1] ** 2, axis=2), axis=1)) * GRID.dt
+        )
 
     def test_ratio_stable_under_doubling_particles(self):
         spec = zero_problem(obstacle=SINE)

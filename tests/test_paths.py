@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from mrbsde import (
-    EmptyCloud,
     ForwardSDESpec,
     KappaSpec,
     SimulationError,
     TerminalSpec,
     TimeGrid,
-    empirical_moments,
     simulate_forward,
 )
 from mrbsde import paths
@@ -85,10 +83,6 @@ class TestSimulateForward:
         with np.errstate(over="ignore"), pytest.raises(SimulationError):
             simulate_forward(spec, TimeGrid(1.0, 4), 8, seed=0)
 
-    def test_debug_checks_accept_healthy_cloud(self):
-        cloud = simulate_forward(zero_problem(), TimeGrid(1.0, 16), 20_000, seed=3, debug_checks=True)
-        assert cloud.M == 20_000
-
     def test_minimum_sizes(self):
         with pytest.raises(ValueError):
             simulate_forward(zero_problem(), TimeGrid(1.0, 8), 1, seed=0)
@@ -124,23 +118,3 @@ class TestSimulateForward:
         assert np.array_equal(shifted.dB, cloud.dB)
         np.testing.assert_allclose(shifted.xi, cloud.xi + 1.0)
 
-
-class TestEmpiricalMoments:
-    def test_all_zero(self):
-        mv = empirical_moments(np.zeros(5), np.zeros((5, 1)))
-        assert mv.m_y == 0.0
-        np.testing.assert_allclose(mv.m_z, [0.0])
-
-    def test_two_point(self):
-        mv = empirical_moments(np.array([1.0, 3.0]), np.zeros((2, 1)))
-        assert mv.m_y == 2.0
-
-    def test_law_of_large_numbers_band(self):
-        rng = np.random.default_rng(7)
-        y = rng.standard_normal(1_000_000)
-        mv = empirical_moments(y, np.zeros((y.size, 1)))
-        assert abs(mv.m_y) < 5e-3
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptyCloud):
-            empirical_moments(np.array([]), np.zeros((0, 1)))

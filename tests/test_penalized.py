@@ -7,6 +7,7 @@ from mrbsde import (
     BoundarySpec,
     ConvergenceSchedule,
     DriverSpec,
+    ForwardCloud,
     ForwardSDESpec,
     KappaSpec,
     LengthMismatch,
@@ -17,8 +18,6 @@ from mrbsde import (
     TimeGrid,
     implicit_mean_penalty,
     mollify_obstacle,
-    penalty_increment,
-    regress_conditional,
     regression_operator,
     simulate_forward,
     skorokhod_closed_form,
@@ -41,24 +40,39 @@ def brownian_operator(cloud, degree=2):
     return regression_operator(cloud, RegressionBasis("brownian", degree))
 
 
+def fit_on_positions(targets, positions, degree):
+    """Fit ``targets`` on one step whose Brownian positions are ``positions``."""
+    m = positions.shape[0]
+    cloud = ForwardCloud(
+        grid=TimeGrid(1.0, 1),
+        seed=0,
+        dB=np.zeros((1, m, 1)),
+        brownian=np.stack([positions, positions])[:, :, None],
+        kappa=np.zeros((2, m)),
+        xi=np.zeros(m),
+        mean_kappa=np.zeros(2),
+    )
+    return brownian_operator(cloud, degree).fit(0, targets)
+
+
 class TestRegression:
     def test_projection_reproduces_constants(self):
         rng = np.random.default_rng(0)
         feats = rng.normal(0, 1, 200)
-        fitted, _ = regress_conditional(np.full(200, 3.7), feats, RegressionBasis("brownian", 2))
+        fitted, _ = fit_on_positions(np.full(200, 3.7), feats, 2)
         np.testing.assert_allclose(fitted, 3.7, atol=1e-10)
 
     def test_in_span_target_recovered(self):
         rng = np.random.default_rng(1)
         feats = rng.normal(0, 1, 300)
-        fitted, _ = regress_conditional(feats, feats, RegressionBasis("brownian", 1))
+        fitted, _ = fit_on_positions(feats, feats, 1)
         assert np.linalg.norm(fitted - feats) <= 1e-10
 
     def test_coefficients_match_pseudo_inverse(self):
         rng = np.random.default_rng(2)
         feats = rng.normal(0, 1, 5)
         targets = 2.0 + 0.5 * feats + 0.01 * rng.normal(0, 1, 5)
-        _, coef = regress_conditional(targets, feats, RegressionBasis("brownian", 1))
+        _, coef = fit_on_positions(targets, feats, 1)
         design = np.column_stack([np.ones(5), feats])
         expected = np.linalg.pinv(design) @ targets
         np.testing.assert_allclose(coef, expected, atol=1e-8)
@@ -67,22 +81,22 @@ class TestRegression:
         rng = np.random.default_rng(3)
         feats = rng.normal(0, 1, 500)
         targets = rng.normal(0, 1, 500)
-        fitted, _ = regress_conditional(targets, feats, RegressionBasis("brownian", 2))
+        fitted, _ = fit_on_positions(targets, feats, 2)
         assert abs(fitted.mean() - targets.mean()) <= 1e-12
 
     def test_rank_deficient_raises(self):
         feats = np.full(200, 2.0)  # rank-1 design at high degree
         with pytest.raises(RankDeficient):
-            regress_conditional(np.zeros(200), feats, RegressionBasis("brownian", 120))
+            fit_on_positions(np.zeros(200), feats, 120)
 
     def test_needs_more_particles_than_basis_functions(self):
         with pytest.raises(ValueError):
-            regress_conditional(np.zeros(3), np.zeros(3), RegressionBasis("brownian", 2))
+            fit_on_positions(np.zeros(3), np.zeros(3), 2)
 
     def test_degenerate_constant_features_fall_back_to_mean(self):
         # t = 0 case: the Brownian position is identically zero
         targets = np.array([1.0, 2.0, 3.0, 4.0, 6.0])
-        fitted, _ = regress_conditional(targets, np.zeros(5), RegressionBasis("brownian", 2))
+        fitted, _ = fit_on_positions(targets, np.zeros(5), 2)
         np.testing.assert_allclose(fitted, targets.mean(), atol=1e-9)
 
 
@@ -135,12 +149,6 @@ class TestImplicitMeanPenalty:
 
 
 class TestPenaltyIncrement:
-    def test_inactive(self):
-        assert penalty_increment(1.5, 1.0, 10, 0.01) == 0.0
-
-    def test_direct_evaluation(self):
-        assert abs(penalty_increment(0.9, 1.0, 10, 0.01) - 0.01) < 1e-15
-
     def test_consistency_with_implicit_step(self):
         rng = np.random.default_rng(5)
         for _ in range(1000):
@@ -149,7 +157,8 @@ class TestPenaltyIncrement:
             n = rng.uniform(0, 1e4)
             delta = rng.uniform(0, 0.1)
             x = implicit_mean_penalty(p, u, n, delta)
-            assert abs((x - p) - penalty_increment(x, u, n, delta)) < 1e-12
+            # the root's shift is the compensator increment n (x - u)^- delta
+            assert abs((x - p) - n * max(u - x, 0.0) * delta) < 1e-12
 
 
 class TestSolvePenalized:
@@ -186,7 +195,7 @@ class TestSolvePenalized:
         cloud = small_cloud(spec)
         u_k = mollify_obstacle(SINE, 30, GRID)
         sol = solve_penalized(spec, u_k, 200, cloud, brownian_operator(cloud))
-        dK = sol.dK
+        dK = np.diff(sol.K)
         assert np.any(dK > 0)
         active = dK > 0
         # after the implicit step the mean sits strictly below u^k where K grew
@@ -253,8 +262,9 @@ class TestSolvePenalized:
         u_k = mollify_obstacle(SINE, 25, GRID)
         sol = solve_penalized(spec, u_k, 300, cloud, brownian_operator(cloud))
         assert np.all(np.isfinite(sol.Y)) and np.all(np.isfinite(sol.Z))
-        assert np.all(sol.dK >= 0.0)
-        active = sol.dK > 0
+        dK = np.diff(sol.K)
+        assert np.all(dK >= 0.0)
+        active = dK > 0
         assert np.any(active)
         assert np.all(sol.mean_path[:-1][active] < u_k.values[:-1][active])
 
@@ -337,11 +347,11 @@ class TestRegressionOperator:
         cloud = small_cloud(spec)
         schedule = ConvergenceSchedule(n_levels=(25, 50, 100), k_levels=(5, 10), deficit_tol=1e-9)
         with pytest.raises(NotConverged) as exc:
-            solve_reflected(spec, GRID, cloud, schedule, RegressionBasis("brownian", 2))
+            solve_reflected(spec, cloud, schedule, RegressionBasis("brownian", 2))
         assert len(exc.value.trace) == 3  # three passes, one operator
         assert len(checks) == GRID.N
 
         checks.clear()
         u_k = mollify_obstacle(SINE, 20, GRID)
-        stability_experiment(spec, GRID, cloud, (0.1, 0.05), u_k, 100, RegressionBasis("brownian", 2))
+        stability_experiment(spec, cloud, (0.1, 0.05), u_k, 100, RegressionBasis("brownian", 2))
         assert len(checks) == GRID.N  # base and two perturbed passes

@@ -114,7 +114,7 @@ class TestSolveReflected:
     def test_slack_obstacle_converges_at_first_level(self):
         spec = zero_problem()
         cloud = simulate_forward(spec, GRID, 2000, seed=4)
-        refl = solve_reflected(spec, GRID, cloud, ConvergenceSchedule(), BASIS)
+        refl = solve_reflected(spec, cloud, ConvergenceSchedule(), BASIS)
         assert len(refl.trace) == 1
         assert np.all(refl.solution.K == 0.0)
         assert np.max(np.abs(refl.K)) <= 1e-10  # recovered path carries cancellation dust
@@ -126,16 +126,16 @@ class TestSolveReflected:
         schedule = ConvergenceSchedule(n_levels=(25,), k_levels=(10, 20, 40), deficit_tol=1e-6,
                                        cauchy_tol=1e-6)
         with pytest.raises(NotConverged) as excinfo:
-            solve_reflected(spec, GRID, cloud, schedule, BASIS)
+            solve_reflected(spec, cloud, schedule, BASIS)
         assert len(excinfo.value.trace) == 1
         assert excinfo.value.trace[0].n == 25
 
     def test_sine_compensator_near_closed_form(self):
         spec = zero_problem(obstacle=SINE)
         cloud = simulate_forward(spec, GRID, 8000, seed=4)
-        refl = solve_reflected(spec, GRID, cloud, ConvergenceSchedule(), BASIS)
-        assert refl.k_levels_used[-1] == refl.trace[-1].k
-        assert set(refl.n_levels_used) <= set(ConvergenceSchedule().n_levels)
+        refl = solve_reflected(spec, cloud, ConvergenceSchedule(), BASIS)
+        assert list(dict.fromkeys(rec.k for rec in refl.trace))[-1] == refl.trace[-1].k
+        assert {rec.n for rec in refl.trace} <= set(ConvergenceSchedule().n_levels)
         fine = np.linspace(0.0, 1.0, 50 * 200 + 1)
         _, k_star = skorokhod_closed_form(0.0, SINE.evaluate(fine))
         assert abs(refl.K[int(0.75 * 50)] - k_star[int(0.75 * 10_000)]) <= 0.03
@@ -146,7 +146,7 @@ class TestSolveReflected:
         cloud = simulate_forward(spec, GRID, 4000, seed=4)
         schedule = ConvergenceSchedule(deficit_tol=1e-9, cauchy_tol=1e-9, k_levels=(30,))
         try:
-            solve_reflected(spec, GRID, cloud, schedule, BASIS)
+            solve_reflected(spec, cloud, schedule, BASIS)
             trace = None
         except NotConverged as exc:
             trace = exc.trace
@@ -175,15 +175,9 @@ class TestSolveReflected:
         for obstacle in (SINE, tabulated):
             spec = zero_problem(obstacle=obstacle)
             cloud = simulate_forward(spec, GRID, 4000, seed=4)
-            results[obstacle.family] = solve_reflected(spec, GRID, cloud, schedule, BASIS)
+            results[obstacle.family] = solve_reflected(spec, cloud, schedule, BASIS)
         gap = np.max(np.abs(results["sine"].mean_path - results["tabulated"].mean_path))
         assert gap <= 0.02  # interpolation error of the 21-knot table
-
-    def test_grid_mismatch(self):
-        spec = zero_problem()
-        cloud = simulate_forward(spec, GRID, 2000, seed=4)
-        with pytest.raises(LengthMismatch):
-            solve_reflected(spec, TimeGrid(1.0, 40), cloud, ConvergenceSchedule(), BASIS)
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
