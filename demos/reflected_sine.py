@@ -32,9 +32,9 @@ mean_star, k_star = mean_star[::200], k_star[::200]
 print(f"{'t':>5s} {'obstacle':>9s} {'mean':>9s} {'exact':>9s} {'K':>9s} {'K exact':>9s}")
 for j in range(0, cfg.N + 1, 10):
     t = grid.times[j]
-    print(f"{t:5.2f} {cfg.spec.obstacle.evaluate(t):9.4f} {refl.mean_path[j]:9.4f} "
+    print(f"{t:5.2f} {cfg.spec.obstacle.evaluate(t):9.4f} {refl.solution.mean_path[j]:9.4f} "
           f"{mean_star[j]:9.4f} {refl.K[j]:9.4f} {k_star[j]:9.4f}")
 
-print(f"\nsup |mean - exact| = {np.max(np.abs(refl.mean_path - mean_star)):.4f}")
+print(f"\nsup |mean - exact| = {np.max(np.abs(refl.solution.mean_path - mean_star)):.4f}")
 print(f"sup |K - exact|    = {np.max(np.abs(refl.K - k_star)):.4f}")
 print(f"flatness residual  = {final.flatness_residual:+.2e}")

@@ -34,7 +34,7 @@ paths = {}
 for seed in (7, 8):
     cl = simulate_forward(cfg.spec, grid, cfg.M, seed)
     paths[seed] = solve_reflected(cfg.spec, cl, cfg.schedule, cfg.basis)
-gap_mean = np.max(np.abs(paths[7].mean_path - paths[8].mean_path))
+gap_mean = np.max(np.abs(paths[7].solution.mean_path - paths[8].solution.mean_path))
 gap_k = np.max(np.abs(paths[7].K - paths[8].K))
 print(f"independent seeds 7 vs 8 at M={cfg.M}:")
 print(f"  sup |mean7 - mean8| = {gap_mean:.4f}   (1/sqrt(M) = {1 / np.sqrt(cfg.M):.4f})")

@@ -39,7 +39,6 @@ from .oracle import (
     skorokhod_closed_form,
     solve_mean_ode_reflected,
     unconstrained_mean_path,
-    write_reference_table,
 )
 from .paths import ForwardCloud, TimeGrid, simulate_forward
 from .penalized import (
@@ -65,7 +64,6 @@ from .problem import (
     validate_problem,
 )
 from .reflect import (
-    CompensatorRecovery,
     ConvergenceSchedule,
     LevelRecord,
     ReflectedSolution,

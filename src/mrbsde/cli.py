@@ -152,7 +152,6 @@ class RunConfig:
     quad_points: int
     schedule: ConvergenceSchedule
     seed: int
-    threads: int
     output: str
     preset: str | None
     document: dict  # merged config document; echoed in the manifest
@@ -216,7 +215,7 @@ def build_config(doc: dict) -> RunConfig:
 
     schedule = _section(ConvergenceSchedule, merged["schedule"], "schedule")
     seed = _num(merged["seed"], "config.seed", integer=True)
-    threads = _num(merged.get("threads", 0), "config.threads", integer=True)
+    _num(merged.get("threads", 0), "config.threads", integer=True)  # validated; never affects a run
     output = merged["output"]
     if not isinstance(output, str):
         raise ParseError("config key 'output' must be a string")
@@ -229,7 +228,6 @@ def build_config(doc: dict) -> RunConfig:
         quad_points=quad_points,
         schedule=schedule,
         seed=seed,
-        threads=threads,
         output=output,
         preset=preset,
         document=merged,
@@ -336,16 +334,6 @@ def _report_json(manifest: dict, diagnostics: dict) -> bytes:
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("ascii")
 
 
-@dataclass(frozen=True)
-class RunArtifacts:
-    """Paths and payloads of one experiment run."""
-
-    outdir: Path
-    manifest: dict
-    diagnostics: dict
-    files: tuple
-
-
 # ---------------------------------------------------------------------------
 # experiment dispatch
 
@@ -386,8 +374,8 @@ def _oracle_paths(spec: ProblemSpec, grid: TimeGrid):
     return mean_o[::stride], k_o[::stride], kind
 
 
-def run_experiment(config: RunConfig, subcommand: str) -> RunArtifacts:
-    """Run one subcommand and emit its artifacts atomically.
+def run_experiment(config: RunConfig, subcommand: str) -> dict:
+    """Run one subcommand, emit its artifacts atomically, and return its diagnostics.
 
     The manifest lands in report.json in every case; failed runs carry
     status "failed" plus the error message alongside whatever partial
@@ -414,7 +402,6 @@ def run_experiment(config: RunConfig, subcommand: str) -> RunArtifacts:
         "error": None,
     }
 
-    files: list[str] = []
     diagnostics: dict = {}
     try:
         checks = validate_problem(config.spec, samples=1000, seed=config.seed)
@@ -440,20 +427,19 @@ def run_experiment(config: RunConfig, subcommand: str) -> RunArtifacts:
             diagnostics["K_T"] = float(refl.K[-1])
             diagnostics["compensator_warnings"] = list(refl.warnings)
             diagnostics["apriori"] = dataclasses.asdict(apri)
-            mean_z = refl.Z.mean(axis=1)
+            mean_path = refl.solution.mean_path
+            mean_z = refl.solution.Z.mean(axis=1)
             write_atomic(
                 outdir / "mean_path.csv",
-                _mean_path_csv(times, refl.mean_path, mean_z, u_vals, refl.obstacle.values, refl.K),
+                _mean_path_csv(times, mean_path, mean_z, u_vals, refl.obstacle.values, refl.K),
             )
-            files.append("mean_path.csv")
             write_atomic(outdir / "convergence.csv", _convergence_csv(refl.trace))
-            files.append("convergence.csv")
 
             if subcommand == "oracle-check":
                 mean_o, k_o, kind = _oracle_paths(config.spec, grid)
                 diagnostics["oracle"] = {
                     "kind": kind,
-                    "mean_gap": float(np.max(np.abs(refl.mean_path - mean_o))),
+                    "mean_gap": float(np.max(np.abs(mean_path - mean_o))),
                     "K_gap": float(np.max(np.abs(refl.K - k_o))),
                 }
 
@@ -480,7 +466,6 @@ def run_experiment(config: RunConfig, subcommand: str) -> RunArtifacts:
             }
             diagnostics["apriori_ratio"] = apriori_ratio
             write_atomic(outdir / "convergence.csv", _convergence_csv(records))
-            files.append("convergence.csv")
 
         else:  # stability
             k = max(config.schedule.k_levels)
@@ -505,8 +490,7 @@ def run_experiment(config: RunConfig, subcommand: str) -> RunArtifacts:
         raise
 
     write_atomic(outdir / "report.json", _report_json(manifest, diagnostics))
-    files.append("report.json")
-    return RunArtifacts(outdir=outdir, manifest=manifest, diagnostics=diagnostics, files=tuple(files))
+    return diagnostics
 
 
 def main(argv=None) -> int:

@@ -185,14 +185,6 @@ def unconstrained_mean_path(problem: MeanProblem, times: np.ndarray) -> np.ndarr
     return y
 
 
-def write_reference_table(path, times, mean, K) -> None:
-    """Plain-text (t, mean, K) table with 12 significant digits."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("t mean K\n")
-        for t, m, k in zip(times, mean, K):
-            fh.write(f"{t:.12g} {m:.12g} {k:.12g}\n")
-
-
 def read_reference_table(path):
     data = np.loadtxt(path, skiprows=1)
     return data[:, 0], data[:, 1], data[:, 2]

@@ -29,8 +29,8 @@ class TimeGrid:
     N: int
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError("T must be > 0")
+        if not (0 < self.T < math.inf):
+            raise ValueError(f"T must be finite and > 0, got {self.T}")
         if self.N < 1:
             raise ValueError("N must be >= 1")
 
@@ -55,7 +55,6 @@ class ForwardCloud:
     """
 
     grid: TimeGrid
-    seed: int
     dB: np.ndarray  # (N, M, d)
     brownian: np.ndarray  # (N+1, M, d), cumulative sums, B_0 = 0
     kappa: np.ndarray  # (N+1, M)
@@ -155,7 +154,6 @@ def simulate_forward(spec: ProblemSpec, grid: TimeGrid, M: int, seed: int) -> Fo
 
     return ForwardCloud(
         grid=grid,
-        seed=seed,
         dB=dB,
         brownian=brownian,
         kappa=kappa,

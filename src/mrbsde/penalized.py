@@ -175,8 +175,6 @@ class PenalizedSolution:
     what makes the compensator recoverable to round-off from the mean path.
     """
 
-    n: float
-    k: int
     grid: TimeGrid
     Y: np.ndarray  # (N+1, M)
     Z: np.ndarray  # (N+1, M, d)
@@ -184,9 +182,6 @@ class PenalizedSolution:
     K: np.ndarray  # (N+1,)
     mean_f_dt: np.ndarray  # (N,)
     mean_g_dkappa: np.ndarray  # (N,)
-    residual_y: np.ndarray  # (N,) rms regression residual of the value target
-    residual_z: np.ndarray  # (N,) rms regression residual of the integrand targets
-    z_target_std: np.ndarray  # (N, d) sample std of the integrand targets
 
 
 def solve_penalized(
@@ -219,9 +214,6 @@ def solve_penalized(
     dK = np.zeros(N)
     mean_f_dt = np.zeros(N)
     mean_g_dkappa = np.zeros(N)
-    residual_y = np.zeros(N)
-    residual_z = np.zeros(N)
-    z_target_std = np.zeros((N, d))
 
     for j in range(N - 1, -1, -1):
         z_targets = Y[j + 1][:, None] * cloud.dB[j] / dt  # (M, d)
@@ -229,10 +221,6 @@ def solve_penalized(
         fitted, _ = operator.fit(j, stacked)
         Z[j] = fitted[:, :d]
         cond_mean = fitted[:, d]
-        resid = stacked - fitted
-        residual_z[j] = float(np.sqrt(np.mean(resid[:, :d] ** 2)))
-        residual_y[j] = float(np.sqrt(np.mean(resid[:, d] ** 2)))
-        z_target_std[j] = z_targets.std(axis=0)
 
         # Law moments from the step-(j+1) cloud; Z beyond the last regression
         # step does not exist, so the first backward step reuses its own Z.
@@ -259,8 +247,6 @@ def solve_penalized(
     Z[N] = Z[N - 1]
     K = np.concatenate([[0.0], np.cumsum(dK)])
     return PenalizedSolution(
-        n=n,
-        k=u_k.level,
         grid=grid,
         Y=Y,
         Z=Z,
@@ -268,7 +254,4 @@ def solve_penalized(
         K=K,
         mean_f_dt=mean_f_dt,
         mean_g_dkappa=mean_g_dkappa,
-        residual_y=residual_y,
-        residual_z=residual_z,
-        z_target_std=z_target_std,
     )

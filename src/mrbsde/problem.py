@@ -58,7 +58,7 @@ class DriverSpec:
             "coefficients",
             _as_float_map(self.family, self.coefficients, _DRIVER_FAMILIES[self.family]),
         )
-        if self.lipschitz_L_f < 0:
+        if not (self.lipschitz_L_f >= 0):
             raise ValueError("lipschitz_L_f must be >= 0")
 
 
@@ -78,9 +78,9 @@ class BoundarySpec:
     def __post_init__(self):
         if self.family not in _BOUNDARY_FAMILIES:
             raise ValueError(f"unknown boundary family {self.family!r}")
-        if self.growth_L_g <= 0:
+        if not (self.growth_L_g > 0):
             raise ValueError("growth_L_g must be > 0")
-        if self.psi < 0:
+        if not (self.psi >= 0):
             raise ValueError("psi must be >= 0")
 
 
@@ -105,7 +105,7 @@ class TerminalSpec:
     def __post_init__(self):
         if self.mode not in _TERMINAL_MODES:
             raise ValueError(f"unknown terminal mode {self.mode!r}")
-        if self.mode == "direct-sampler" and self.std < 0:
+        if self.mode == "direct-sampler" and not (self.std >= 0):
             raise ValueError("std must be >= 0")
         if self.payoff not in _PAYOFF_FAMILIES:
             raise ValueError(f"unknown payoff family {self.payoff!r}")
@@ -190,7 +190,7 @@ class KappaSpec:
     def __post_init__(self):
         if self.family not in _KAPPA_FAMILIES:
             raise ValueError(f"unknown kappa family {self.family!r}")
-        if self.family == "linear" and self.rate < 0:
+        if self.family == "linear" and not (self.rate >= 0):
             raise ValueError("linear kappa rate must be >= 0")
         if self.family == "curve":
             object.__setattr__(self, "knots_t", tuple(float(t) for t in self.knots_t))
@@ -199,7 +199,7 @@ class KappaSpec:
                 raise ValueError("curve kappa needs matching knot arrays of length >= 2")
         if self.h_kind not in _H_KINDS:
             raise ValueError(f"unknown h kind {self.h_kind!r}")
-        if self.h_scale < 0:
+        if not (self.h_scale >= 0):
             raise ValueError("h_scale must be >= 0")
 
     def eval_h(self, x: np.ndarray) -> np.ndarray:
@@ -281,10 +281,10 @@ class ValidationCheck:
 
 def check_hard_constraints(spec: ProblemSpec) -> None:
     """Raise ConfigError for declarations that make the problem unusable."""
-    if spec.boundary.beta >= 0:
+    if not (spec.boundary.beta < 0):
         raise ConfigError(f"beta must be < 0, got {spec.boundary.beta}")
-    if spec.horizon <= 0:
-        raise ConfigError(f"horizon T must be > 0, got {spec.horizon}")
+    if not (0 < spec.horizon < math.inf):
+        raise ConfigError(f"horizon T must be finite and > 0, got {spec.horizon}")
     if spec.brownian_dim < 1:
         raise ConfigError(f"brownian_dim must be >= 1, got {spec.brownian_dim}")
     if spec.obstacle.family == "tabulated":
@@ -382,9 +382,9 @@ def validate_problem(spec: ProblemSpec, samples: int = 10_000, seed: int = 0) ->
     cloud = simulate_forward(spec, TimeGrid(T, 16), spot_m, seed=seed ^ 0x5EED)
     xi = cloud.xi
     xi_mean = float(xi.mean())
-    xi_std = float(xi.std())
+    band = 4.0 * float(xi.std()) / math.sqrt(spot_m)
+    u_T = float(spec.obstacle.evaluate(T))
     if spec.terminal.declared_mean is not None:
-        band = 4.0 * xi_std / math.sqrt(spot_m)
         gap = abs(xi_mean - spec.terminal.declared_mean)
         checks.append(
             ValidationCheck(
@@ -393,7 +393,6 @@ def validate_problem(spec: ProblemSpec, samples: int = 10_000, seed: int = 0) ->
                 f"sampled mean {xi_mean:.6g} vs declared {spec.terminal.declared_mean:.6g} (band {band:.3g})",
             )
         )
-        u_T = float(spec.obstacle.evaluate(T))
         a3_ok = spec.terminal.declared_mean >= u_T - 1e-12
         checks.append(
             ValidationCheck(
@@ -406,8 +405,6 @@ def validate_problem(spec: ProblemSpec, samples: int = 10_000, seed: int = 0) ->
         checks.append(
             ValidationCheck("A3-terminal-mean", "unverifiable", f"no declared mean; sampled mean {xi_mean:.6g}")
         )
-        u_T = float(spec.obstacle.evaluate(T))
-        band = 4.0 * xi_std / math.sqrt(spot_m)
         if xi_mean - band >= u_T:
             status, note = "pass", "sampled mean clears u(T) beyond the sampling band"
         elif xi_mean + band < u_T:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import LengthMismatch, NotConverged
 from .mollify import SmoothObstacle, mollify_obstacle
-from .paths import ForwardCloud, TimeGrid
+from .paths import ForwardCloud
 from .penalized import (
     PenalizedSolution,
     RegressionBasis,
@@ -51,6 +51,9 @@ class ConvergenceSchedule:
             raise ValueError("n schedule must be strictly increasing")
         if any(b <= a for a, b in zip(self.k_levels, self.k_levels[1:])):
             raise ValueError("k schedule must be strictly increasing")
+        for name in ("deficit_tol", "cauchy_tol"):
+            if not (getattr(self, name) > 0):
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -73,14 +76,6 @@ class LevelRecord:
 
 
 @dataclass(frozen=True)
-class CompensatorRecovery:
-    """Recovered compensator path plus any monotonicity warnings."""
-
-    K: np.ndarray
-    warnings: tuple
-
-
-@dataclass(frozen=True)
 class ReflectedSolution:
     """Accepted limit of the level iteration."""
 
@@ -89,22 +84,6 @@ class ReflectedSolution:
     K: np.ndarray
     trace: tuple
     warnings: tuple
-
-    @property
-    def Y(self) -> np.ndarray:
-        return self.solution.Y
-
-    @property
-    def Z(self) -> np.ndarray:
-        return self.solution.Z
-
-    @property
-    def mean_path(self) -> np.ndarray:
-        return self.solution.mean_path
-
-    @property
-    def grid(self) -> TimeGrid:
-        return self.solution.grid
 
 
 def flatness_residual(mean_path: np.ndarray, u_values: np.ndarray, K: np.ndarray) -> float:
@@ -140,8 +119,8 @@ def deficit_metrics(
     return sup_sq, integral_sq
 
 
-def recover_compensator(solution: PenalizedSolution) -> CompensatorRecovery:
-    """Recover K from the mean path and the run's own drift averages.
+def recover_compensator(solution: PenalizedSolution) -> tuple[np.ndarray, tuple]:
+    """Recover K from the mean path and the run's own drift averages; returns (K, warnings).
 
     K_t = E[Y_0] - E[Y_t] - int_0^t E[f] ds - int_0^t E[g dkappa], with the
     expectations exactly as the backward pass evaluated them (stored per
@@ -161,7 +140,7 @@ def recover_compensator(solution: PenalizedSolution) -> CompensatorRecovery:
         warnings.append(
             f"recovered compensator decreases by {-worst:.3g} at step {j} (tolerance {tol:.3g})"
         )
-    return CompensatorRecovery(K=K, warnings=tuple(warnings))
+    return K, tuple(warnings)
 
 
 def penalty_ladder(
@@ -233,9 +212,11 @@ def solve_reflected(
                 break
             del sol  # a rejected level's arrays are freed before the next pass
         else:
+            cauchy = "none" if record.cauchy_mean_dist is None else f"{record.cauchy_mean_dist:.3g}"
             raise NotConverged(
-                f"penalty ladder exhausted at k={k} above tolerance "
-                f"(deficit {schedule.deficit_tol:.3g}, cauchy {schedule.cauchy_tol:.3g})",
+                f"penalty ladder exhausted at k={k}: last level n={record.n:g} has sup deficit "
+                f"{record.sup_deficit:.3g} (deficit_tol {schedule.deficit_tol:.3g}) and Cauchy "
+                f"distance {cauchy} (cauchy_tol {schedule.cauchy_tol:.3g})",
                 trace=tuple(trace),
             )
         if u_k.sup_gap <= schedule.deficit_tol / 2.0:
@@ -248,11 +229,5 @@ def solve_reflected(
             trace=tuple(trace),
         )
 
-    recovery = recover_compensator(sol)
-    return ReflectedSolution(
-        solution=sol,
-        obstacle=u_k,
-        K=recovery.K,
-        trace=tuple(trace),
-        warnings=recovery.warnings,
-    )
+    K, warnings = recover_compensator(sol)
+    return ReflectedSolution(solution=sol, obstacle=u_k, K=K, trace=tuple(trace), warnings=warnings)

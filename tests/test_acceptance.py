@@ -27,7 +27,7 @@ from mrbsde import (
     unconstrained_mean_path,
 )
 from mrbsde.cli import build_config, main, mean_reduction
-from tests.util import mean_path_consistent
+from tests.util import mean_path_consistent, regression_statistics
 
 PRESET_NAMES = ("SINE", "AFFINE", "BOUNDARY", "ZDRIFT")
 LADDER = (25, 50, 100, 200, 400, 800)
@@ -77,7 +77,7 @@ def test_criterion_1_sine_closed_form(sine_setup):
     mean_star, k_star = closed_form_on_grid(run_cfg.spec, grid)
     assert abs(k_star[-1] - 0.5) < 1e-9
     assert abs(k_star[75] - 0.14644660940672627) < 1e-6
-    mean_gap = float(np.max(np.abs(refl.mean_path - mean_star)))
+    mean_gap = float(np.max(np.abs(refl.solution.mean_path - mean_star)))
     k_gap = float(np.max(np.abs(refl.K - k_star)))
     ok = report(
         "C1 sine closed form",
@@ -95,7 +95,7 @@ def test_criterion_2_reflected_ode_oracle(preset_runs):
         problem, y_independent = mean_reduction(cfg.spec)
         assert not y_independent
         mean_ref, _ = solve_mean_ode_reflected(problem, n_penalty=1e6, n_fine=200 * cfg.N)
-        gaps[name] = float(np.max(np.abs(refl.mean_path - mean_ref[::200])))
+        gaps[name] = float(np.max(np.abs(refl.solution.mean_path - mean_ref[::200])))
     ok = report(
         "C2 reflected-ODE oracle",
         all(g <= 0.03 for g in gaps.values()),
@@ -164,7 +164,7 @@ def test_criterion_6_reflection(preset_runs):
     deficits = {}
     for name in PRESET_NAMES:
         _, _, refl = preset_runs[name]
-        deficits[name] = float(np.max(np.maximum(refl.obstacle.values - refl.mean_path, 0.0)))
+        deficits[name] = float(np.max(np.maximum(refl.obstacle.values - refl.solution.mean_path, 0.0)))
     ok = report(
         "C6 reflection",
         all(d <= 0.02 for d in deficits.values()),
@@ -179,7 +179,7 @@ def test_criterion_7_seed_independence(preset_runs, sine_setup):
     cloud8 = simulate_forward(cfg.spec, grid, cfg.M, 8)
     refl8 = solve_reflected(cfg.spec, cloud8, cfg.schedule, cfg.basis)
     bound = 10.0 / np.sqrt(cfg.M)
-    mean_gap = float(np.max(np.abs(refl7.mean_path - refl8.mean_path)))
+    mean_gap = float(np.max(np.abs(refl7.solution.mean_path - refl8.solution.mean_path)))
     k_gap = float(np.max(np.abs(refl7.K - refl8.K)))
     ok = report(
         "C7 seed independence",
@@ -219,18 +219,18 @@ def test_criterion_9_mollifier_convergence():
 
 def test_criterion_10_z_path_sanity(preset_runs):
     cfg, cloud, refl = preset_runs["ZDRIFT"]
-    grid = refl.grid
+    grid = refl.solution.grid
     # mean-path comparison against the drifting running-maximum solution
     mean_star, _ = closed_form_on_grid(cfg.spec, grid)
-    mean_gap = float(np.max(np.abs(refl.mean_path - mean_star)))
+    mean_gap = float(np.max(np.abs(refl.solution.mean_path - mean_star)))
     mean_ok = mean_gap <= 0.03
 
     # E[Z_t] consistency: with an intercept in the basis the estimator is the
     # sample mean of the integrand regression targets, so its CLT scale is the
     # targets' std / sqrt(M). Rows 0..N-1 are the regression nodes; the
     # terminal row copies row N-1 and carries no information of its own.
-    std = refl.solution.z_target_std[:, 0]
-    z_mean = refl.Z.mean(axis=1)[: std.size, 0]
+    std = regression_statistics(refl.solution, cloud, cfg.basis)[2][:, 0]
+    z_mean = refl.solution.Z.mean(axis=1)[: std.size, 0]
     z = mean_path_consistent(z_mean, std / np.sqrt(cfg.M), 1.0, 0.9973)
 
     ok = report(

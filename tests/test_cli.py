@@ -124,6 +124,15 @@ class TestParseConfig:
         with pytest.raises(ParseError, match=message):
             build_config({"preset": "SINE", "schedule": schedule})
 
+    def test_negative_tolerance_fails_before_any_pass(self, tmp_path):
+        doc = tiny_doc(tmp_path / "out")
+        doc["schedule"]["deficit_tol"] = -0.5
+        path = write_doc(tmp_path, doc)
+        with pytest.raises(ParseError, match="deficit_tol"):
+            parse_config(path)
+        assert main(["solve", "--config", str(path)]) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_undecodable_config_file(self, tmp_path):
         path = tmp_path / "binary.json"
         path.write_bytes(b"\xff\xfe\x00")
@@ -138,7 +147,7 @@ class TestParseConfig:
 class TestRunExperiment:
     def test_solve_emits_all_artifacts(self, tmp_path):
         cfg = build_config(tiny_doc(tmp_path / "run"))
-        artifacts = run_experiment(cfg, "solve")
+        diagnostics = run_experiment(cfg, "solve")
         out = Path(cfg.output)
         assert (out / "mean_path.csv").exists()
         assert (out / "convergence.csv").exists()
@@ -150,7 +159,8 @@ class TestRunExperiment:
         assert "output" not in report["manifest"]["config"]
         header = (out / "mean_path.csv").read_bytes().split(b"\n")[0].decode()
         assert header == "t,mean_Y,mean_Z_1,u,u_k,K,flatness_cum"
-        assert artifacts.diagnostics["final_level"]["k"] == 16
+        assert diagnostics["final_level"]["k"] == 16
+        assert json.loads(json.dumps(diagnostics)) == report["diagnostics"]
 
     def test_rerun_is_byte_identical_outside_wall_ms(self, tmp_path):
         cfg_a = build_config(tiny_doc(tmp_path / "a"))
@@ -174,9 +184,9 @@ class TestRunExperiment:
 
     def test_oracle_check_reports_gaps(self, tmp_path):
         cfg = build_config(tiny_doc(tmp_path / "run"))
-        artifacts = run_experiment(cfg, "oracle-check")
-        assert artifacts.diagnostics["oracle"]["kind"] == "running-maximum closed form"
-        assert artifacts.diagnostics["oracle"]["mean_gap"] < 0.1
+        diagnostics = run_experiment(cfg, "oracle-check")
+        assert diagnostics["oracle"]["kind"] == "running-maximum closed form"
+        assert diagnostics["oracle"]["mean_gap"] < 0.1
 
     def test_oracle_check_sine_at_full_budget(self, tmp_path):
         doc = {
@@ -186,14 +196,14 @@ class TestRunExperiment:
             "output": str(tmp_path / "full"),
         }
         cfg = build_config(doc)
-        artifacts = run_experiment(cfg, "oracle-check")
-        assert artifacts.diagnostics["oracle"]["mean_gap"] <= 0.02
-        assert artifacts.diagnostics["oracle"]["K_gap"] <= 0.02
+        diagnostics = run_experiment(cfg, "oracle-check")
+        assert diagnostics["oracle"]["mean_gap"] <= 0.02
+        assert diagnostics["oracle"]["K_gap"] <= 0.02
 
     def test_rates_emits_slopes(self, tmp_path):
         cfg = build_config(tiny_doc(tmp_path / "run"))
-        artifacts = run_experiment(cfg, "rates")
-        rates = artifacts.diagnostics["rates"]
+        diagnostics = run_experiment(cfg, "rates")
+        rates = diagnostics["rates"]
         assert rates["sup_neg_sq"]["slope"] is not None
         conv = (Path(cfg.output) / "convergence.csv").read_text()
         assert len(conv.strip().splitlines()) == 1 + 4  # header + one row per level
@@ -208,10 +218,10 @@ class TestRunExperiment:
 
     def test_stability_table(self, tmp_path):
         cfg = build_config(tiny_doc(tmp_path / "run"))
-        artifacts = run_experiment(cfg, "stability")
-        rows = artifacts.diagnostics["stability"]["rows"]
+        diagnostics = run_experiment(cfg, "stability")
+        rows = diagnostics["stability"]["rows"]
         assert [r["epsilon"] for r in rows] == [0.025, 0.05, 0.1]
-        assert 1.5 <= artifacts.diagnostics["stability"]["slope"] <= 2.5
+        assert 1.5 <= diagnostics["stability"]["slope"] <= 2.5
 
     def test_forward_payoff_problem_end_to_end(self, tmp_path):
         doc = {
@@ -232,9 +242,10 @@ class TestRunExperiment:
             "output": str(tmp_path / "fwd"),
         }
         cfg = build_config(doc)
-        artifacts = run_experiment(cfg, "solve")
-        assert artifacts.manifest["status"] == "ok"
-        assert abs(artifacts.diagnostics["K_T"]) <= 1e-9  # obstacle far below the mean
+        diagnostics = run_experiment(cfg, "solve")
+        report = json.loads((tmp_path / "fwd" / "report.json").read_text())
+        assert report["manifest"]["status"] == "ok"
+        assert abs(diagnostics["K_T"]) <= 1e-9  # obstacle far below the mean
         mean_path = (tmp_path / "fwd" / "mean_path.csv").read_text().splitlines()
         assert len(mean_path) == 1 + 25
 
@@ -251,11 +262,16 @@ class TestRunExperiment:
         doc["schedule"] = {"n_levels": [25], "k_levels": [8], "deficit_tol": 1e-9,
                            "cauchy_tol": 1e-9}
         cfg = build_config(doc)
-        with pytest.raises(NotConverged):
+        with pytest.raises(NotConverged) as excinfo:
             run_experiment(cfg, "solve")
         report = json.loads((tmp_path / "run" / "report.json").read_text())
         assert report["manifest"]["status"] == "failed"
         assert "penalty ladder exhausted" in report["manifest"]["error"]
+        last = excinfo.value.trace[-1]
+        assert report["manifest"]["error"] == (
+            f"penalty ladder exhausted at k=8: last level n=25 has sup deficit {last.sup_deficit:.3g} "
+            "(deficit_tol 1e-09) and Cauchy distance none (cauchy_tol 1e-09)"
+        )
         assert (tmp_path / "run" / "convergence.csv").exists()
         assert not (tmp_path / "run" / "mean_path.csv").exists()
 
@@ -292,8 +308,13 @@ class TestRunExperiment:
         schedule = {"n_levels": [25, 50, 100], "k_levels": [8], "deficit_tol": 1e-12,
                     "cauchy_tol": 1e-12}
         run_experiment(build_config(tiny_doc(tmp_path / "rates", schedule=schedule)), "rates")
-        with pytest.raises(NotConverged):
+        with pytest.raises(NotConverged) as excinfo:
             run_experiment(build_config(tiny_doc(tmp_path / "solve", schedule=schedule)), "solve")
+        last = excinfo.value.trace[-1]
+        assert str(excinfo.value).endswith(
+            f"n=100 has sup deficit {last.sup_deficit:.3g} (deficit_tol 1e-12) and Cauchy "
+            f"distance {last.cauchy_mean_dist:.3g} (cauchy_tol 1e-12)"
+        )
 
         def rows_without_wall_ms(outdir):
             lines = (outdir / "convergence.csv").read_text().splitlines()

@@ -16,7 +16,6 @@ from mrbsde import (
     skorokhod_closed_form,
     solve_mean_ode_reflected,
     unconstrained_mean_path,
-    write_reference_table,
 )
 from mrbsde.cli import build_config
 from tests.util import zero_problem
@@ -180,15 +179,3 @@ class TestMeanReduction:
         m = unconstrained_mean_path(zdrift, times)
         np.testing.assert_allclose(m, 0.5 * (1.0 - times), atol=1e-12)
 
-
-class TestReferenceTables:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "table.txt"
-        t = np.linspace(0, 1, 11)
-        mean = np.sin(t)
-        K = np.cumsum(np.abs(np.cos(t))) / 10
-        write_reference_table(path, t, mean, K)
-        t2, m2, k2 = read_reference_table(path)
-        np.testing.assert_allclose(t2, t, atol=1e-11)
-        np.testing.assert_allclose(m2, mean, atol=1e-11)
-        np.testing.assert_allclose(k2, K, atol=1e-11)

@@ -26,6 +26,11 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(1.0, 0)
 
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf")])
+    def test_non_finite_horizon_is_rejected(self, horizon):
+        with pytest.raises(ValueError, match="T must be"):
+            TimeGrid(horizon, 10)
+
 
 class TestSimulateForward:
     def test_deterministic_replay(self):

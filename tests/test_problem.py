@@ -5,7 +5,9 @@ from mrbsde import (
     BoundarySpec,
     ConfigError,
     DriverSpec,
+    KappaSpec,
     ObstacleCurve,
+    TerminalSpec,
     eval_boundary,
     eval_driver,
     validate_problem,
@@ -32,6 +34,16 @@ class TestHardFailures:
         with pytest.raises(ConfigError, match="horizon"):
             validate_problem(spec, samples=200, seed=0)
 
+    def test_nan_horizon(self):
+        spec = zero_problem(horizon=float("nan"))
+        with pytest.raises(ConfigError, match="horizon"):
+            validate_problem(spec, samples=200, seed=0)
+
+    def test_nan_beta(self):
+        spec = zero_problem(boundary=BoundarySpec("linear-monotone", beta=float("nan")))
+        with pytest.raises(ConfigError, match="beta"):
+            validate_problem(spec, samples=200, seed=0)
+
     def test_dimension_below_one(self):
         spec = zero_problem(brownian_dim=0)
         with pytest.raises(ConfigError, match="brownian_dim"):
@@ -41,6 +53,23 @@ class TestHardFailures:
         obs = ObstacleCurve("tabulated", knots_t=(0.0, 0.8, 0.5, 1.0), knots_u=(0.0, 1.0, 2.0, 3.0))
         with pytest.raises(ConfigError, match="increasing"):
             validate_problem(zero_problem(obstacle=obs), samples=200, seed=0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda x: DriverSpec("zero", lipschitz_L_f=x),
+            lambda x: BoundarySpec("zero", growth_L_g=x),
+            lambda x: BoundarySpec("zero", psi=x),
+            lambda x: TerminalSpec("direct-sampler", std=x),
+            lambda x: KappaSpec("linear", rate=x),
+            lambda x: KappaSpec("zero", h_scale=x),
+        ],
+        ids=["lipschitz_L_f", "growth_L_g", "psi", "std", "rate", "h_scale"],
+    )
+    def test_nan_constant_is_rejected(self, build):
+        build(1.0)
+        with pytest.raises(ValueError, match="must be"):
+            build(float("nan"))
 
     def test_too_few_samples(self):
         with pytest.raises(ConfigError, match="samples"):

@@ -21,7 +21,7 @@ from mrbsde import (
     solve_penalized,
     solve_reflected,
 )
-from tests.util import zero_problem
+from tests.util import regression_statistics, zero_problem
 
 GRID = TimeGrid(1.0, 50)
 SINE = ObstacleCurve("sine", amplitude=0.5)
@@ -35,8 +35,6 @@ def fake_solution(mean_path, T=1.0):
     grid = TimeGrid(T, n_steps)
     m = 3
     return PenalizedSolution(
-        n=1.0,
-        k=1,
         grid=grid,
         Y=np.tile(mean_path[:, None], (1, m)),
         Z=np.zeros((n_steps + 1, m, 1)),
@@ -44,9 +42,6 @@ def fake_solution(mean_path, T=1.0):
         K=np.zeros(n_steps + 1),
         mean_f_dt=np.zeros(n_steps),
         mean_g_dkappa=np.zeros(n_steps),
-        residual_y=np.zeros(n_steps),
-        residual_z=np.zeros(n_steps),
-        z_target_std=np.zeros((n_steps, 1)),
     )
 
 
@@ -76,10 +71,10 @@ class TestFlatnessResidual:
 class TestRecoverCompensator:
     def test_drift_free_formula_collapse(self):
         mean = np.array([1.0, 0.8, 0.7, 0.7, 0.5])
-        rec = recover_compensator(fake_solution(mean))
-        np.testing.assert_allclose(rec.K, mean[0] - mean, atol=1e-15)
-        assert rec.K[0] == 0.0
-        assert rec.warnings == ()
+        K, warnings = recover_compensator(fake_solution(mean))
+        np.testing.assert_allclose(K, mean[0] - mean, atol=1e-15)
+        assert K[0] == 0.0
+        assert warnings == ()
 
     def test_matches_accumulated_penalty_path_with_drivers_on(self):
         spec = zero_problem(
@@ -91,23 +86,24 @@ class TestRecoverCompensator:
         cloud = simulate_forward(spec, GRID, 3000, seed=9)
         u_k = mollify_obstacle(spec.obstacle, 25, GRID)
         sol = solve_penalized(spec, u_k, 300, cloud, regression_operator(cloud, BASIS))
-        rec = recover_compensator(sol)
-        assert np.max(np.abs(rec.K - sol.K)) <= 1e-10
+        K, _ = recover_compensator(sol)
+        assert np.max(np.abs(K - sol.K)) <= 1e-10
 
     def test_unconstrained_run_recovers_zero(self):
         spec = zero_problem()
         cloud = simulate_forward(spec, GRID, 3000, seed=9)
         u_k = mollify_obstacle(ObstacleCurve("constant", value=-1.0), 25, GRID)
         sol = solve_penalized(spec, u_k, 300, cloud, regression_operator(cloud, BASIS))
-        rec = recover_compensator(sol)
-        assert np.max(np.abs(rec.K)) <= 2.0 * float(np.max(sol.residual_y)) + 1e-12
+        K, _ = recover_compensator(sol)
+        residual_y = regression_statistics(sol, cloud, BASIS)[0]
+        assert np.max(np.abs(K)) <= 2.0 * float(np.max(residual_y)) + 1e-12
 
     def test_monotonicity_violation_warns_without_clipping(self):
         mean = np.array([0.0, -1.0, -0.5, -0.5, -0.6])  # K = [0, 1, 0.5, 0.5, 0.6]: dips
-        rec = recover_compensator(fake_solution(mean))
-        assert len(rec.warnings) == 1
-        assert "decreases" in rec.warnings[0]
-        np.testing.assert_allclose(rec.K, [0.0, 1.0, 0.5, 0.5, 0.6])
+        K, warnings = recover_compensator(fake_solution(mean))
+        assert len(warnings) == 1
+        assert "decreases" in warnings[0]
+        np.testing.assert_allclose(K, [0.0, 1.0, 0.5, 0.5, 0.6])
 
 
 class TestSolveReflected:
@@ -176,7 +172,7 @@ class TestSolveReflected:
             spec = zero_problem(obstacle=obstacle)
             cloud = simulate_forward(spec, GRID, 4000, seed=4)
             results[obstacle.family] = solve_reflected(spec, cloud, schedule, BASIS)
-        gap = np.max(np.abs(results["sine"].mean_path - results["tabulated"].mean_path))
+        gap = np.max(np.abs(results["sine"].solution.mean_path - results["tabulated"].solution.mean_path))
         assert gap <= 0.02  # interpolation error of the 21-knot table
 
     def test_schedule_validation(self):
@@ -186,3 +182,10 @@ class TestSolveReflected:
             ConvergenceSchedule(n_levels=(50, 25))
         with pytest.raises(ValueError):
             ConvergenceSchedule(k_levels=(10, 10))
+
+    @pytest.mark.parametrize(
+        "tolerance", [{"deficit_tol": -1.0}, {"deficit_tol": 0.0}, {"cauchy_tol": float("nan")}]
+    )
+    def test_non_positive_or_nan_tolerance_is_rejected(self, tolerance):
+        with pytest.raises(ValueError, match=next(iter(tolerance))):
+            ConvergenceSchedule(**tolerance)

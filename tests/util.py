@@ -13,6 +13,7 @@ from mrbsde import (
     ObstacleCurve,
     ProblemSpec,
     TerminalSpec,
+    regression_operator,
 )
 
 
@@ -65,3 +66,23 @@ def mean_path_consistent(means, std_errors, truth, confidence: float) -> MeanPat
     return MeanPathVerdict(
         max_abs, z_star, sum_sq, chi2_bound, n, max_abs <= z_star and sum_sq <= chi2_bound
     )
+
+
+def regression_statistics(sol, cloud, basis):
+    """Per-step regression statistics of a backward pass, recomputed after it.
+
+    Refits step j's stacked targets [Y_{j+1} dB_j / dt, Y_{j+1}] exactly as
+    the pass did and returns (residual_y (N,), residual_z (N,),
+    z_target_std (N, d)): the rms residuals of the value and integrand
+    targets and the sample std of the integrand targets.
+    """
+    operator, d, dt = regression_operator(cloud, basis), cloud.d, cloud.grid.dt
+    residual_y, residual_z, z_target_std = [], [], []
+    for j in range(cloud.grid.N):
+        z_targets = sol.Y[j + 1][:, None] * cloud.dB[j] / dt
+        stacked = np.column_stack([z_targets, sol.Y[j + 1]])
+        resid = stacked - operator.fit(j, stacked)[0]
+        residual_z.append(np.sqrt(np.mean(resid[:, :d] ** 2)))
+        residual_y.append(np.sqrt(np.mean(resid[:, d] ** 2)))
+        z_target_std.append(z_targets.std(axis=0))
+    return np.array(residual_y), np.array(residual_z), np.array(z_target_std)
