@@ -35,7 +35,6 @@ from .mollify import SmoothObstacle, mollify_obstacle
 from .oracle import (
     MeanProblem,
     mean_reduction,
-    read_reference_table,
     skorokhod_closed_form,
     solve_mean_ode_reflected,
     unconstrained_mean_path,
@@ -44,9 +43,7 @@ from .paths import ForwardCloud, TimeGrid, simulate_forward
 from .penalized import (
     PenalizedSolution,
     RegressionBasis,
-    RegressionOperator,
     implicit_mean_penalty,
-    regression_operator,
     solve_penalized,
 )
 from .presets import PRESETS, preset_config

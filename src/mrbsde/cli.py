@@ -41,7 +41,7 @@ from .oracle import (
     unconstrained_mean_path,
 )
 from .paths import TimeGrid, simulate_forward
-from .penalized import RegressionBasis, regression_operator
+from .penalized import RegressionBasis
 from .presets import PRESETS, preset_config
 from .problem import BoundarySpec, ProblemSpec, validate_problem
 from .reflect import ConvergenceSchedule, penalty_ladder, solve_reflected
@@ -447,8 +447,7 @@ def run_experiment(config: RunConfig, subcommand: str) -> dict:
             u_k = mollify_obstacle(config.spec.obstacle, max(config.schedule.k_levels), grid, config.quad_points)
             records = []
             n_levels = config.schedule.n_levels
-            operator = regression_operator(cloud, config.basis)
-            for record, sol in penalty_ladder(config.spec, u_k, n_levels, cloud, operator):
+            for record, sol in penalty_ladder(config.spec, u_k, n_levels, cloud, config.basis):
                 records.append(record)
                 if record.n == n_levels[-1]:
                     apriori_ratio = apriori_report(sol, config.spec, cloud).ratio

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import LengthMismatch, NonPositiveError
 from .mollify import SmoothObstacle
 from .paths import ForwardCloud
-from .penalized import PenalizedSolution, RegressionBasis, regression_operator, solve_penalized
+from .penalized import PenalizedSolution, RegressionBasis, solve_penalized
 from .problem import ProblemSpec, eval_driver
 
 
@@ -66,19 +66,18 @@ def stability_experiment(
 
     Each epsilon pairs the base run with a perturbed run on the same cloud
     (common random numbers), so the reported differences isolate the
-    perturbation; every run shares one regression operator. Rows are
-    sorted by epsilon.
+    perturbation; every run shares the cloud's cached Gram matrices. Rows
+    are sorted by epsilon.
     """
     eps_list = sorted(float(e) for e in perturbations)
     if len(set(eps_list)) != len(eps_list):
         raise ValueError("perturbation values must be distinct")
 
-    operator = regression_operator(cloud, basis)
-    base = solve_penalized(spec, u_k, n, cloud, operator)
+    base = solve_penalized(spec, u_k, n, cloud, basis)
     dt = cloud.grid.dt
     rows = []
     for eps in eps_list:
-        pert = solve_penalized(spec, u_k, n, cloud.with_terminal(cloud.xi + eps), operator)
+        pert = solve_penalized(spec, u_k, n, cloud.with_terminal(cloud.xi + eps), basis)
         # Node by node, so no full-size difference array is ever formed.
         mean_sq_dy = [np.mean((py - by) ** 2) for py, by in zip(pert.Y, base.Y)]
         mean_sq_dz = [np.mean(np.sum((pz - bz) ** 2, axis=1)) for pz, bz in zip(pert.Z[:-1], base.Z[:-1])]

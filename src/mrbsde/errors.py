@@ -32,10 +32,6 @@ class RankDeficient(MrbsdeError):
 class NonFinite(MrbsdeError):
     """Backward induction produced a non-finite value."""
 
-    def __init__(self, message: str, step: int | None = None):
-        super().__init__(message)
-        self.step = step
-
 
 class NotConverged(MrbsdeError):
     """Level schedule exhausted above tolerance; carries the convergence trace."""

@@ -183,8 +183,3 @@ def unconstrained_mean_path(problem: MeanProblem, times: np.ndarray) -> np.ndarr
         dt = times[j + 1] - times[j]
         y[j] = y[j + 1] + problem.drift(float(times[j + 1]), float(y[j + 1])) * dt
     return y
-
-
-def read_reference_table(path):
-    data = np.loadtxt(path, skiprows=1)
-    return data[:, 0], data[:, 1], data[:, 2]

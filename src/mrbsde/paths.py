@@ -11,7 +11,7 @@ step's slice of the cloud as one contiguous block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -57,10 +57,12 @@ class ForwardCloud:
     grid: TimeGrid
     dB: np.ndarray  # (N, M, d)
     brownian: np.ndarray  # (N+1, M, d), cumulative sums, B_0 = 0
-    kappa: np.ndarray  # (N+1, M)
+    kappa: np.ndarray  # (N+1, M), a read-only broadcast of one curve for a deterministic clock
     xi: np.ndarray  # (M,)
     mean_kappa: np.ndarray  # (N+1,)
     forward_state: np.ndarray | None = None  # (N+1, M) when a forward SDE is simulated
+    # (basis, j) -> checked Gram of step j's design; features only, so with_terminal copies share it
+    grams: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def M(self) -> int:
@@ -102,6 +104,8 @@ def simulate_forward(spec: ProblemSpec, grid: TimeGrid, M: int, seed: int) -> Fo
         raise ValueError(f"M must be >= 2, got {M}")
     if grid.N < 2:
         raise ValueError(f"N must be >= 2, got {grid.N}")
+    if spec.needs_forward and spec.forward is None:
+        raise SimulationError("terminal/kappa family requires a forward SDE")
 
     N, d, dt = grid.N, spec.brownian_dim, grid.dt
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
@@ -129,18 +133,17 @@ def simulate_forward(spec: ProblemSpec, grid: TimeGrid, M: int, seed: int) -> Fo
 
     times = grid.times
     kap = spec.kappa
-    if kap.family == "zero":
-        kappa = np.zeros((N + 1, M))
-    elif kap.family == "linear":
-        kappa = np.broadcast_to((kap.rate * times)[:, None], (N + 1, M)).copy()
-    elif kap.family == "curve":
-        curve = np.interp(times, kap.knots_t, kap.knots_v)
-        curve = curve - curve[0]  # kappa_0 = 0 by convention
-        kappa = np.broadcast_to(curve[:, None], (N + 1, M)).copy()
-    else:
-        if forward_state is None:
-            raise SimulationError("pathwise-integral kappa requires a forward SDE")
+    if kap.family == "integral":
         kappa = _partial_sums(kap.eval_h(forward_state[:-1]) * dt)
+    else:
+        if kap.family == "zero":
+            curve = np.zeros(N + 1)
+        elif kap.family == "linear":
+            curve = kap.rate * times
+        else:
+            curve = np.interp(times, kap.knots_t, kap.knots_v)
+            curve = curve - curve[0]  # kappa_0 = 0 by convention
+        kappa = np.broadcast_to(curve[:, None], (N + 1, M))
     # Each row summed sequentially in particle order, as a reduction over the
     # particle-major layout did; a reduction along the contiguous row would
     # sum pairwise and move the last digits.

@@ -81,72 +81,19 @@ def _checked_gram(design: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _fit(design: np.ndarray, gram: np.ndarray, targets: np.ndarray):
-    """Fitted values and coefficients from the normal equations of a checked Gram."""
+def _fit(cloud: ForwardCloud, basis: RegressionBasis, j: int, targets: np.ndarray):
+    """Fitted values and coefficients of ``targets`` on step j's design of ``basis`` on ``cloud``.
+
+    The design is rebuilt on every call; its checked Gram is formed once
+    per cloud and step and kept in ``cloud.grams`` for every later pass.
+    """
+    features = cloud.forward_state if basis.kind == "forward" else cloud.brownian
+    design = build_design(features[j], basis)
+    gram = cloud.grams.get((basis, j))
+    if gram is None:
+        gram = cloud.grams[basis, j] = _checked_gram(design)
     coef = np.linalg.solve(gram, design.T @ targets)
     return design @ coef, coef
-
-
-@dataclass(frozen=True, eq=False)
-class RegressionOperator:
-    """Per-step regression data of one (cloud, basis) pair, shared by every pass on it.
-
-    ``grams[j]`` is the checked Gram matrix of step j's design, formed by
-    the first pass that reaches step j from the design it builds there and
-    reused by every later pass. The design itself is rebuilt each pass from
-    the cloud's step-j feature row, so the operator holds no particle-sized
-    array of its own; ``features`` is a reference to the cloud's array, not
-    a copy. Nothing here depends on the penalty or smoothing level, the
-    driver or the terminal, so one operator serves every level and every
-    terminal perturbation of a cloud. Build it with
-    :func:`regression_operator`.
-    """
-
-    basis: RegressionBasis
-    grid: TimeGrid
-    M: int
-    features: np.ndarray | None  # cloud.brownian, cloud.forward_state, or None for an intercept
-    grams: list  # N entries, None until a pass reaches the step
-
-    def design(self, j: int) -> np.ndarray:
-        return build_design(np.empty((self.M, 0)) if self.features is None else self.features[j], self.basis)
-
-    def fit(self, j: int, targets: np.ndarray):
-        """Fitted values and coefficients of ``targets`` on step j's design."""
-        design = self.design(j)
-        if self.grams[j] is None:
-            self.grams[j] = _checked_gram(design)
-        return _fit(design, self.grams[j], targets)
-
-    def check_cloud(self, cloud: ForwardCloud) -> None:
-        """Raise unless ``cloud`` has the grid, particle count and features this was built on."""
-        if cloud.grid != self.grid or cloud.M != self.M:
-            raise LengthMismatch("regression operator was built on another grid or particle count")
-        if _feature_source(cloud, self.basis) is not self.features:
-            raise LengthMismatch("regression operator was built on another cloud's features")
-
-
-def _feature_source(cloud: ForwardCloud, basis: RegressionBasis) -> np.ndarray | None:
-    if basis.kind == "constant" or basis.degree == 0:
-        return None
-    return cloud.forward_state if basis.kind == "forward" else cloud.brownian
-
-
-def regression_operator(cloud: ForwardCloud, basis: RegressionBasis) -> RegressionOperator:
-    """Regression operator of ``basis`` on ``cloud``, for every pass on that cloud.
-
-    Fails here, before any backward pass, when the basis cannot be fitted:
-    a forward basis on a cloud without a forward state, or no more
-    particles than basis functions. A Gram matrix that stays singular after
-    regularization raises ``RankDeficient`` in the first pass, at the first
-    step whose Gram it forms.
-    """
-    if basis.kind == "forward" and cloud.forward_state is None:
-        raise ValueError("forward basis requested but the cloud has no forward state")
-    n_basis = basis.size(cloud.d)
-    if cloud.M <= n_basis:
-        raise ValueError(f"need more particles ({cloud.M}) than basis functions ({n_basis})")
-    return RegressionOperator(basis, cloud.grid, cloud.M, _feature_source(cloud, basis), [None] * cloud.grid.N)
 
 
 def implicit_mean_penalty(p_val: float, u_val: float, n: float, delta: float) -> float:
@@ -189,7 +136,7 @@ def solve_penalized(
     u_k: SmoothObstacle,
     n: float,
     cloud: ForwardCloud,
-    operator: RegressionOperator,
+    basis: RegressionBasis,
 ) -> PenalizedSolution:
     """Run the backward induction from Y(T) = xi down to t = 0.
 
@@ -197,14 +144,17 @@ def solve_penalized(
     the integrand and the conditional mean, take the law moments from the
     step-(j+1) cloud, apply f and g explicitly at the conditional mean, and
     shift every particle by the implicit mean-level penalty increment. K is
-    deterministic, so the shift is common to all particles. ``operator``
-    must have been built on this cloud (or on one that differs only in its
-    terminal draws); it supplies each step's design and checked Gram.
+    deterministic, so the shift is common to all particles. A basis that
+    cannot be fitted on the cloud (a forward basis without a forward state,
+    or no more particles than basis functions) fails before the first step.
     """
     grid = cloud.grid
     if u_k.grid != grid:
         raise LengthMismatch("smooth obstacle grid does not match the cloud grid")
-    operator.check_cloud(cloud)
+    if basis.kind == "forward" and cloud.forward_state is None:
+        raise ValueError("forward basis requested but the cloud has no forward state")
+    if cloud.M <= basis.size(cloud.d):
+        raise ValueError(f"need more particles ({cloud.M}) than basis functions ({basis.size(cloud.d)})")
     N, M, d, dt = grid.N, cloud.M, cloud.d, grid.dt
     times = grid.times
 
@@ -218,7 +168,7 @@ def solve_penalized(
     for j in range(N - 1, -1, -1):
         z_targets = Y[j + 1][:, None] * cloud.dB[j] / dt  # (M, d)
         stacked = np.column_stack([z_targets, Y[j + 1]])
-        fitted, _ = operator.fit(j, stacked)
+        fitted, _ = _fit(cloud, basis, j, stacked)
         Z[j] = fitted[:, :d]
         cond_mean = fitted[:, d]
 
@@ -239,7 +189,7 @@ def solve_penalized(
         Y[j] = y0 + dK[j]
 
         if not np.all(np.isfinite(Y[j])) or not np.all(np.isfinite(Z[j])):
-            raise NonFinite(f"non-finite solution values at step {j}", step=j)
+            raise NonFinite(f"non-finite solution values at step {j}")
 
         mean_f_dt[j] = float(np.mean(f_vals)) * dt
         mean_g_dkappa[j] = float(np.mean(g_vals * dkap))

@@ -29,6 +29,16 @@ _KAPPA_FAMILIES = ("zero", "linear", "curve", "integral")
 _H_KINDS = ("abs", "square", "const")
 
 
+def _check_finite(owner, *names: str) -> None:
+    """Raise a ValueError naming the first of ``owner``'s fields ``names`` that holds NaN or ±Infinity."""
+    for name in names:
+        value = getattr(owner, name)
+        if isinstance(value, dict):
+            value = tuple(value.values())
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ValueError(f"{type(owner).__name__}.{name} must be finite, got {getattr(owner, name)}")
+
+
 def _as_float_map(name: str, coeffs: dict, allowed: frozenset) -> dict:
     out = {}
     for key, val in coeffs.items():
@@ -58,6 +68,7 @@ class DriverSpec:
             "coefficients",
             _as_float_map(self.family, self.coefficients, _DRIVER_FAMILIES[self.family]),
         )
+        _check_finite(self, "coefficients")
         if not (self.lipschitz_L_f >= 0):
             raise ValueError("lipschitz_L_f must be >= 0")
 
@@ -109,6 +120,7 @@ class TerminalSpec:
             raise ValueError("std must be >= 0")
         if self.payoff not in _PAYOFF_FAMILIES:
             raise ValueError(f"unknown payoff family {self.payoff!r}")
+        _check_finite(self, "mean", "std", "strike", "declared_mean")
 
     def sample_direct(self, bt_terminal: np.ndarray, horizon: float) -> np.ndarray:
         return self.mean + self.std * bt_terminal / math.sqrt(horizon)
@@ -150,6 +162,7 @@ class ObstacleCurve:
             object.__setattr__(self, "knots_u", tuple(float(u) for u in self.knots_u))
             if len(self.knots_t) != len(self.knots_u) or len(self.knots_t) < 2:
                 raise ValueError("tabulated obstacle needs matching knot arrays of length >= 2")
+        _check_finite(self, "value", "amplitude", "omega", "center", "intercept", "slope", "knots_t", "knots_u")
 
     def evaluate(self, t):
         t = np.asarray(t, dtype=float)
@@ -197,6 +210,7 @@ class KappaSpec:
             object.__setattr__(self, "knots_v", tuple(float(v) for v in self.knots_v))
             if len(self.knots_t) != len(self.knots_v) or len(self.knots_t) < 2:
                 raise ValueError("curve kappa needs matching knot arrays of length >= 2")
+            _check_finite(self, "knots_t", "knots_v")
         if self.h_kind not in _H_KINDS:
             raise ValueError(f"unknown h kind {self.h_kind!r}")
         if not (self.h_scale >= 0):
@@ -218,6 +232,9 @@ class ForwardSDESpec:
     drift_const: float = 0.0
     drift_lin: float = 0.0
     sigma: float = 1.0
+
+    def __post_init__(self):
+        _check_finite(self, "x0", "drift_const", "drift_lin", "sigma")
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,7 @@ import numpy as np
 from .errors import LengthMismatch, NotConverged
 from .mollify import SmoothObstacle, mollify_obstacle
 from .paths import ForwardCloud
-from .penalized import (
-    PenalizedSolution,
-    RegressionBasis,
-    RegressionOperator,
-    regression_operator,
-    solve_penalized,
-)
+from .penalized import PenalizedSolution, RegressionBasis, solve_penalized
 from .problem import ProblemSpec
 
 
@@ -148,19 +142,19 @@ def penalty_ladder(
     u_k: SmoothObstacle,
     n_levels,
     cloud: ForwardCloud,
-    operator: RegressionOperator,
+    basis: RegressionBasis,
 ) -> Iterator[tuple[LevelRecord, PenalizedSolution]]:
     """Solve the penalized equation at each level n against u_k, yielding (record, solution).
 
     ``wall_ms`` times the backward pass alone; the Cauchy distance is to
     the previous level's mean path. The caller stops the ladder by leaving
     the loop: no level runs before it is asked for. Every level shares the
-    caller's regression operator for ``cloud``.
+    cloud's cached Gram matrices.
     """
     prev_mean = None
     for n in n_levels:
         t0 = time.perf_counter()
-        sol = solve_penalized(spec, u_k, n, cloud, operator)
+        sol = solve_penalized(spec, u_k, n, cloud, basis)
         wall_ms = (time.perf_counter() - t0) * 1000.0
         sup_sq, integral_sq = deficit_metrics(sol, u_k, cloud.mean_kappa)
         cauchy = float(np.max(np.abs(sol.mean_path - prev_mean))) if prev_mean is not None else None
@@ -193,13 +187,12 @@ def solve_reflected(
     are cauchy_tol-close. The mollification loop stops when the smooth
     obstacle is within deficit_tol / 2 of the raw obstacle in sup norm.
     Raises NotConverged (with the trace attached) when a ladder runs out.
-    One regression operator serves every level of both loops.
+    Every level of both loops shares the cloud's cached Gram matrices.
     """
-    operator = regression_operator(cloud, basis)
     trace: list[LevelRecord] = []
     for k in schedule.k_levels:
         u_k = mollify_obstacle(spec.obstacle, k, cloud.grid, quad_points)
-        for record, sol in penalty_ladder(spec, u_k, schedule.n_levels, cloud, operator):
+        for record, sol in penalty_ladder(spec, u_k, schedule.n_levels, cloud, basis):
             trace.append(record)
             if record.cauchy_mean_dist is not None:
                 cauchy_ok = record.cauchy_mean_dist <= schedule.cauchy_tol

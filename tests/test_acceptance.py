@@ -17,7 +17,6 @@ from mrbsde import (
     deficit_metrics,
     mollify_obstacle,
     rate_fit,
-    regression_operator,
     simulate_forward,
     skorokhod_closed_form,
     solve_mean_ode_reflected,
@@ -111,9 +110,8 @@ def sine_ladder(sine_setup):
     u_k = mollify_obstacle(cfg.spec.obstacle, 40, grid)
     sup_vals, int_vals, cauchy_vals = [], [], []
     prev = None
-    op = regression_operator(cloud, cfg.basis)
     for n in LADDER:
-        sol = solve_penalized(cfg.spec, u_k, n, cloud, op)
+        sol = solve_penalized(cfg.spec, u_k, n, cloud, cfg.basis)
         sup_sq, int_sq = deficit_metrics(sol, u_k, cloud.mean_kappa)
         sup_vals.append(sup_sq)
         int_vals.append(int_sq)

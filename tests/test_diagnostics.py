@@ -11,7 +11,6 @@ from mrbsde import (
     deficit_metrics,
     mollify_obstacle,
     rate_fit,
-    regression_operator,
     simulate_forward,
     solve_penalized,
     stability_experiment,
@@ -67,7 +66,7 @@ class TestDeficitMetrics:
         spec = zero_problem()
         cloud = simulate_forward(spec, GRID, 2000, seed=1)
         u_k = mollify_obstacle(ObstacleCurve("constant", value=-1.0), 20, GRID)
-        sol = solve_penalized(spec, u_k, 100, cloud, regression_operator(cloud, BASIS))
+        sol = solve_penalized(spec, u_k, 100, cloud, BASIS)
         assert deficit_metrics(sol, u_k, cloud.mean_kappa) == (0.0, 0.0)
 
     def test_synthetic_constant_deficit(self):
@@ -88,10 +87,9 @@ class TestDeficitMetrics:
         spec = zero_problem(obstacle=SINE)
         cloud = simulate_forward(spec, GRID, 4000, seed=2)
         u_k = mollify_obstacle(SINE, 30, GRID)
-        op = regression_operator(cloud, BASIS)
         sups = []
         for n in (25, 50, 100, 200, 400, 800):
-            sol = solve_penalized(spec, u_k, n, cloud, op)
+            sol = solve_penalized(spec, u_k, n, cloud, BASIS)
             sups.append(deficit_metrics(sol, u_k, cloud.mean_kappa)[0])
         assert all(b < a for a, b in zip(sups, sups[1:]))
 
@@ -129,10 +127,9 @@ class TestStabilityExperiment:
         cloud = simulate_forward(spec, GRID, 10_000, seed=3)
         u_k = mollify_obstacle(SINE, 20, GRID)
         rows = stability_experiment(spec, cloud, (0.1, 0.05), u_k, 200, BASIS)
-        op = regression_operator(cloud, BASIS)
-        base = solve_penalized(spec, u_k, 200, cloud, op)
+        base = solve_penalized(spec, u_k, 200, cloud, BASIS)
         for row in rows:
-            pert = solve_penalized(spec, u_k, 200, cloud.with_terminal(cloud.xi + row.epsilon), op)
+            pert = solve_penalized(spec, u_k, 200, cloud.with_terminal(cloud.xi + row.epsilon), BASIS)
             dY, dZ = pert.Y - base.Y, pert.Z - base.Z
             assert row.sup_mean_sq_dy == float(np.max(np.mean(dY**2, axis=1)))
             assert row.integral_mean_sq_dz == float(
@@ -153,7 +150,7 @@ class TestAprioriReport:
                                                   declared_mean=0.0))
         cloud = simulate_forward(spec, GRID, 2000, seed=4)
         u_k = mollify_obstacle(ObstacleCurve("constant", value=-1.0), 20, GRID)
-        sol = solve_penalized(spec, u_k, 100, cloud, regression_operator(cloud, BASIS))
+        sol = solve_penalized(spec, u_k, 100, cloud, BASIS)
         rep = apriori_report(sol, spec, cloud)
         assert rep.degenerate
         assert rep.sup_mean_sq_y + rep.integral_mean_sq_z == 0.0
@@ -162,7 +159,7 @@ class TestAprioriReport:
         spec = zero_problem(obstacle=SINE)
         cloud = simulate_forward(spec, GRID, 4000, seed=4)
         u_k = mollify_obstacle(SINE, 30, GRID)
-        sol = solve_penalized(spec, u_k, 400, cloud, regression_operator(cloud, BASIS))
+        sol = solve_penalized(spec, u_k, 400, cloud, BASIS)
         rep = apriori_report(sol, spec, cloud)
         assert not rep.degenerate
         for value in (rep.sup_mean_sq_y, rep.integral_mean_sq_z, rep.terminal_sq,
@@ -179,7 +176,7 @@ class TestAprioriReport:
         spec = zero_problem(obstacle=SINE, brownian_dim=2)
         cloud = simulate_forward(spec, GRID, 10_000, seed=4)
         u_k = mollify_obstacle(SINE, 30, GRID)
-        sol = solve_penalized(spec, u_k, 400, cloud, regression_operator(cloud, BASIS))
+        sol = solve_penalized(spec, u_k, 400, cloud, BASIS)
         rep = apriori_report(sol, spec, cloud)
         assert sol.Z.shape[2] == 2
         assert rep.sup_mean_sq_y == float(np.max(np.mean(sol.Y**2, axis=1)))
@@ -193,6 +190,6 @@ class TestAprioriReport:
         ratios = []
         for m in (10_000, 20_000):
             cloud = simulate_forward(spec, GRID, m, seed=4)
-            sol = solve_penalized(spec, u_k, 400, cloud, regression_operator(cloud, BASIS))
+            sol = solve_penalized(spec, u_k, 400, cloud, BASIS)
             ratios.append(apriori_report(sol, spec, cloud).ratio)
         assert abs(ratios[1] - ratios[0]) / ratios[0] < 0.2

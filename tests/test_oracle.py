@@ -12,7 +12,6 @@ from mrbsde import (
     NoSelfConvergence,
     ObstacleCurve,
     mean_reduction,
-    read_reference_table,
     skorokhod_closed_form,
     solve_mean_ode_reflected,
     unconstrained_mean_path,
@@ -108,7 +107,7 @@ class TestMeanOde:
         problem, y_independent = mean_reduction(cfg.spec)
         assert not y_independent
         mean, K = solve_mean_ode_reflected(problem, n_penalty=1e6, n_fine=20_000)
-        t_ref, mean_ref, k_ref = read_reference_table(GOLDEN)
+        t_ref, mean_ref, k_ref = np.loadtxt(GOLDEN, skiprows=1).T
         np.testing.assert_allclose(mean[::200], mean_ref, atol=5e-10)
         np.testing.assert_allclose(K[::200], k_ref, atol=5e-10)
 

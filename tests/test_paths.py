@@ -88,6 +88,18 @@ class TestSimulateForward:
         with np.errstate(over="ignore"), pytest.raises(SimulationError):
             simulate_forward(spec, TimeGrid(1.0, 4), 8, seed=0)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            zero_problem(terminal=TerminalSpec("functional-of-forward", payoff="identity")),
+            zero_problem(kappa=KappaSpec("integral", h_kind="abs")),
+        ],
+        ids=["terminal", "integral-kappa"],
+    )
+    def test_missing_forward_sde_raises(self, spec):
+        with pytest.raises(SimulationError, match="forward SDE"):
+            simulate_forward(spec, TimeGrid(1.0, 4), 8, seed=0)
+
     def test_minimum_sizes(self):
         with pytest.raises(ValueError):
             simulate_forward(zero_problem(), TimeGrid(1.0, 8), 1, seed=0)
@@ -114,6 +126,15 @@ class TestSimulateForward:
         cloud = simulate_forward(spec, TimeGrid(1.0, 16), m, seed=5)
         total = np.zeros(17)
         for particle in cloud.kappa.T:
+            total = total + particle
+        assert np.array_equal(cloud.mean_kappa, total / m)
+
+    def test_deterministic_clock_is_a_read_only_view(self):
+        m = 5003
+        cloud = simulate_forward(zero_problem(kappa=KappaSpec("linear", rate=0.7)), TimeGrid(1.0, 16), m, seed=5)
+        assert not cloud.kappa.flags.writeable
+        total = np.zeros(17)
+        for particle in np.array(cloud.kappa).T:
             total = total + particle
         assert np.array_equal(cloud.mean_kappa, total / m)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,6 @@ from mrbsde import (
     TimeGrid,
     implicit_mean_penalty,
     mollify_obstacle,
-    regression_operator,
     simulate_forward,
     skorokhod_closed_form,
     solve_penalized,
@@ -36,8 +37,17 @@ def small_cloud(spec=None, M=4000, seed=11, grid=GRID):
     return simulate_forward(spec or zero_problem(), grid, M, seed)
 
 
-def brownian_operator(cloud, degree=2):
-    return regression_operator(cloud, RegressionBasis("brownian", degree))
+def recording_build_design(monkeypatch):
+    """Patch ``penalized.build_design`` to record the feature rows it is given."""
+    seen = []
+    build_design = penalized.build_design
+
+    def recording(features, basis):
+        seen.append(features)
+        return build_design(features, basis)
+
+    monkeypatch.setattr(penalized, "build_design", recording)
+    return seen
 
 
 def fit_on_positions(targets, positions, degree):
@@ -51,7 +61,7 @@ def fit_on_positions(targets, positions, degree):
         xi=np.zeros(m),
         mean_kappa=np.zeros(2),
     )
-    return brownian_operator(cloud, degree).fit(0, targets)
+    return penalized._fit(cloud, RegressionBasis("brownian", degree), 0, targets)
 
 
 class TestRegression:
@@ -89,8 +99,9 @@ class TestRegression:
             fit_on_positions(np.zeros(200), feats, 120)
 
     def test_needs_more_particles_than_basis_functions(self):
+        u_k = mollify_obstacle(SINE, 20, GRID)
         with pytest.raises(ValueError):
-            fit_on_positions(np.zeros(3), np.zeros(3), 2)
+            solve_penalized(zero_problem(), u_k, 0.0, small_cloud(M=3), RegressionBasis("brownian", 2))
 
     def test_degenerate_constant_features_fall_back_to_mean(self):
         # t = 0 case: the Brownian position is identically zero
@@ -165,7 +176,7 @@ class TestSolvePenalized:
         spec = zero_problem()
         cloud = small_cloud(spec)
         u_k = mollify_obstacle(ObstacleCurve("constant", value=-1.0), 10, GRID)
-        sol = solve_penalized(spec, u_k, 0.0, cloud, brownian_operator(cloud, 1))
+        sol = solve_penalized(spec, u_k, 0.0, cloud, RegressionBasis("brownian", 1))
         assert np.all(sol.K == 0.0)
         np.testing.assert_allclose(sol.Y[-1], cloud.xi)
         # martingale mean: stays near the terminal sample mean
@@ -175,16 +186,16 @@ class TestSolvePenalized:
         spec = zero_problem()
         cloud = small_cloud(spec)
         u_k = mollify_obstacle(ObstacleCurve("constant", value=-1.0), 10, GRID)
-        op = brownian_operator(cloud)
+        basis = RegressionBasis("brownian", 2)
         for n in (10.0, 1e3, 1e6):
-            sol = solve_penalized(spec, u_k, n, cloud, op)
+            sol = solve_penalized(spec, u_k, n, cloud, basis)
             assert np.all(sol.K == 0.0)
 
     def test_sine_mean_path_against_closed_form(self):
         spec = zero_problem(obstacle=SINE)
         cloud = small_cloud(spec, M=8000)
         u_k = mollify_obstacle(SINE, 30, GRID)
-        sol = solve_penalized(spec, u_k, 500, cloud, brownian_operator(cloud))
+        sol = solve_penalized(spec, u_k, 500, cloud, RegressionBasis("brownian", 2))
         fine = np.linspace(0.0, 1.0, 50 * 200 + 1)
         mean_star, _ = skorokhod_closed_form(0.0, SINE.evaluate(fine))
         assert np.max(np.abs(sol.mean_path - mean_star[::200])) <= 0.03
@@ -193,7 +204,7 @@ class TestSolvePenalized:
         spec = zero_problem(obstacle=SINE)
         cloud = small_cloud(spec)
         u_k = mollify_obstacle(SINE, 30, GRID)
-        sol = solve_penalized(spec, u_k, 200, cloud, brownian_operator(cloud))
+        sol = solve_penalized(spec, u_k, 200, cloud, RegressionBasis("brownian", 2))
         dK = np.diff(sol.K)
         assert np.any(dK > 0)
         active = dK > 0
@@ -205,10 +216,10 @@ class TestSolvePenalized:
         spec = zero_problem(obstacle=SINE)
         cloud = small_cloud(spec)
         u_k = mollify_obstacle(SINE, 30, GRID)
-        op = brownian_operator(cloud)
+        basis = RegressionBasis("brownian", 2)
         sups = []
         for n in (25, 50, 100, 200, 400, 800):
-            sol = solve_penalized(spec, u_k, n, cloud, op)
+            sol = solve_penalized(spec, u_k, n, cloud, basis)
             sups.append(float(np.max(np.maximum(u_k.values[:-1] - sol.mean_path[:-1], 0.0))))
         assert all(b <= a + 1e-3 for a, b in zip(sups, sups[1:]))
 
@@ -218,9 +229,9 @@ class TestSolvePenalized:
                             obstacle=SINE)
         cloud = small_cloud(spec)
         u_k = mollify_obstacle(SINE, 30, GRID)
-        op = brownian_operator(cloud)
-        lo = solve_penalized(spec, u_k, 50, cloud, op)
-        hi = solve_penalized(spec, u_k, 800, cloud, op)
+        basis = RegressionBasis("brownian", 2)
+        lo = solve_penalized(spec, u_k, 50, cloud, basis)
+        hi = solve_penalized(spec, u_k, 800, cloud, basis)
         spread_lo = lo.Y - lo.mean_path[:, None]
         spread_hi = hi.Y - hi.mean_path[:, None]
         np.testing.assert_allclose(spread_lo, spread_hi, atol=1e-10)
@@ -230,14 +241,14 @@ class TestSolvePenalized:
         grid = TimeGrid(1.0, 100)
         cloud = simulate_forward(spec, grid, 2000, seed=2)
         u_k = mollify_obstacle(SINE, 30, grid)
-        sol = solve_penalized(spec, u_k, 1e6, cloud, brownian_operator(cloud))
+        sol = solve_penalized(spec, u_k, 1e6, cloud, RegressionBasis("brownian", 2))
         assert np.all(np.isfinite(sol.Y)) and np.all(np.isfinite(sol.K))
 
     def test_terminal_row_is_exact_terminal_draw(self):
         spec = zero_problem(obstacle=SINE)
         cloud = small_cloud(spec)
         u_k = mollify_obstacle(SINE, 20, GRID)
-        sol = solve_penalized(spec, u_k, 100, cloud, brownian_operator(cloud))
+        sol = solve_penalized(spec, u_k, 100, cloud, RegressionBasis("brownian", 2))
         assert np.array_equal(sol.Y[-1], cloud.xi)
         assert sol.K[0] == 0.0
         np.testing.assert_allclose(sol.mean_path, sol.Y.mean(axis=1))
@@ -247,7 +258,7 @@ class TestSolvePenalized:
         cloud = small_cloud(spec)
         u_other = mollify_obstacle(SINE, 20, TimeGrid(1.0, 40))
         with pytest.raises(LengthMismatch):
-            solve_penalized(spec, u_other, 100, cloud, brownian_operator(cloud))
+            solve_penalized(spec, u_other, 100, cloud, RegressionBasis("brownian", 2))
 
     def test_nonlinear_driver_and_boundary_smoke(self):
         spec = zero_problem(
@@ -259,7 +270,7 @@ class TestSolvePenalized:
         )
         cloud = small_cloud(spec)
         u_k = mollify_obstacle(SINE, 25, GRID)
-        sol = solve_penalized(spec, u_k, 300, cloud, brownian_operator(cloud))
+        sol = solve_penalized(spec, u_k, 300, cloud, RegressionBasis("brownian", 2))
         assert np.all(np.isfinite(sol.Y)) and np.all(np.isfinite(sol.Z))
         dK = np.diff(sol.K)
         assert np.all(dK >= 0.0)
@@ -272,7 +283,7 @@ class TestSolvePenalized:
         spec = zero_problem(obstacle=SINE, brownian_dim=2)
         cloud = simulate_forward(spec, GRID, 8000, seed=13)
         u_k = mollify_obstacle(SINE, 30, GRID)
-        sol = solve_penalized(spec, u_k, 200, cloud, brownian_operator(cloud, 1))
+        sol = solve_penalized(spec, u_k, 200, cloud, RegressionBasis("brownian", 1))
         assert sol.Z.shape == (GRID.N + 1, 8000, 2)
         z_mean = sol.Z.mean(axis=1)
         z_target_std = regression_statistics(sol, cloud, RegressionBasis("brownian", 1))[2]
@@ -282,59 +293,48 @@ class TestSolvePenalized:
 
 
 class TestRegressionOperator:
+    """Each cloud caches the checked Gram matrix of every (basis, step) it has fitted."""
+
     def test_reused_operator_gives_bit_identical_solutions(self):
         spec = zero_problem(obstacle=SINE, kappa=KappaSpec("linear", rate=1.0),
                             boundary=BoundarySpec("linear-monotone", beta=-1.0))
         cloud = small_cloud(spec)
         u_k = mollify_obstacle(SINE, 30, GRID)
-        shared = brownian_operator(cloud)
+        basis = RegressionBasis("brownian", 2)
         for n in (25, 800):
-            a = solve_penalized(spec, u_k, n, cloud, shared)
-            b = solve_penalized(spec, u_k, n, cloud, brownian_operator(cloud))
+            a = solve_penalized(spec, u_k, n, cloud, basis)  # warm cache from the second level on
+            b = solve_penalized(spec, u_k, n, replace(cloud, grams={}), basis)
             for field in ("Y", "Z", "K", "mean_path"):
                 assert np.array_equal(getattr(a, field), getattr(b, field)), field
-            stats_a, stats_b = (regression_statistics(s, cloud, shared.basis) for s in (a, b))
+            stats_a, stats_b = (regression_statistics(s, cloud, basis) for s in (a, b))
             assert all(np.array_equal(x, y) for x, y in zip(stats_a, stats_b))
 
     def test_rank_deficient_basis_fails_at_the_first_step_of_the_first_pass(self, monkeypatch):
         spec = zero_problem(obstacle=SINE)
         cloud = small_cloud(spec, M=400)
-        op = regression_operator(cloud, RegressionBasis("brownian", 120))
-        steps = []
-        design = penalized.RegressionOperator.design
-
-        def recording(self, j):
-            steps.append(j)
-            return design(self, j)
-
-        monkeypatch.setattr(penalized.RegressionOperator, "design", recording)
+        seen = recording_build_design(monkeypatch)
         with pytest.raises(RankDeficient):
-            solve_penalized(spec, mollify_obstacle(SINE, 20, GRID), 100, cloud, op)
-        assert steps == [GRID.N - 1]
+            solve_penalized(spec, mollify_obstacle(SINE, 20, GRID), 100, cloud, RegressionBasis("brownian", 120))
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], cloud.brownian[GRID.N - 1])
+        assert not cloud.grams
 
-    def test_unfittable_basis_fails_when_built(self):
+    def test_unfittable_basis_fails_when_built(self, monkeypatch):
+        seen = recording_build_design(monkeypatch)
+        u_k = mollify_obstacle(SINE, 20, GRID)
         with pytest.raises(ValueError, match="more particles"):
-            regression_operator(small_cloud(M=40), RegressionBasis("brownian", 40))
+            solve_penalized(zero_problem(), u_k, 100, small_cloud(M=40), RegressionBasis("brownian", 40))
         with pytest.raises(ValueError, match="no forward state"):
-            regression_operator(small_cloud(M=40), RegressionBasis("forward", 2))
+            solve_penalized(zero_problem(), u_k, 100, small_cloud(M=40), RegressionBasis("forward", 2))
+        assert seen == []
 
-    def test_forward_basis_reads_the_forward_state(self):
+    def test_forward_basis_reads_the_forward_state(self, monkeypatch):
         spec = zero_problem(forward=ForwardSDESpec(x0=1.0, sigma=0.3))
         cloud = small_cloud(spec, M=500)
-        op = regression_operator(cloud, RegressionBasis("forward", 2))
-        assert op.features is cloud.forward_state
-        design = op.design(7)
-        assert np.array_equal(design[:, 1], cloud.forward_state[7])
-
-    def test_operator_of_another_cloud_is_rejected(self):
-        spec = zero_problem(obstacle=SINE)
-        cloud = small_cloud(spec)
-        u_k = mollify_obstacle(SINE, 20, GRID)
-        op = brownian_operator(cloud)
-        solve_penalized(spec, u_k, 100, cloud.with_terminal(cloud.xi + 1.0), op)  # same features
-        for other in (small_cloud(spec, seed=12), small_cloud(spec, M=3000)):
-            with pytest.raises(LengthMismatch):
-                solve_penalized(spec, u_k, 100, other, op)
+        seen = recording_build_design(monkeypatch)
+        penalized._fit(cloud, RegressionBasis("forward", 2), 7, np.zeros(500))
+        assert np.shares_memory(seen[0], cloud.forward_state)
+        assert np.array_equal(seen[0], cloud.forward_state[7])
 
     def test_gram_checked_once_per_step_per_cloud(self, monkeypatch):
         checks = []
@@ -347,13 +347,16 @@ class TestRegressionOperator:
         monkeypatch.setattr(penalized, "_checked_gram", counting)
         spec = zero_problem(obstacle=SINE)
         cloud = small_cloud(spec)
+        basis = RegressionBasis("brownian", 2)
         schedule = ConvergenceSchedule(n_levels=(25, 50, 100), k_levels=(5, 10), deficit_tol=1e-9)
         with pytest.raises(NotConverged) as exc:
-            solve_reflected(spec, cloud, schedule, RegressionBasis("brownian", 2))
-        assert len(exc.value.trace) == 3  # three passes, one operator
+            solve_reflected(spec, cloud, schedule, basis)
+        assert len(exc.value.trace) == 3  # three passes, one cache
         assert len(checks) == GRID.N
 
         checks.clear()
         u_k = mollify_obstacle(SINE, 20, GRID)
-        stability_experiment(spec, cloud, (0.1, 0.05), u_k, 100, RegressionBasis("brownian", 2))
-        assert len(checks) == GRID.N  # base and two perturbed passes
+        stability_experiment(spec, cloud, (0.1, 0.05), u_k, 100, basis)
+        assert checks == []  # base and perturbed passes reuse the cloud's Grams
+        stability_experiment(spec, replace(cloud, grams={}), (0.1, 0.05), u_k, 100, basis)
+        assert len(checks) == GRID.N  # base and two perturbed passes on a fresh cache

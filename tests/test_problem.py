@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from mrbsde import (
     BoundarySpec,
     ConfigError,
     DriverSpec,
+    ForwardSDESpec,
     KappaSpec,
     ObstacleCurve,
     TerminalSpec,
@@ -63,13 +66,23 @@ class TestHardFailures:
             lambda x: TerminalSpec("direct-sampler", std=x),
             lambda x: KappaSpec("linear", rate=x),
             lambda x: KappaSpec("zero", h_scale=x),
+            lambda x: ObstacleCurve("sine", amplitude=x),
+            lambda x: ObstacleCurve("constant", value=x),
+            lambda x: ObstacleCurve("tabulated", knots_t=(0.0, 1.0), knots_u=(0.0, x)),
+            lambda x: TerminalSpec("direct-sampler", mean=x),
+            lambda x: TerminalSpec("functional-of-forward", payoff="call", strike=x),
+            lambda x: ForwardSDESpec(sigma=x),
+            lambda x: DriverSpec("affine", {"const": x}),
+            lambda x: KappaSpec("curve", knots_t=(0.0, 1.0), knots_v=(0.0, x)),
         ],
-        ids=["lipschitz_L_f", "growth_L_g", "psi", "std", "rate", "h_scale"],
+        ids=["lipschitz_L_f", "growth_L_g", "psi", "std", "rate", "h_scale", "amplitude", "value",
+             "knots_u", "mean", "strike", "sigma", "coefficients", "knots_v"],
     )
     def test_nan_constant_is_rejected(self, build):
         build(1.0)
-        with pytest.raises(ValueError, match="must be"):
-            build(float("nan"))
+        for bad in (float("nan"), -math.inf):
+            with pytest.raises(ValueError, match="must be"):
+                build(bad)
 
     def test_too_few_samples(self):
         with pytest.raises(ConfigError, match="samples"):

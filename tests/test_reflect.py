@@ -15,7 +15,6 @@ from mrbsde import (
     flatness_residual,
     mollify_obstacle,
     recover_compensator,
-    regression_operator,
     simulate_forward,
     skorokhod_closed_form,
     solve_penalized,
@@ -85,7 +84,7 @@ class TestRecoverCompensator:
         )
         cloud = simulate_forward(spec, GRID, 3000, seed=9)
         u_k = mollify_obstacle(spec.obstacle, 25, GRID)
-        sol = solve_penalized(spec, u_k, 300, cloud, regression_operator(cloud, BASIS))
+        sol = solve_penalized(spec, u_k, 300, cloud, BASIS)
         K, _ = recover_compensator(sol)
         assert np.max(np.abs(K - sol.K)) <= 1e-10
 
@@ -93,7 +92,7 @@ class TestRecoverCompensator:
         spec = zero_problem()
         cloud = simulate_forward(spec, GRID, 3000, seed=9)
         u_k = mollify_obstacle(ObstacleCurve("constant", value=-1.0), 25, GRID)
-        sol = solve_penalized(spec, u_k, 300, cloud, regression_operator(cloud, BASIS))
+        sol = solve_penalized(spec, u_k, 300, cloud, BASIS)
         K, _ = recover_compensator(sol)
         residual_y = regression_statistics(sol, cloud, BASIS)[0]
         assert np.max(np.abs(K)) <= 2.0 * float(np.max(residual_y)) + 1e-12
@@ -156,9 +155,8 @@ class TestSolveReflected:
         spec = zero_problem(obstacle=SINE)
         cloud = simulate_forward(spec, GRID, 2000, seed=4)
         u_k = mollify_obstacle(SINE, 20, GRID)
-        op = regression_operator(cloud, BASIS)
-        a = solve_penalized(spec, u_k, 50, cloud, op)
-        b = solve_penalized(spec, u_k, 100, cloud, op)
+        a = solve_penalized(spec, u_k, 50, cloud, BASIS)
+        b = solve_penalized(spec, u_k, 100, cloud, BASIS)
         diff = b.Y - a.Y
         assert np.max(np.abs(diff - diff.mean(axis=1, keepdims=True))) <= 1e-10
 

@@ -13,8 +13,8 @@ from mrbsde import (
     ObstacleCurve,
     ProblemSpec,
     TerminalSpec,
-    regression_operator,
 )
+from mrbsde import penalized
 
 
 def zero_problem(obstacle=None, terminal=None, boundary=None, driver=None, kappa=None, **kw):
@@ -76,12 +76,12 @@ def regression_statistics(sol, cloud, basis):
     z_target_std (N, d)): the rms residuals of the value and integrand
     targets and the sample std of the integrand targets.
     """
-    operator, d, dt = regression_operator(cloud, basis), cloud.d, cloud.grid.dt
+    d, dt = cloud.d, cloud.grid.dt
     residual_y, residual_z, z_target_std = [], [], []
     for j in range(cloud.grid.N):
         z_targets = sol.Y[j + 1][:, None] * cloud.dB[j] / dt
         stacked = np.column_stack([z_targets, sol.Y[j + 1]])
-        resid = stacked - operator.fit(j, stacked)[0]
+        resid = stacked - penalized._fit(cloud, basis, j, stacked)[0]
         residual_z.append(np.sqrt(np.mean(resid[:, :d] ** 2)))
         residual_y.append(np.sqrt(np.mean(resid[:, d] ** 2)))
         z_target_std.append(z_targets.std(axis=0))
