@@ -278,37 +278,22 @@ def write_atomic(path: Path, data: bytes) -> None:
         raise
 
 
-def _mean_path_csv(times, mean_y, mean_z, u_vals, uk_vals, K) -> bytes:
-    d = mean_z.shape[1]
-    header = ["t", "mean_Y"] + [f"mean_Z_{c + 1}" for c in range(d)] + ["u", "u_k", "K", "flatness_cum"]
-    flat_cum = np.concatenate([[0.0], np.cumsum((mean_y[:-1] - uk_vals[:-1]) * np.diff(K))])
-    lines = [",".join(header)]
-    for j in range(times.shape[0]):
-        row = [_fmt(times[j]), _fmt(mean_y[j])]
-        row += [_fmt(mean_z[j, c]) for c in range(d)]
-        row += [_fmt(u_vals[j]), _fmt(uk_vals[j]), _fmt(K[j]), _fmt(flat_cum[j])]
-        lines.append(",".join(row))
+def _csv(header, rows) -> bytes:
+    lines = [",".join(header)] + [",".join(_fmt(x) for x in row) for row in rows]
     return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def _mean_path_csv(times, mean_y, mean_z, u_vals, uk_vals, K) -> bytes:
+    header = ["t", "mean_Y"] + [f"mean_Z_{c + 1}" for c in range(mean_z.shape[1])] + ["u", "u_k", "K", "flatness_cum"]
+    flat_cum = np.concatenate([[0.0], np.cumsum((mean_y[:-1] - uk_vals[:-1]) * np.diff(K))])
+    return _csv(header, np.column_stack([times, mean_y, mean_z, u_vals, uk_vals, K, flat_cum]))
+
+
+_CONVERGENCE_COLUMNS = ("k", "n", "sup_neg_sq", "integral_neg_sq", "cauchy_mean_dist", "flatness_residual", "wall_ms")
 
 
 def _convergence_csv(records) -> bytes:
-    header = "k,n,sup_neg_sq,integral_neg_sq,cauchy_mean_dist,flatness_residual,wall_ms"
-    lines = [header]
-    for rec in records:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(rec.k),
-                    _fmt(rec.n),
-                    _fmt(rec.sup_neg_sq),
-                    _fmt(rec.integral_neg_sq),
-                    _fmt(rec.cauchy_mean_dist),
-                    _fmt(rec.flatness_residual),
-                    _fmt(rec.wall_ms),
-                ]
-            )
-        )
-    return ("\n".join(lines) + "\n").encode("ascii")
+    return _csv(_CONVERGENCE_COLUMNS, ([getattr(rec, c) for c in _CONVERGENCE_COLUMNS] for rec in records))
 
 
 def _jsonable(obj):

@@ -138,22 +138,13 @@ def mean_reduction(spec: ProblemSpec) -> tuple[MeanProblem, bool] | None:
     kap = spec.kappa
     if kap.family == "zero":
         kappa_rate = None
-        mean_kappa = None
     elif kap.family == "linear":
         kappa_rate = lambda t: kap.rate  # noqa: E731
-        mean_kappa = lambda t: kap.rate * np.asarray(t, dtype=float)  # noqa: E731
     else:
-        knots_t = np.asarray(kap.knots_t)
-        knots_v = np.asarray(kap.knots_v)
-        knots_v = knots_v - knots_v[0]
 
-        def mean_kappa(t, _kt=knots_t, _kv=knots_v):
-            return np.interp(t, _kt, _kv)
-
-        def kappa_rate(t, _kt=knots_t, _kv=knots_v, _h=1e-6 * T):
-            lo = np.interp(max(t - _h, 0.0), _kt, _kv)
-            hi = np.interp(min(t + _h, T), _kt, _kv)
-            return (hi - lo) / (min(t + _h, T) - max(t - _h, 0.0))
+        def kappa_rate(t, _h=1e-6 * T):
+            lo, hi = max(t - _h, 0.0), min(t + _h, T)
+            return (kap.curve(hi) - kap.curve(lo)) / (hi - lo)
 
     beta = spec.boundary.beta if spec.boundary.family == "linear-monotone" else 0.0
 
@@ -169,7 +160,7 @@ def mean_reduction(spec: ProblemSpec) -> tuple[MeanProblem, bool] | None:
         terminal_mean=spec.terminal.mean,
         obstacle=spec.obstacle,
         horizon=T,
-        mean_kappa=mean_kappa,
+        mean_kappa=kap.curve,
     )
     return problem, y_independent
 

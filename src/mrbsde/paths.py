@@ -131,19 +131,11 @@ def simulate_forward(spec: ProblemSpec, grid: TimeGrid, M: int, seed: int) -> Fo
             if not np.all(np.isfinite(forward_state[j + 1])):
                 raise SimulationError(f"forward state non-finite at step {j + 1}")
 
-    times = grid.times
     kap = spec.kappa
     if kap.family == "integral":
         kappa = _partial_sums(kap.eval_h(forward_state[:-1]) * dt)
     else:
-        if kap.family == "zero":
-            curve = np.zeros(N + 1)
-        elif kap.family == "linear":
-            curve = kap.rate * times
-        else:
-            curve = np.interp(times, kap.knots_t, kap.knots_v)
-            curve = curve - curve[0]  # kappa_0 = 0 by convention
-        kappa = np.broadcast_to(curve[:, None], (N + 1, M))
+        kappa = np.broadcast_to(kap.curve(grid.times)[:, None], (N + 1, M))
     # Each row summed sequentially in particle order, as a reduction over the
     # particle-major layout did; a reduction along the contiguous row would
     # sum pairwise and move the last digits.

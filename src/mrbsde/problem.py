@@ -68,7 +68,7 @@ class DriverSpec:
             "coefficients",
             _as_float_map(self.family, self.coefficients, _DRIVER_FAMILIES[self.family]),
         )
-        _check_finite(self, "coefficients")
+        _check_finite(self, "coefficients", "lipschitz_L_f")
         if not (self.lipschitz_L_f >= 0):
             raise ValueError("lipschitz_L_f must be >= 0")
 
@@ -89,6 +89,7 @@ class BoundarySpec:
     def __post_init__(self):
         if self.family not in _BOUNDARY_FAMILIES:
             raise ValueError(f"unknown boundary family {self.family!r}")
+        _check_finite(self, "growth_L_g", "psi")
         if not (self.growth_L_g > 0):
             raise ValueError("growth_L_g must be > 0")
         if not (self.psi >= 0):
@@ -203,6 +204,7 @@ class KappaSpec:
     def __post_init__(self):
         if self.family not in _KAPPA_FAMILIES:
             raise ValueError(f"unknown kappa family {self.family!r}")
+        _check_finite(self, "rate", "h_scale")
         if self.family == "linear" and not (self.rate >= 0):
             raise ValueError("linear kappa rate must be >= 0")
         if self.family == "curve":
@@ -215,6 +217,15 @@ class KappaSpec:
             raise ValueError(f"unknown h kind {self.h_kind!r}")
         if not (self.h_scale >= 0):
             raise ValueError("h_scale must be >= 0")
+
+    def curve(self, t) -> np.ndarray:
+        """Deterministic clock kappa_t (zero, linear or curve family), with kappa_0 = 0."""
+        t = np.asarray(t, dtype=float)
+        if self.family == "linear":
+            return self.rate * t
+        if self.family == "curve":
+            return np.interp(t, self.knots_t, self.knots_v) - np.interp(0.0, self.knots_t, self.knots_v)
+        return np.zeros_like(t)
 
     def eval_h(self, x: np.ndarray) -> np.ndarray:
         if self.h_kind == "abs":
@@ -298,16 +309,15 @@ class ValidationCheck:
 
 def check_hard_constraints(spec: ProblemSpec) -> None:
     """Raise ConfigError for declarations that make the problem unusable."""
-    if not (spec.boundary.beta < 0):
+    if not (-math.inf < spec.boundary.beta < 0):
         raise ConfigError(f"beta must be < 0, got {spec.boundary.beta}")
     if not (0 < spec.horizon < math.inf):
         raise ConfigError(f"horizon T must be finite and > 0, got {spec.horizon}")
     if spec.brownian_dim < 1:
         raise ConfigError(f"brownian_dim must be >= 1, got {spec.brownian_dim}")
-    if spec.obstacle.family == "tabulated":
-        knots = np.asarray(spec.obstacle.knots_t)
-        if np.any(np.diff(knots) <= 0):
-            raise ConfigError("tabulated obstacle knots must be strictly increasing")
+    for part, family in ((spec.obstacle, "tabulated"), (spec.kappa, "curve")):
+        if part.family == family and np.any(np.diff(part.knots_t) <= 0):
+            raise ConfigError(f"{type(part).__name__} family {family!r}: knots_t must be strictly increasing")
     if spec.needs_forward and spec.forward is None:
         raise ConfigError("terminal/kappa family requires forward SDE coefficients")
 

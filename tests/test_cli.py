@@ -188,6 +188,23 @@ class TestRunExperiment:
         assert diagnostics["oracle"]["kind"] == "running-maximum closed form"
         assert diagnostics["oracle"]["mean_gap"] < 0.1
 
+    def test_curve_clock_tracing_the_linear_clock_matches_it(self, tmp_path):
+        # A curve clock through (0, 0), (0.5, 0.5), (1, 1) is the rate-1 linear
+        # clock, so the particle cloud and the oracle must both read it identically.
+        clocks = {
+            "linear": {"family": "linear", "rate": 1.0},
+            "curve": {"family": "curve", "knots_t": [0.0, 0.5, 1.0], "knots_v": [0.0, 0.5, 1.0]},
+        }
+        for name, kappa in clocks.items():
+            doc = {"preset": "BOUNDARY", "numerics": {"M": 2000, "N": 20}, "problem": {"kappa": kappa},
+                   "output": str(tmp_path / name)}
+            run_experiment(build_config(doc), "oracle-check")
+        linear, curve = tmp_path / "linear", tmp_path / "curve"
+        assert (curve / "mean_path.csv").read_bytes() == (linear / "mean_path.csv").read_bytes()
+        oracle = [json.loads((run / "report.json").read_text())["diagnostics"]["oracle"] for run in (linear, curve)]
+        assert oracle[0] == oracle[1]
+        assert oracle[0]["kind"] == "self-refined penalized mean equation"
+
     def test_oracle_check_sine_at_full_budget(self, tmp_path):
         doc = {
             "preset": "SINE",

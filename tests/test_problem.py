@@ -57,6 +57,16 @@ class TestHardFailures:
         with pytest.raises(ConfigError, match="increasing"):
             validate_problem(zero_problem(obstacle=obs), samples=200, seed=0)
 
+    def test_infinite_beta(self):
+        spec = zero_problem(boundary=BoundarySpec("linear-monotone", beta=-math.inf))
+        with pytest.raises(ConfigError, match="beta"):
+            validate_problem(spec, samples=200, seed=0)
+
+    def test_unsorted_curve_clock(self):
+        kappa = KappaSpec("curve", knots_t=(0.0, 1.0, 0.5), knots_v=(0.0, 1.0, 2.0))
+        with pytest.raises(ConfigError, match="increasing"):
+            validate_problem(zero_problem(kappa=kappa), samples=200, seed=0)
+
     @pytest.mark.parametrize(
         "build",
         [
@@ -80,7 +90,7 @@ class TestHardFailures:
     )
     def test_nan_constant_is_rejected(self, build):
         build(1.0)
-        for bad in (float("nan"), -math.inf):
+        for bad in (float("nan"), -math.inf, math.inf):
             with pytest.raises(ValueError, match="must be"):
                 build(bad)
 
