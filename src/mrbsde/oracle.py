@@ -27,14 +27,14 @@ class MeanProblem:
     ``drift`` is the dt-weighted reduced drift phi(t, ybar), including any
     linear boundary contribution beta * ybar * kappa'(t). ``mean_kappa``
     maps t to the deterministic clock mean and feeds the penalty measure
-    d(s + E[kappa_s]); None means a flat clock.
+    d(s + E[kappa_s]); a flat clock is ``KappaSpec("zero").curve``.
     """
 
     drift: Callable[[float, float], float]
     terminal_mean: float
     obstacle: ObstacleCurve
     horizon: float
-    mean_kappa: Callable[[np.ndarray], np.ndarray] | None = None
+    mean_kappa: Callable[[np.ndarray], np.ndarray]
 
 
 def skorokhod_closed_form(m, u_values: np.ndarray):
@@ -61,23 +61,23 @@ def skorokhod_closed_form(m, u_values: np.ndarray):
 
 
 def _penalized_backward(problem: MeanProblem, n_fine: int, n_penalty: float):
+    # The loop reads and writes through memoryviews, so its arithmetic is on
+    # Python floats rather than numpy scalars.
     times = np.linspace(0.0, problem.horizon, n_fine + 1)
     dt = problem.horizon / n_fine
-    u_vals = problem.obstacle.evaluate(times)
-    if problem.mean_kappa is None:
-        dkap = np.zeros(n_fine)
-    else:
-        kbar = np.asarray(problem.mean_kappa(times), dtype=float)
-        dkap = np.diff(kbar)
-    y = np.empty(n_fine + 1)
-    dK = np.empty(n_fine)
-    y[n_fine] = problem.terminal_mean
+    u_vals = memoryview(np.asarray(problem.obstacle.evaluate(times), dtype=float))
+    dkap = memoryview(np.diff(np.asarray(problem.mean_kappa(times), dtype=float)))
+    t = memoryview(times)
+    y_arr = np.empty(n_fine + 1)
+    dK_arr = np.empty(n_fine)
+    y, dK = memoryview(y_arr), memoryview(dK_arr)
+    y[n_fine] = float(problem.terminal_mean)
     for j in range(n_fine - 1, -1, -1):
-        p = y[j + 1] + problem.drift(times[j + 1], y[j + 1]) * dt
-        y[j] = implicit_mean_penalty(p, float(u_vals[j]), n_penalty, dt + float(dkap[j]))
+        p = y[j + 1] + problem.drift(t[j + 1], y[j + 1]) * dt
+        y[j] = implicit_mean_penalty(p, u_vals[j], n_penalty, dt + dkap[j])
         dK[j] = y[j] - p
-    K = np.concatenate([[0.0], np.cumsum(dK)])
-    return y, K
+    K = np.concatenate([[0.0], np.cumsum(dK_arr)])
+    return y_arr, K
 
 
 def solve_mean_ode_reflected(problem: MeanProblem, n_penalty: float, n_fine: int = 20_000):
@@ -167,10 +167,10 @@ def mean_reduction(spec: ProblemSpec) -> tuple[MeanProblem, bool] | None:
 
 def unconstrained_mean_path(problem: MeanProblem, times: np.ndarray) -> np.ndarray:
     """Backward integration of the reduced drift without the constraint."""
-    times = np.asarray(times, dtype=float)
-    y = np.empty(times.shape[0])
-    y[-1] = problem.terminal_mean
-    for j in range(times.shape[0] - 2, -1, -1):
-        dt = times[j + 1] - times[j]
-        y[j] = y[j + 1] + problem.drift(float(times[j + 1]), float(y[j + 1])) * dt
-    return y
+    t = memoryview(np.asarray(times, dtype=float))
+    y_arr = np.empty(len(t))
+    y = memoryview(y_arr)
+    y[-1] = float(problem.terminal_mean)
+    for j in range(len(t) - 2, -1, -1):
+        y[j] = y[j + 1] + problem.drift(t[j + 1], y[j + 1]) * (t[j + 1] - t[j])
+    return y_arr

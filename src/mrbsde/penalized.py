@@ -10,6 +10,8 @@ grow without bound at a fixed grid.
 
 from __future__ import annotations
 
+import ctypes
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +24,12 @@ from .problem import ProblemSpec, eval_boundary, eval_driver
 _COND_LIMIT = 1e12
 _COND_FUDGE_AT = 1e10
 _TIKHONOV_REL = 1e-10
+
+try:  # glibc's malloc_trim, called at the start of every pass; None where the C library has none
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
+    _MALLOC_TRIM.argtypes = [ctypes.c_size_t]
+except (OSError, TypeError, AttributeError):
+    _MALLOC_TRIM = None
 
 
 @dataclass(frozen=True)
@@ -51,21 +59,26 @@ class RegressionBasis:
 
 
 def build_design(features: np.ndarray, basis: RegressionBasis) -> np.ndarray:
-    """Design matrix: intercept plus per-coordinate powers 1..degree."""
+    """Design matrix: intercept plus per-coordinate powers 1..degree.
+
+    Each power is the previous one times the coordinate, written straight
+    into its column of one C-ordered array: the fits' last bits depend on
+    that layout.
+    """
     if basis.kind == "constant" or basis.degree == 0:
         return np.ones((features.shape[0], 1))
     feats = np.asarray(features, dtype=float)
     if feats.ndim == 1:
         feats = feats[:, None]
     m, d = feats.shape
-    cols = [np.ones(m)]
+    design = np.empty((m, 1 + d * basis.degree))
+    design[:, 0] = 1.0
     for c in range(d):
-        p = feats[:, c]
-        acc = p
-        for _ in range(basis.degree):
-            cols.append(acc)
-            acc = acc * p
-    return np.column_stack(cols)
+        first = 1 + c * basis.degree
+        design[:, first] = feats[:, c]
+        for col in range(first + 1, first + basis.degree):
+            np.multiply(design[:, col - 1], feats[:, c], out=design[:, col])
+    return design
 
 
 def _checked_gram(design: np.ndarray) -> np.ndarray:
@@ -81,11 +94,14 @@ def _checked_gram(design: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _fit(cloud: ForwardCloud, basis: RegressionBasis, j: int, targets: np.ndarray):
+def _fit(
+    cloud: ForwardCloud, basis: RegressionBasis, j: int, targets: np.ndarray, fitted: np.ndarray | None = None
+):
     """Fitted values and coefficients of ``targets`` on step j's design of ``basis`` on ``cloud``.
 
     The design is rebuilt on every call; its checked Gram is formed once
     per cloud and step and kept in ``cloud.grams`` for every later pass.
+    The fitted values are written into ``fitted`` when it is given.
     """
     features = cloud.forward_state if basis.kind == "forward" else cloud.brownian
     design = build_design(features[j], basis)
@@ -93,7 +109,7 @@ def _fit(cloud: ForwardCloud, basis: RegressionBasis, j: int, targets: np.ndarra
     if gram is None:
         gram = cloud.grams[basis, j] = _checked_gram(design)
     coef = np.linalg.solve(gram, design.T @ targets)
-    return design @ coef, coef
+    return np.matmul(design, coef, out=fitted), coef
 
 
 def implicit_mean_penalty(p_val: float, u_val: float, n: float, delta: float) -> float:
@@ -158,41 +174,67 @@ def solve_penalized(
     N, M, d, dt = grid.N, cloud.M, cloud.d, grid.dt
     times = grid.times
 
+    # Hand the heap pages freed since the last pass back to the system
+    # before Y and Z are allocated. glibc keeps them resident, and whether
+    # this pass's arrays land in them turns on a few bytes of unrelated
+    # allocations, so a process that runs pass after pass would otherwise
+    # peak one whole particle array higher in some runs than in others.
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+
+    # Every row of Y, Z, mean_path and z_mean is written below. Each step
+    # works in the same C-ordered (M, d+1) targets and fitted values and
+    # one g * dkappa row, so no step allocates particle arrays of its own.
     Y = np.empty((N + 1, M))
-    Z = np.zeros((N + 1, M, d))
+    Z = np.empty((N + 1, M, d))
+    mean_path = np.empty(N + 1)
+    z_mean = np.empty((N, d))
+    targets = np.empty((M, d + 1))
+    fitted = np.empty((M, d + 1))
+    g_dkap = np.empty(M)
+    z_targets, cond_mean = targets[:, :d], fitted[:, d]
     Y[N] = cloud.xi
+    mean_path[N] = Y[N].mean()
     dK = np.zeros(N)
     mean_f_dt = np.zeros(N)
     mean_g_dkappa = np.zeros(N)
 
     for j in range(N - 1, -1, -1):
-        z_targets = Y[j + 1][:, None] * cloud.dB[j] / dt  # (M, d)
-        stacked = np.column_stack([z_targets, Y[j + 1]])
-        fitted, _ = _fit(cloud, basis, j, stacked)
+        np.multiply(Y[j + 1][:, None], cloud.dB[j], out=z_targets)
+        np.divide(z_targets, dt, out=z_targets)
+        targets[:, d] = Y[j + 1]
+        _fit(cloud, basis, j, targets, fitted)
         Z[j] = fitted[:, :d]
-        cond_mean = fitted[:, d]
+        z_mean[j] = Z[j].mean(axis=0)
 
         # Law moments from the step-(j+1) cloud; Z beyond the last regression
         # step does not exist, so the first backward step reuses its own Z.
-        m_y = float(Y[j + 1].mean())
-        m_z = (Z[j + 1] if j + 1 < N else Z[j]).mean(axis=0)
+        m_y = float(mean_path[j + 1])
+        m_z = z_mean[min(j + 1, N - 1)]
 
         f_vals = eval_driver(spec.driver, times[j], cond_mean, Z[j], m_y, m_z)
         g_vals = eval_boundary(spec.boundary, times[j], cond_mean)
-        dkap = cloud.kappa[j + 1] - cloud.kappa[j]
-        y0 = cond_mean + f_vals * dt + g_vals * dkap
+        np.subtract(cloud.kappa[j + 1], cloud.kappa[j], out=g_dkap)
+        np.multiply(g_vals, g_dkap, out=g_dkap)
+        # y0 = (cond_mean + f dt) + g dkappa, built in place in Y[j].
+        y0 = Y[j]
+        np.multiply(f_vals, dt, out=y0)
+        np.add(cond_mean, y0, out=y0)
+        y0 += g_dkap
 
         p_val = float(y0.mean())
         delta = dt + float(cloud.mean_kappa[j + 1] - cloud.mean_kappa[j])
         shifted = implicit_mean_penalty(p_val, float(u_k.values[j]), n, delta)
         dK[j] = shifted - p_val
-        Y[j] = y0 + dK[j]
+        y0 += dK[j]
+        mean_path[j] = y0.mean()
 
-        if not np.all(np.isfinite(Y[j])) or not np.all(np.isfinite(Z[j])):
+        # A non-finite value anywhere in a row makes its mean non-finite.
+        if not (math.isfinite(mean_path[j]) and np.all(np.isfinite(z_mean[j]))):
             raise NonFinite(f"non-finite solution values at step {j}")
 
         mean_f_dt[j] = float(np.mean(f_vals)) * dt
-        mean_g_dkappa[j] = float(np.mean(g_vals * dkap))
+        mean_g_dkappa[j] = float(np.mean(g_dkap))
 
     Z[N] = Z[N - 1]
     K = np.concatenate([[0.0], np.cumsum(dK)])
@@ -200,7 +242,7 @@ def solve_penalized(
         grid=grid,
         Y=Y,
         Z=Z,
-        mean_path=Y.mean(axis=1),
+        mean_path=mean_path,
         K=K,
         mean_f_dt=mean_f_dt,
         mean_g_dkappa=mean_g_dkappa,

@@ -276,17 +276,16 @@ def eval_driver(spec: DriverSpec, t, y, z, m_y, m_z):
     z1 = z if z.ndim == 0 else z[..., 0]
     m_z = np.asarray(m_z, dtype=float)
     mz1 = m_z if m_z.ndim == 0 else m_z[..., 0]
-    if spec.family == "zero":
-        return np.zeros(np.broadcast_shapes(np.shape(y), np.shape(z1)))
     c = spec.coefficients
-    if spec.family == "affine":
-        return (
-            c.get("const", 0.0)
-            + c.get("y", 0.0) * np.asarray(y, dtype=float)
-            + c.get("z", 0.0) * z1
-            + c.get("mean_y", 0.0) * m_y
-            + c.get("mean_z", 0.0) * mz1
-        )
+    if spec.family in ("zero", "affine"):
+        # Only the declared terms, summed left to right; a sum of constant
+        # terms alone is broadcast, read-only, to the argument shape.
+        shape = np.broadcast_shapes(np.shape(y), np.shape(z1), np.shape(m_y), np.shape(mz1))
+        out = c.get("const", 0.0)
+        for key, arg in (("y", np.asarray(y, dtype=float)), ("z", z1), ("mean_y", m_y), ("mean_z", mz1)):
+            if key in c:
+                out = out + c[key] * arg
+        return out if np.shape(out) == shape else np.broadcast_to(out, shape)
     return c.get("sin_y", 1.0) * np.sin(np.asarray(y, dtype=float)) + c.get("cos_my", 1.0) * np.cos(m_y)
 
 

@@ -22,6 +22,7 @@ from tests.util import zero_problem
 GOLDEN = Path(__file__).parent / "golden" / "affine_mean_reference.txt"
 FINE = np.linspace(0.0, 1.0, 100_001)
 SINE_HALF = ObstacleCurve("sine", amplitude=0.5)
+FLAT = KappaSpec("zero").curve
 
 
 class TestClosedForm:
@@ -83,7 +84,7 @@ class TestClosedForm:
 class TestMeanOde:
     def test_drift_free_matches_closed_form(self):
         problem = MeanProblem(
-            drift=lambda t, y: 0.0, terminal_mean=0.0, obstacle=SINE_HALF, horizon=1.0
+            drift=lambda t, y: 0.0, terminal_mean=0.0, obstacle=SINE_HALF, horizon=1.0, mean_kappa=FLAT
         )
         mean, K = solve_mean_ode_reflected(problem, n_penalty=1e6, n_fine=20_000)
         ref_mean, ref_k = skorokhod_closed_form(0.0, SINE_HALF.evaluate(np.linspace(0, 1, 20_001)))
@@ -96,6 +97,7 @@ class TestMeanOde:
             terminal_mean=1.0,
             obstacle=ObstacleCurve("constant", value=-10.0),
             horizon=1.0,
+            mean_kappa=FLAT,
         )
         mean, K = solve_mean_ode_reflected(problem, n_penalty=1e6, n_fine=20_000)
         assert np.all(K == 0.0)
@@ -131,13 +133,14 @@ class TestMeanOde:
             terminal_mean=1.0,
             obstacle=ObstacleCurve("constant", value=-10.0),
             horizon=1.0,
+            mean_kappa=FLAT,
         )
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NoSelfConvergence):
             solve_mean_ode_reflected(problem, n_penalty=1e4, n_fine=1000)
 
     def test_preconditions(self):
         problem = MeanProblem(
-            drift=lambda t, y: 0.0, terminal_mean=0.0, obstacle=SINE_HALF, horizon=1.0
+            drift=lambda t, y: 0.0, terminal_mean=0.0, obstacle=SINE_HALF, horizon=1.0, mean_kappa=FLAT
         )
         with pytest.raises(ValueError):
             solve_mean_ode_reflected(problem, n_penalty=1e6, n_fine=999)
@@ -148,6 +151,7 @@ class TestMeanOde:
             terminal_mean=-1.0,
             obstacle=ObstacleCurve("constant", value=0.5),
             horizon=1.0,
+            mean_kappa=FLAT,
         )
         with pytest.raises(ConstraintInfeasible):
             solve_mean_ode_reflected(bad, n_penalty=1e6, n_fine=2000)

@@ -13,6 +13,7 @@ from mrbsde import (
     ForwardSDESpec,
     KappaSpec,
     LengthMismatch,
+    NonFinite,
     NotConverged,
     ObstacleCurve,
     RankDeficient,
@@ -102,6 +103,25 @@ class TestRegression:
         u_k = mollify_obstacle(SINE, 20, GRID)
         with pytest.raises(ValueError):
             solve_penalized(zero_problem(), u_k, 0.0, small_cloud(M=3), RegressionBasis("brownian", 2))
+
+    @pytest.mark.parametrize("kind", ["brownian", "forward", "constant"])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_design_matches_column_stack_formula(self, kind, degree, d):
+        feats = np.random.default_rng(4).normal(0, 1.5, (257, d))
+        cols = [np.ones(257)]
+        if kind != "constant":
+            for c in range(d):
+                acc = feats[:, c]
+                for _ in range(degree):
+                    cols.append(acc)
+                    acc = acc * feats[:, c]
+        expected = np.column_stack(cols)
+        rows = [feats, feats[:, 0]] if d == 1 else [feats]  # a forward state row is 1-D
+        for row in rows:
+            design = penalized.build_design(row, RegressionBasis(kind, degree))
+            assert np.array_equal(design, expected)
+            assert design.flags.c_contiguous
 
     def test_degenerate_constant_features_fall_back_to_mean(self):
         # t = 0 case: the Brownian position is identically zero
@@ -251,7 +271,7 @@ class TestSolvePenalized:
         sol = solve_penalized(spec, u_k, 100, cloud, RegressionBasis("brownian", 2))
         assert np.array_equal(sol.Y[-1], cloud.xi)
         assert sol.K[0] == 0.0
-        np.testing.assert_allclose(sol.mean_path, sol.Y.mean(axis=1))
+        assert np.array_equal(sol.mean_path, sol.Y.mean(axis=1))
 
     def test_grid_mismatch_rejected(self):
         spec = zero_problem(obstacle=SINE)
@@ -259,6 +279,17 @@ class TestSolvePenalized:
         u_other = mollify_obstacle(SINE, 20, TimeGrid(1.0, 40))
         with pytest.raises(LengthMismatch):
             solve_penalized(spec, u_other, 100, cloud, RegressionBasis("brownian", 2))
+
+    @pytest.mark.parametrize("name, index", [("xi", 17), ("dB", (GRID.N - 1, 17, 0))])
+    def test_one_non_finite_particle_raises(self, name, index):
+        # A bad terminal draw poisons Y and Z; a bad last increment only Z.
+        spec = zero_problem(obstacle=SINE)
+        cloud = small_cloud(spec)
+        bad = getattr(cloud, name).copy()
+        bad[index] = np.nan
+        u_k = mollify_obstacle(SINE, 20, GRID)
+        with pytest.raises(NonFinite, match=f"step {GRID.N - 1}"):
+            solve_penalized(spec, u_k, 100, replace(cloud, **{name: bad}), RegressionBasis("brownian", 2))
 
     def test_nonlinear_driver_and_boundary_smoke(self):
         spec = zero_problem(
@@ -308,6 +339,17 @@ class TestRegressionOperator:
                 assert np.array_equal(getattr(a, field), getattr(b, field)), field
             stats_a, stats_b = (regression_statistics(s, cloud, basis) for s in (a, b))
             assert all(np.array_equal(x, y) for x, y in zip(stats_a, stats_b))
+
+    def test_heap_trim_leaves_the_solution_unchanged(self, monkeypatch):
+        spec = zero_problem(obstacle=SINE, kappa=KappaSpec("linear", rate=1.0))
+        cloud = small_cloud(spec)
+        u_k = mollify_obstacle(SINE, 30, GRID)
+        basis = RegressionBasis("brownian", 2)
+        trimmed = solve_penalized(spec, u_k, 800, cloud, basis)
+        monkeypatch.setattr(penalized, "_MALLOC_TRIM", None)
+        plain = solve_penalized(spec, u_k, 800, cloud, basis)
+        for field in ("Y", "Z", "mean_path", "K", "mean_f_dt", "mean_g_dkappa"):
+            assert np.array_equal(getattr(trimmed, field), getattr(plain, field)), field
 
     def test_rank_deficient_basis_fails_at_the_first_step_of_the_first_pass(self, monkeypatch):
         spec = zero_problem(obstacle=SINE)

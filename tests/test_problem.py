@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,9 @@ from mrbsde import (
     validate_problem,
 )
 from tests.util import zero_problem
+
+
+AFFINE_KEYS = ("const", "y", "z", "mean_y", "mean_z")
 
 
 def named_check(checks, assumption):
@@ -153,6 +157,21 @@ class TestEvalDriver:
         z = np.array([[3.0], [4.0]])
         out = eval_driver(spec, 0.0, y, z, 0.0, np.array([0.0]))
         np.testing.assert_allclose(out, [5.0, 8.0])
+
+    @pytest.mark.parametrize(
+        "keys", [keys for r in range(1, 6) for keys in itertools.combinations(AFFINE_KEYS, r)]
+    )
+    def test_affine_declared_terms_match_five_term_formula(self, keys):
+        rng = np.random.default_rng(0)
+        m = 64
+        coeffs = {key: float(rng.normal()) for key in keys}
+        y, z, m_y, m_z = rng.normal(0, 2, m), rng.normal(0, 2, (m, 2)), float(rng.normal()), rng.normal(0, 1, 2)
+        c = {key: coeffs.get(key, 0.0) for key in AFFINE_KEYS}
+        expected = c["const"] + c["y"] * y + c["z"] * z[:, 0] + c["mean_y"] * m_y + c["mean_z"] * m_z[0]
+        out = eval_driver(DriverSpec("affine", coeffs), 0.0, y, z, m_y, m_z)
+        assert out.shape == (m,)
+        assert np.array_equal(out, expected)
+        assert out.flags.writeable == bool({"y", "z"} & set(keys))  # constant sums are read-only views
 
     def test_referential_transparency(self):
         spec = DriverSpec("bounded-nonlinear", {"sin_y": 1.3, "cos_my": 0.7}, lipschitz_L_f=2.0)
