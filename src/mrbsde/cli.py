@@ -436,7 +436,7 @@ def run_experiment(config: RunConfig, subcommand: str) -> dict:
                 records.append(record)
                 if record.n == n_levels[-1]:
                     apriori_ratio = apriori_report(sol, config.spec, cloud).ratio
-                del sol  # only one level's solution is alive while the next pass runs
+                del sol  # a dropped level's arrays carry the next pass
             levels = [rec.n for rec in records]
             diagnostics["rates"] = {
                 "k": u_k.level,
@@ -477,7 +477,9 @@ def run_experiment(config: RunConfig, subcommand: str) -> dict:
     return diagnostics
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: each build leaves argparse objects in reference cycles."""
     parser = argparse.ArgumentParser(
         prog="mrbsde",
         description="Mean-reflected McKean-Vlasov BSDE experiments",
@@ -488,7 +490,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--threads", type=int, help="worker count knob (0 = auto); never affects outputs")
     parser.add_argument("--out", help="override the output directory")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         if args.config is not None:

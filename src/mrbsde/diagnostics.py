@@ -76,12 +76,14 @@ def stability_experiment(
     base = solve_penalized(spec, u_k, n, cloud, basis)
     dt = cloud.grid.dt
     rows = []
+    out = None
     for eps in eps_list:
-        pert = solve_penalized(spec, u_k, n, cloud.with_terminal(cloud.xi + eps), basis)
+        pert = solve_penalized(spec, u_k, n, cloud.with_terminal(cloud.xi + eps), basis, out)
         # Node by node, so no full-size difference array is ever formed.
         mean_sq_dy = [np.mean((py - by) ** 2) for py, by in zip(pert.Y, base.Y)]
         mean_sq_dz = [np.mean(np.sum((pz - bz) ** 2, axis=1)) for pz, bz in zip(pert.Z[:-1], base.Z[:-1])]
-        del pert  # the next perturbed pass must not run while this one is alive
+        out = pert.Y, pert.Z  # the next perturbed pass overwrites this one's arrays
+        del pert
         rows.append(
             StabilityRow(
                 epsilon=eps,

@@ -118,12 +118,15 @@ def implicit_mean_penalty(p_val: float, u_val: float, n: float, delta: float) ->
     The map is strictly increasing in x so the root is unique: p_val itself
     when the constraint is slack, otherwise the weighted average
     (p_val + n * delta * u_val) / (1 + n * delta), which saturates at u_val
-    as n * delta grows.
+    as n * delta grows. At n * delta = inf the root is that limit,
+    max(p_val, u_val): the mean-level projection onto the obstacle.
     """
     if n < 0 or delta < 0:
         raise ValueError("n and delta must be >= 0")
     if p_val >= u_val:
         return float(p_val)
+    if math.isinf(n * delta):
+        return float(u_val)
     return float((p_val + n * delta * u_val) / (1.0 + n * delta))
 
 
@@ -153,6 +156,7 @@ def solve_penalized(
     n: float,
     cloud: ForwardCloud,
     basis: RegressionBasis,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> PenalizedSolution:
     """Run the backward induction from Y(T) = xi down to t = 0.
 
@@ -163,6 +167,10 @@ def solve_penalized(
     deterministic, so the shift is common to all particles. A basis that
     cannot be fitted on the cloud (a forward basis without a forward state,
     or no more particles than basis functions) fails before the first step.
+
+    ``out`` is the (Y, Z) pair of an earlier pass on a cloud of the same
+    shape that no caller holds any more; the pass writes its own Y and Z
+    into those arrays instead of allocating fresh ones.
     """
     grid = cloud.grid
     if u_k.grid != grid:
@@ -182,11 +190,12 @@ def solve_penalized(
     if _MALLOC_TRIM is not None:
         _MALLOC_TRIM(0)
 
-    # Every row of Y, Z, mean_path and z_mean is written below. Each step
-    # works in the same C-ordered (M, d+1) targets and fitted values and
-    # one g * dkappa row, so no step allocates particle arrays of its own.
-    Y = np.empty((N + 1, M))
-    Z = np.empty((N + 1, M, d))
+    # Every row of Y, Z, mean_path and z_mean is written below, so the Y
+    # and Z of a dropped pass serve as well as fresh arrays, without paying
+    # for the first touch of their pages. Each step works in the same
+    # C-ordered (M, d+1) targets and fitted values and one g * dkappa row,
+    # so no step allocates particle arrays of its own.
+    Y, Z = out if out is not None else (np.empty((N + 1, M)), np.empty((N + 1, M, d)))
     mean_path = np.empty(N + 1)
     z_mean = np.empty((N, d))
     targets = np.empty((M, d + 1))
@@ -197,7 +206,8 @@ def solve_penalized(
     mean_path[N] = Y[N].mean()
     dK = np.zeros(N)
     mean_f_dt = np.zeros(N)
-    mean_g_dkappa = np.zeros(N)
+    mean_g_dkappa = np.zeros(N)  # stays 0.0 for the zero boundary, whose g * dkappa row is never formed
+    has_boundary = spec.boundary.family != "zero"
 
     for j in range(N - 1, -1, -1):
         np.multiply(Y[j + 1][:, None], cloud.dB[j], out=z_targets)
@@ -212,29 +222,40 @@ def solve_penalized(
         m_y = float(mean_path[j + 1])
         m_z = z_mean[min(j + 1, N - 1)]
 
+        # y0 = (cond_mean + f dt) + g dkappa, built in place in Y[j]. A driver
+        # with one value for every particle comes back as a read-only
+        # broadcast, and its f dt is a single float.
         f_vals = eval_driver(spec.driver, times[j], cond_mean, Z[j], m_y, m_z)
-        g_vals = eval_boundary(spec.boundary, times[j], cond_mean)
-        np.subtract(cloud.kappa[j + 1], cloud.kappa[j], out=g_dkap)
-        np.multiply(g_vals, g_dkap, out=g_dkap)
-        # y0 = (cond_mean + f dt) + g dkappa, built in place in Y[j].
         y0 = Y[j]
-        np.multiply(f_vals, dt, out=y0)
-        np.add(cond_mean, y0, out=y0)
-        y0 += g_dkap
+        if f_vals.strides[0] == 0:
+            np.add(cond_mean, float(f_vals[0]) * dt, out=y0)
+        else:
+            np.multiply(f_vals, dt, out=y0)
+            np.add(cond_mean, y0, out=y0)
+        if has_boundary:
+            g_vals = eval_boundary(spec.boundary, times[j], cond_mean)
+            np.subtract(cloud.kappa[j + 1], cloud.kappa[j], out=g_dkap)
+            np.multiply(g_vals, g_dkap, out=g_dkap)
+            y0 += g_dkap
+            mean_g_dkappa[j] = float(np.mean(g_dkap))
 
         p_val = float(y0.mean())
         delta = dt + float(cloud.mean_kappa[j + 1] - cloud.mean_kappa[j])
         shifted = implicit_mean_penalty(p_val, float(u_k.values[j]), n, delta)
         dK[j] = shifted - p_val
-        y0 += dK[j]
-        mean_path[j] = y0.mean()
+        if dK[j] == 0.0:  # slack: the row is final and its mean is p_val
+            mean_path[j] = p_val
+        else:
+            y0 += dK[j]
+            mean_path[j] = y0.mean()
 
         # A non-finite value anywhere in a row makes its mean non-finite.
         if not (math.isfinite(mean_path[j]) and np.all(np.isfinite(z_mean[j]))):
             raise NonFinite(f"non-finite solution values at step {j}")
 
+        # The mean over all M copies even for a common value: it can differ
+        # from that value in the last bit.
         mean_f_dt[j] = float(np.mean(f_vals)) * dt
-        mean_g_dkappa[j] = float(np.mean(g_dkap))
 
     Z[N] = Z[N - 1]
     K = np.concatenate([[0.0], np.cumsum(dK)])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import time
+import weakref
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -150,11 +151,18 @@ def penalty_ladder(
     the previous level's mean path. The caller stops the ladder by leaving
     the loop: no level runs before it is asked for. Every level shares the
     cloud's cached Gram matrices.
+
+    A level whose solution the caller no longer holds when it asks for the
+    next one hands its Y and Z arrays to the next pass, which overwrites
+    them. A solution the caller still holds is never touched, so a caller
+    that keeps a level's Y or Z past the next level keeps the solution
+    itself, not just the arrays.
     """
     prev_mean = None
+    out = None
     for n in n_levels:
         t0 = time.perf_counter()
-        sol = solve_penalized(spec, u_k, n, cloud, basis)
+        sol = solve_penalized(spec, u_k, n, cloud, basis, out)
         wall_ms = (time.perf_counter() - t0) * 1000.0
         sup_sq, integral_sq = deficit_metrics(sol, u_k, cloud.mean_kappa)
         cauchy = float(np.max(np.abs(sol.mean_path - prev_mean))) if prev_mean is not None else None
@@ -170,7 +178,11 @@ def penalty_ladder(
             wall_ms=wall_ms,
         )
         yield record, sol
-        del sol  # a level the caller has dropped must not outlive it into the next pass
+        held = weakref.ref(sol)
+        out = sol.Y, sol.Z
+        del sol
+        if held() is not None:
+            out = None  # the caller kept this level: the next pass gets fresh arrays
 
 
 def solve_reflected(
@@ -203,7 +215,7 @@ def solve_reflected(
                 cauchy_ok = sol.K[-1] == 0.0 or len(schedule.n_levels) == 1
             if record.sup_deficit <= schedule.deficit_tol and cauchy_ok:
                 break
-            del sol  # a rejected level's arrays are freed before the next pass
+            del sol  # a rejected level's arrays carry the next pass
         else:
             cauchy = "none" if record.cauchy_mean_dist is None else f"{record.cauchy_mean_dist:.3g}"
             raise NotConverged(

@@ -6,6 +6,7 @@ comparison uses the tolerance stated up front, nothing is calibrated
 after the fact.
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +136,19 @@ def test_criterion_3_penalty_error_rates(sine_ladder):
         f"integral slope {int_fit.slope:.2f} <= -1.6 (R2 {int_fit.r_squared:.3f})",
     )
     assert ok
+
+
+def test_penalty_levels_approach_the_infinite_level(sine_setup):
+    # On the C3 cloud and obstacle, the ladder's mean paths close in on the
+    # n = inf pass at least as fast as C4 asks of their Cauchy distances.
+    cfg, grid, cloud = sine_setup
+    u_k = mollify_obstacle(cfg.spec.obstacle, 40, grid)
+    limit = solve_penalized(cfg.spec, u_k, math.inf, cloud, cfg.basis).mean_path
+    dists = [float(np.max(np.abs(solve_penalized(cfg.spec, u_k, n, cloud, cfg.basis).mean_path - limit)))
+             for n in LADDER]
+    fit = rate_fit(LADDER, dists)
+    assert all(b < a for a, b in zip(dists, dists[1:]))
+    assert fit.slope <= -0.45 and fit.r_squared >= 0.9
 
 
 def test_criterion_4_cauchy_rate(sine_ladder):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from mrbsde import (
     ObstacleCurve,
     RankDeficient,
     RegressionBasis,
+    TerminalSpec,
     TimeGrid,
     implicit_mean_penalty,
     mollify_obstacle,
@@ -28,6 +30,7 @@ from mrbsde import (
     stability_experiment,
 )
 from mrbsde import penalized
+from mrbsde.problem import eval_boundary, eval_driver
 from tests.util import regression_statistics, zero_problem
 
 GRID = TimeGrid(1.0, 50)
@@ -154,6 +157,12 @@ class TestImplicitMeanPenalty:
         x = implicit_mean_penalty(0.0, 1.0, 1e6, 1.0)
         assert abs(x - 1e6 / (1 + 1e6)) < 1e-12
 
+    def test_infinite_level_is_the_projection_onto_the_obstacle(self):
+        assert implicit_mean_penalty(0.25, 1.0, math.inf, 0.01) == 1.0
+        assert implicit_mean_penalty(2.0, 1.0, math.inf, 0.01) == 2.0
+        # a finite level whose n * delta overflows takes the same limit
+        assert implicit_mean_penalty(0.25, 1.0, 1e308, 10.0) == 1.0
+
     @given(
         p=st.floats(-100, 100),
         u=st.floats(-100, 100),
@@ -256,6 +265,19 @@ class TestSolvePenalized:
         spread_hi = hi.Y - hi.mean_path[:, None]
         np.testing.assert_allclose(spread_lo, spread_hi, atol=1e-10)
 
+    def test_infinite_level_keeps_the_mean_on_or_above_the_obstacle(self):
+        spec = zero_problem(obstacle=SINE)
+        cloud = small_cloud(spec)
+        u_k = mollify_obstacle(SINE, 30, GRID)
+        sol = solve_penalized(spec, u_k, math.inf, cloud, RegressionBasis("brownian", 2))
+        gap = sol.mean_path[:-1] - u_k.values[:-1]
+        assert np.all(gap >= -1e-12)
+        dK = np.diff(sol.K)
+        active = dK > 0
+        assert np.any(active) and np.all(dK >= 0)
+        # K grows only where the mean sits on the obstacle
+        assert np.all(np.abs(gap[active]) <= 1e-12)
+
     def test_unconditional_stability_in_level(self):
         spec = zero_problem(obstacle=SINE)
         grid = TimeGrid(1.0, 100)
@@ -321,6 +343,106 @@ class TestSolvePenalized:
         band = 4.0 * z_target_std.max() / np.sqrt(8000)
         assert np.max(np.abs(z_mean[:, 0] - 1.0)) <= band
         assert np.max(np.abs(z_mean[:, 1])) <= band
+
+
+def reference_pass(spec, u_k, n, cloud, basis):
+    """The backward pass written out plainly: every step forms f dt, g dkappa and the shift for every particle."""
+    grid = cloud.grid
+    N, M, d, dt = grid.N, cloud.M, cloud.d, grid.dt
+    Y, Z = np.empty((N + 1, M)), np.empty((N + 1, M, d))
+    mean_path, z_mean = np.empty(N + 1), np.empty((N, d))
+    dK, mean_f_dt, mean_g_dkappa = np.zeros(N), np.zeros(N), np.zeros(N)
+    Y[N] = cloud.xi
+    mean_path[N] = Y[N].mean()
+    for j in range(N - 1, -1, -1):
+        targets = np.column_stack([Y[j + 1][:, None] * cloud.dB[j] / dt, Y[j + 1]])
+        fitted = penalized._fit(cloud, basis, j, targets)[0]
+        Z[j], cond_mean = fitted[:, :d], fitted[:, d]
+        z_mean[j] = Z[j].mean(axis=0)
+        m_y, m_z = mean_path[j + 1], z_mean[min(j + 1, N - 1)]
+        f_vals = eval_driver(spec.driver, grid.times[j], cond_mean, Z[j], m_y, m_z)
+        g_dkap = eval_boundary(spec.boundary, grid.times[j], cond_mean) * (cloud.kappa[j + 1] - cloud.kappa[j])
+        y0 = cond_mean + f_vals * dt + g_dkap
+        p_val = float(y0.mean())
+        delta = dt + float(cloud.mean_kappa[j + 1] - cloud.mean_kappa[j])
+        dK[j] = implicit_mean_penalty(p_val, float(u_k.values[j]), n, delta) - p_val
+        Y[j] = y0 + dK[j]
+        mean_path[j] = Y[j].mean()
+        mean_f_dt[j] = float(np.mean(f_vals)) * dt
+        mean_g_dkappa[j] = float(np.mean(g_dkap))
+    Z[N] = Z[N - 1]
+    return penalized.PenalizedSolution(
+        grid, Y, Z, mean_path, np.concatenate([[0.0], np.cumsum(dK)]), mean_f_dt, mean_g_dkappa
+    )
+
+
+LEAN_GRID = TimeGrid(1.0, 12)
+DRIVERS = {
+    "zero": (DriverSpec("zero"), True),
+    "affine-common": (DriverSpec("affine", {"const": 0.1, "mean_y": 0.5, "mean_z": -0.3}), True),
+    "affine-per-particle": (DriverSpec("affine", {"y": -0.5, "z": 0.2, "mean_y": 0.3}), False),
+    "sin-cos": (DriverSpec("bounded-nonlinear", {"sin_y": 0.2, "cos_my": 0.1}), False),
+}
+BOUNDARIES = {
+    "zero": BoundarySpec("zero", beta=-1.0),
+    "linear": BoundarySpec("linear-monotone", beta=-1.0),
+    "cubic": BoundarySpec("nonlinear-monotone", beta=-0.5, growth_L_g=40.0),
+}
+CLOCKS = {
+    "zero": KappaSpec("zero"),
+    "linear": KappaSpec("linear", rate=0.5),
+    "integral": KappaSpec("integral", h_kind="square", h_scale=0.5),
+}
+
+
+def assert_same_bits(lean, ref):
+    for field in ("Y", "Z", "mean_path", "K", "mean_f_dt", "mean_g_dkappa"):
+        a, b = getattr(lean, field), getattr(ref, field)
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), field
+
+
+class TestLeanStep:
+    """The pass skips the work whose result is already known, and every bit stays that of the plain pass."""
+
+    @pytest.mark.parametrize("clock", sorted(CLOCKS))
+    @pytest.mark.parametrize("boundary", sorted(BOUNDARIES))
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    def test_every_branch_matches_the_plain_pass(self, driver, boundary, clock):
+        driver_spec, common = DRIVERS[driver]
+        spec = zero_problem(driver=driver_spec, boundary=BOUNDARIES[boundary], kappa=CLOCKS[clock],
+                            obstacle=SINE, forward=ForwardSDESpec(x0=0.5, sigma=0.3))
+        cloud = small_cloud(spec, M=600, grid=LEAN_GRID)
+        basis = RegressionBasis("brownian", 2)
+        u_k = mollify_obstacle(SINE, 20, LEAN_GRID)
+        f_vals = eval_driver(driver_spec, 0.0, cloud.xi, cloud.dB[0], 0.1, np.zeros(1))
+        assert (f_vals.strides[0] == 0) == common  # which driver branch the pass takes
+        ref = reference_pass(spec, u_k, 200, cloud, basis)
+        slack = np.diff(ref.K) == 0.0
+        assert slack.any() and not slack.all()  # a slack and an active penalty step
+        assert_same_bits(solve_penalized(spec, u_k, 200, cloud, basis), ref)
+
+    @pytest.mark.parametrize("value", [-1.0, 0.5])
+    def test_identically_zero_solution_keeps_its_zero_signs(self, value):
+        # Y = 0 everywhere: every product and mean is a signed zero.
+        obstacle = ObstacleCurve("constant", value=value)
+        spec = zero_problem(terminal=TerminalSpec("direct-sampler", std=0.0, declared_mean=0.0), obstacle=obstacle)
+        cloud = small_cloud(spec, M=600, grid=LEAN_GRID)
+        u_k = mollify_obstacle(obstacle, 20, LEAN_GRID)
+        basis = RegressionBasis("brownian", 2)
+        lean = solve_penalized(spec, u_k, 200, cloud, basis)
+        assert_same_bits(lean, reference_pass(spec, u_k, 200, cloud, basis))
+
+    def test_arrays_of_a_dropped_pass_give_the_same_bits(self):
+        spec = zero_problem(obstacle=SINE, boundary=BOUNDARIES["cubic"], kappa=CLOCKS["linear"])
+        cloud = small_cloud(spec, M=600, grid=LEAN_GRID)
+        u_k = mollify_obstacle(SINE, 20, LEAN_GRID)
+        basis = RegressionBasis("brownian", 2)
+        dropped = solve_penalized(spec, u_k, 25, cloud, basis)
+        out = dropped.Y, dropped.Z
+        del dropped
+        sol = solve_penalized(spec, u_k, 800, cloud, basis, out)
+        assert sol.Y is out[0] and sol.Z is out[1]
+        assert_same_bits(sol, reference_pass(spec, u_k, 800, cloud, basis))
 
 
 class TestRegressionOperator:

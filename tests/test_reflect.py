@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from mrbsde import (
     TimeGrid,
     flatness_residual,
     mollify_obstacle,
+    penalty_ladder,
     recover_compensator,
     simulate_forward,
     skorokhod_closed_form,
@@ -103,6 +107,54 @@ class TestRecoverCompensator:
         assert len(warnings) == 1
         assert "decreases" in warnings[0]
         np.testing.assert_allclose(K, [0.0, 1.0, 0.5, 0.5, 0.6])
+
+
+class TestPenaltyLadder:
+    """A level the caller drops hands its Y and Z to the next pass; a level it keeps is never touched."""
+
+    FIELDS = ("Y", "Z", "mean_path", "K", "mean_f_dt", "mean_g_dkappa")
+    SPEC = zero_problem(obstacle=SINE, boundary=BoundarySpec("linear-monotone", beta=-1.0),
+                        kappa=KappaSpec("linear", rate=1.0))
+
+    def ladder(self, levels=(25, 50, 100)):
+        cloud = simulate_forward(self.SPEC, GRID, 2000, seed=4)
+        u_k = mollify_obstacle(SINE, 20, GRID)
+        return penalty_ladder(self.SPEC, u_k, levels, cloud, BASIS), (self.SPEC, u_k, cloud)
+
+    def test_kept_levels_equal_fresh_passes(self):
+        ladder, (spec, u_k, cloud) = self.ladder()
+        levels = list(ladder)
+        for record, sol in levels:
+            fresh = solve_penalized(spec, u_k, record.n, cloud, BASIS)
+            for field in self.FIELDS:
+                assert np.array_equal(getattr(sol, field), getattr(fresh, field)), (record.n, field)
+        arrays = [a for _, sol in levels for a in (sol.Y, sol.Z)]
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
+
+    def test_dropped_levels_equal_fresh_passes(self):
+        ladder, (spec, u_k, cloud) = self.ladder()
+        for record, sol in ladder:
+            fresh = solve_penalized(spec, u_k, record.n, cloud, BASIS)
+            for field in self.FIELDS:
+                assert np.array_equal(getattr(sol, field), getattr(fresh, field)), (record.n, field)
+            del sol, fresh
+
+    @pytest.mark.parametrize("keep_first", [False, True])
+    def test_a_level_after_a_dropped_one_allocates_no_particle_array(self, keep_first):
+        ladder, (_, _, cloud) = self.ladder(levels=(25, 50))
+        first = next(ladder) if keep_first else next(ladder)[0]
+        tracemalloc.start()
+        try:
+            next(ladder)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        particle_array = (GRID.N + 1) * cloud.M * 8
+        if keep_first:
+            assert first[1].Y.shape == (GRID.N + 1, cloud.M)
+            assert peak > 2 * particle_array  # fresh Y and Z
+        else:
+            assert peak < particle_array
 
 
 class TestSolveReflected:
