@@ -23,11 +23,10 @@ u_k = mollify_obstacle(cfg.spec.obstacle, 40, grid)
 levels = (25, 50, 100, 200, 400, 800)
 print(f"{'n':>5s} {'sup deficit^2':>14s} {'integral deficit^2':>19s} {'cauchy to n/2':>14s}")
 records = []
-for rec, sol in penalty_ladder(cfg.spec, u_k, levels, cloud, cfg.basis):
+for rec, _ in penalty_ladder(cfg.spec, u_k, levels, cloud, cfg.basis):
     cauchy = rec.cauchy_mean_dist if rec.cauchy_mean_dist is not None else float("nan")
     print(f"{rec.n:5d} {rec.sup_neg_sq:14.3e} {rec.integral_neg_sq:19.3e} {cauchy:14.3e}")
     records.append(rec)
-    del sol  # a dropped level hands its Y and Z to the next pass
 
 for label, xs, ys in (
     ("sup deficit^2", levels, [rec.sup_neg_sq for rec in records]),

@@ -432,7 +432,9 @@ def run_experiment(config: RunConfig, subcommand: str) -> dict:
             u_k = mollify_obstacle(config.spec.obstacle, max(config.schedule.k_levels), grid, config.quad_points)
             records = []
             n_levels = config.schedule.n_levels
-            for record, sol in penalty_ladder(config.spec, u_k, n_levels, cloud, config.basis):
+            for record, sol in penalty_ladder(
+                config.spec, u_k, n_levels, cloud, config.basis, recycle=True
+            ):
                 records.append(record)
                 if record.n == n_levels[-1]:
                     apriori_ratio = apriori_report(sol, config.spec, cloud).ratio
@@ -477,9 +479,7 @@ def run_experiment(config: RunConfig, subcommand: str) -> dict:
     return diagnostics
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once: each build leaves argparse objects in reference cycles."""
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="mrbsde",
         description="Mean-reflected McKean-Vlasov BSDE experiments",
@@ -490,11 +490,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--threads", type=int, help="worker count knob (0 = auto); never affects outputs")
     parser.add_argument("--out", help="override the output directory")
-    return parser
-
-
-def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = parser.parse_args(argv)
 
     try:
         if args.config is not None:

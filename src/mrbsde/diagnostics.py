@@ -78,7 +78,7 @@ def stability_experiment(
     rows = []
     out = None
     for eps in eps_list:
-        pert = solve_penalized(spec, u_k, n, cloud.with_terminal(cloud.xi + eps), basis, out)
+        pert = solve_penalized(spec, u_k, n, cloud.with_terminal(cloud.xi + eps), basis, _out=out)
         # Node by node, so no full-size difference array is ever formed.
         mean_sq_dy = [np.mean((py - by) ** 2) for py, by in zip(pert.Y, base.Y)]
         mean_sq_dz = [np.mean(np.sum((pz - bz) ** 2, axis=1)) for pz, bz in zip(pert.Z[:-1], base.Z[:-1])]

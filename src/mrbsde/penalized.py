@@ -25,11 +25,17 @@ _COND_LIMIT = 1e12
 _COND_FUDGE_AT = 1e10
 _TIKHONOV_REL = 1e-10
 
-try:  # glibc's malloc_trim, called at the start of every pass; None where the C library has none
+try:  # glibc's malloc_trim; None where the C library has none
     _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
     _MALLOC_TRIM.argtypes = [ctypes.c_size_t]
 except (OSError, TypeError, AttributeError):
     _MALLOC_TRIM = None
+
+
+def trim_heap() -> None:
+    """Hand the heap pages freed so far back to the system; nothing happens without glibc."""
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
 
 
 @dataclass(frozen=True)
@@ -156,7 +162,8 @@ def solve_penalized(
     n: float,
     cloud: ForwardCloud,
     basis: RegressionBasis,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
+    *,
+    _out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> PenalizedSolution:
     """Run the backward induction from Y(T) = xi down to t = 0.
 
@@ -167,10 +174,6 @@ def solve_penalized(
     deterministic, so the shift is common to all particles. A basis that
     cannot be fitted on the cloud (a forward basis without a forward state,
     or no more particles than basis functions) fails before the first step.
-
-    ``out`` is the (Y, Z) pair of an earlier pass on a cloud of the same
-    shape that no caller holds any more; the pass writes its own Y and Z
-    into those arrays instead of allocating fresh ones.
     """
     grid = cloud.grid
     if u_k.grid != grid:
@@ -187,15 +190,16 @@ def solve_penalized(
     # this pass's arrays land in them turns on a few bytes of unrelated
     # allocations, so a process that runs pass after pass would otherwise
     # peak one whole particle array higher in some runs than in others.
-    if _MALLOC_TRIM is not None:
-        _MALLOC_TRIM(0)
+    trim_heap()
 
     # Every row of Y, Z, mean_path and z_mean is written below, so the Y
-    # and Z of a dropped pass serve as well as fresh arrays, without paying
-    # for the first touch of their pages. Each step works in the same
-    # C-ordered (M, d+1) targets and fitted values and one g * dkappa row,
-    # so no step allocates particle arrays of its own.
-    Y, Z = out if out is not None else (np.empty((N + 1, M)), np.empty((N + 1, M, d)))
+    # and Z of an earlier pass on this cloud that nothing else holds
+    # (``_out``, passed only by the package's own loops) serve as well as
+    # fresh arrays, without paying for the first touch of their pages.
+    # Each step works in the same C-ordered (M, d+1) targets and fitted
+    # values and one g * dkappa row, so no step allocates particle arrays
+    # of its own.
+    Y, Z = _out if _out is not None else (np.empty((N + 1, M)), np.empty((N + 1, M, d)))
     mean_path = np.empty(N + 1)
     z_mean = np.empty((N, d))
     targets = np.empty((M, d + 1))
@@ -243,11 +247,8 @@ def solve_penalized(
         delta = dt + float(cloud.mean_kappa[j + 1] - cloud.mean_kappa[j])
         shifted = implicit_mean_penalty(p_val, float(u_k.values[j]), n, delta)
         dK[j] = shifted - p_val
-        if dK[j] == 0.0:  # slack: the row is final and its mean is p_val
-            mean_path[j] = p_val
-        else:
-            y0 += dK[j]
-            mean_path[j] = y0.mean()
+        y0 += dK[j]
+        mean_path[j] = y0.mean()
 
         # A non-finite value anywhere in a row makes its mean non-finite.
         if not (math.isfinite(mean_path[j]) and np.all(np.isfinite(z_mean[j]))):

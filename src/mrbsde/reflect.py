@@ -20,7 +20,7 @@ import numpy as np
 from .errors import LengthMismatch, NotConverged
 from .mollify import SmoothObstacle, mollify_obstacle
 from .paths import ForwardCloud
-from .penalized import PenalizedSolution, RegressionBasis, solve_penalized
+from .penalized import PenalizedSolution, RegressionBasis, solve_penalized, trim_heap
 from .problem import ProblemSpec
 
 
@@ -144,6 +144,8 @@ def penalty_ladder(
     n_levels,
     cloud: ForwardCloud,
     basis: RegressionBasis,
+    *,
+    recycle: bool = False,
 ) -> Iterator[tuple[LevelRecord, PenalizedSolution]]:
     """Solve the penalized equation at each level n against u_k, yielding (record, solution).
 
@@ -152,18 +154,25 @@ def penalty_ladder(
     the loop: no level runs before it is asked for. Every level shares the
     cloud's cached Gram matrices.
 
-    A level whose solution the caller no longer holds when it asks for the
-    next one hands its Y and Z arrays to the next pass, which overwrites
-    them. A solution the caller still holds is never touched, so a caller
-    that keeps a level's Y or Z past the next level keeps the solution
-    itself, not just the arrays.
+    Each level gets arrays of its own, so a caller may keep any level, or
+    its Y, Z or views of them, for as long as it likes. With ``recycle``
+    the caller promises instead to keep nothing of a level's Y and Z once
+    it asks for the next level: the next pass then writes its Y and Z into
+    those arrays instead of paying for fresh ones. A weak reference to the
+    yielded solution guards the promise as far as it can: a level whose
+    solution is still alive at that point hands nothing on, so the next
+    pass gets fresh arrays. A caller that keeps only ``sol.Y`` or a view
+    of it is not seen, and must not pass ``recycle``.
     """
     prev_mean = None
     out = None
     for n in n_levels:
         t0 = time.perf_counter()
-        sol = solve_penalized(spec, u_k, n, cloud, basis, out)
+        sol = solve_penalized(spec, u_k, n, cloud, basis, _out=out)
         wall_ms = (time.perf_counter() - t0) * 1000.0
+        # The pass's workspace is free now; returned to the system, it cannot
+        # leave resident holes under what the caller allocates next.
+        trim_heap()
         sup_sq, integral_sq = deficit_metrics(sol, u_k, cloud.mean_kappa)
         cauchy = float(np.max(np.abs(sol.mean_path - prev_mean))) if prev_mean is not None else None
         prev_mean = sol.mean_path
@@ -178,11 +187,14 @@ def penalty_ladder(
             wall_ms=wall_ms,
         )
         yield record, sol
-        held = weakref.ref(sol)
-        out = sol.Y, sol.Z
-        del sol
-        if held() is not None:
-            out = None  # the caller kept this level: the next pass gets fresh arrays
+        if recycle:
+            held = weakref.ref(sol)
+            out = sol.Y, sol.Z
+            del sol
+            if held() is not None:
+                out = None  # the caller kept this level: the next pass gets fresh arrays
+        else:
+            del sol  # a level the caller has dropped must not outlive it into the next pass
 
 
 def solve_reflected(
@@ -204,7 +216,7 @@ def solve_reflected(
     trace: list[LevelRecord] = []
     for k in schedule.k_levels:
         u_k = mollify_obstacle(spec.obstacle, k, cloud.grid, quad_points)
-        for record, sol in penalty_ladder(spec, u_k, schedule.n_levels, cloud, basis):
+        for record, sol in penalty_ladder(spec, u_k, schedule.n_levels, cloud, basis, recycle=True):
             trace.append(record)
             if record.cauchy_mean_dist is not None:
                 cauchy_ok = record.cauchy_mean_dist <= schedule.cauchy_tol

@@ -1,4 +1,3 @@
-import gc
 import json
 import weakref
 from pathlib import Path
@@ -347,22 +346,6 @@ class TestMainEntry:
     def test_solve_exit_zero(self, tmp_path):
         path = write_doc(tmp_path, tiny_doc(tmp_path / "out"))
         assert main(["solve", "--config", str(path)]) == 0
-
-    def test_repeated_calls_leave_no_argparse_objects_in_cycles(self, tmp_path):
-        path = write_doc(tmp_path, tiny_doc(tmp_path / "out"))
-        assert main(["solve", "--config", str(path)]) == 0
-        gc.collect()
-        flags = gc.get_debug()
-        gc.set_debug(gc.DEBUG_SAVEALL)
-        try:
-            for _ in range(2):
-                assert main(["solve", "--config", str(path)]) == 0
-            gc.collect()
-            left = {type(obj).__name__ for obj in gc.garbage}
-        finally:
-            gc.set_debug(flags)
-            gc.garbage.clear()
-        assert not left & {"_StoreAction", "HelpFormatter", "ArgumentParser"}
 
     def test_preset_flag_with_overrides(self, tmp_path):
         rc = main(

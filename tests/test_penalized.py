@@ -440,7 +440,7 @@ class TestLeanStep:
         dropped = solve_penalized(spec, u_k, 25, cloud, basis)
         out = dropped.Y, dropped.Z
         del dropped
-        sol = solve_penalized(spec, u_k, 800, cloud, basis, out)
+        sol = solve_penalized(spec, u_k, 800, cloud, basis, _out=out)
         assert sol.Y is out[0] and sol.Z is out[1]
         assert_same_bits(sol, reference_pass(spec, u_k, 800, cloud, basis))
 

@@ -110,38 +110,52 @@ class TestRecoverCompensator:
 
 
 class TestPenaltyLadder:
-    """A level the caller drops hands its Y and Z to the next pass; a level it keeps is never touched."""
+    """Every level owns its arrays unless the caller opts in to recycling the dropped ones."""
 
     FIELDS = ("Y", "Z", "mean_path", "K", "mean_f_dt", "mean_g_dkappa")
     SPEC = zero_problem(obstacle=SINE, boundary=BoundarySpec("linear-monotone", beta=-1.0),
                         kappa=KappaSpec("linear", rate=1.0))
 
-    def ladder(self, levels=(25, 50, 100)):
+    def ladder(self, levels=(25, 50, 100), recycle=False):
         cloud = simulate_forward(self.SPEC, GRID, 2000, seed=4)
         u_k = mollify_obstacle(SINE, 20, GRID)
-        return penalty_ladder(self.SPEC, u_k, levels, cloud, BASIS), (self.SPEC, u_k, cloud)
+        options = {"recycle": True} if recycle else {}  # the default is what a public caller gets
+        return penalty_ladder(self.SPEC, u_k, levels, cloud, BASIS, **options), (self.SPEC, u_k, cloud)
 
-    def test_kept_levels_equal_fresh_passes(self):
-        ladder, (spec, u_k, cloud) = self.ladder()
+    def assert_fresh(self, sol, n, spec, u_k, cloud):
+        fresh = solve_penalized(spec, u_k, n, cloud, BASIS)
+        for field in self.FIELDS:
+            assert np.array_equal(getattr(sol, field), getattr(fresh, field)), (n, field)
+
+    @pytest.mark.parametrize("recycle", [False, True])
+    def test_kept_levels_equal_fresh_passes(self, recycle):
+        ladder, (spec, u_k, cloud) = self.ladder(recycle=recycle)
         levels = list(ladder)
         for record, sol in levels:
-            fresh = solve_penalized(spec, u_k, record.n, cloud, BASIS)
-            for field in self.FIELDS:
-                assert np.array_equal(getattr(sol, field), getattr(fresh, field)), (record.n, field)
+            self.assert_fresh(sol, record.n, spec, u_k, cloud)
         arrays = [a for _, sol in levels for a in (sol.Y, sol.Z)]
         assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
 
-    def test_dropped_levels_equal_fresh_passes(self):
+    def test_kept_arrays_of_dropped_levels_are_their_own(self):
+        # Only Y and a view of Z outlive each level: by default nothing overwrites them.
         ladder, (spec, u_k, cloud) = self.ladder()
+        kept = []
         for record, sol in ladder:
-            fresh = solve_penalized(spec, u_k, record.n, cloud, BASIS)
-            for field in self.FIELDS:
-                assert np.array_equal(getattr(sol, field), getattr(fresh, field)), (record.n, field)
-            del sol, fresh
+            kept.append((record.n, sol.Y, sol.Z[:, :, 0]))
+            del sol
+        for n, Y, z_view in kept:
+            fresh = solve_penalized(spec, u_k, n, cloud, BASIS)
+            assert np.array_equal(Y, fresh.Y) and np.array_equal(z_view, fresh.Z[:, :, 0]), n
 
-    @pytest.mark.parametrize("keep_first", [False, True])
-    def test_a_level_after_a_dropped_one_allocates_no_particle_array(self, keep_first):
-        ladder, (_, _, cloud) = self.ladder(levels=(25, 50))
+    def test_recycled_levels_equal_fresh_passes(self):
+        ladder, (spec, u_k, cloud) = self.ladder(recycle=True)
+        for record, sol in ladder:
+            self.assert_fresh(sol, record.n, spec, u_k, cloud)
+            del sol
+
+    @pytest.mark.parametrize("recycle, keep_first", [(False, False), (True, True), (True, False)])
+    def test_only_a_recycled_dropped_level_saves_the_particle_arrays(self, recycle, keep_first):
+        ladder, (_, _, cloud) = self.ladder(levels=(25, 50), recycle=recycle)
         first = next(ladder) if keep_first else next(ladder)[0]
         tracemalloc.start()
         try:
@@ -150,11 +164,11 @@ class TestPenaltyLadder:
         finally:
             tracemalloc.stop()
         particle_array = (GRID.N + 1) * cloud.M * 8
-        if keep_first:
-            assert first[1].Y.shape == (GRID.N + 1, cloud.M)
-            assert peak > 2 * particle_array  # fresh Y and Z
-        else:
+        if recycle and not keep_first:
             assert peak < particle_array
+        else:
+            assert peak > 2 * particle_array  # fresh Y and Z
+        del first
 
 
 class TestSolveReflected:
