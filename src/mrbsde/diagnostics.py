@@ -15,7 +15,7 @@ import numpy as np
 from .errors import LengthMismatch, NonPositiveError
 from .mollify import SmoothObstacle
 from .paths import ForwardCloud
-from .penalized import PenalizedSolution, RegressionBasis, solve_penalized
+from .penalized import PenalizedSolution, RegressionBasis, _backward_steps
 from .problem import ProblemSpec, eval_driver
 
 
@@ -66,32 +66,44 @@ def stability_experiment(
 
     Each epsilon pairs the base run with a perturbed run on the same cloud
     (common random numbers), so the reported differences isolate the
-    perturbation; every run shares the cloud's cached Gram matrices. Rows
-    are sorted by epsilon.
+    perturbation; every run shares the cloud's cached Gram matrices. The
+    base pass and every perturbed pass step backward in lockstep, the base
+    pass first at each step, and each holds only its latest two Y rows and
+    its latest Z row: the per-node moments of the differences are taken as
+    the rows appear, so no full solution is ever held. Rows are sorted by
+    epsilon.
     """
     eps_list = sorted(float(e) for e in perturbations)
     if len(set(eps_list)) != len(eps_list):
         raise ValueError("perturbation values must be distinct")
 
-    base = solve_penalized(spec, u_k, n, cloud, basis)
+    N, M, d = cloud.grid.N, cloud.M, cloud.d
+    passes = []  # (steps, Y rows, Z rows) of the base pass, then of each perturbed one
+    for c in [cloud] + [cloud.with_terminal(cloud.xi + eps) for eps in eps_list]:
+        y_pair, z_row = np.empty((2, M)), np.empty((M, d))
+        y_rows, z_rows = [y_pair[j % 2] for j in range(N + 1)], [z_row] * N
+        passes.append((_backward_steps(spec, u_k, n, c, basis, y_rows, z_rows), y_rows, z_rows))
+    (_, base_y, base_z), perturbed = passes[0], passes[1:]
+
+    # Stored by node, so the max and the sum run in forward node order.
+    mean_sq_dy = np.empty((len(eps_list), N + 1))
+    mean_sq_dz = np.empty((len(eps_list), N))
+    for j in range(N, -1, -1):
+        for steps, _, _ in passes:
+            next(steps)
+        for i, (_, pert_y, pert_z) in enumerate(perturbed):
+            mean_sq_dy[i, j] = np.mean((pert_y[j] - base_y[j]) ** 2)
+            if j < N:
+                mean_sq_dz[i, j] = np.mean(np.sum((pert_z[j] - base_z[j]) ** 2, axis=1))
     dt = cloud.grid.dt
-    rows = []
-    out = None
-    for eps in eps_list:
-        pert = solve_penalized(spec, u_k, n, cloud.with_terminal(cloud.xi + eps), basis, _out=out)
-        # Node by node, so no full-size difference array is ever formed.
-        mean_sq_dy = [np.mean((py - by) ** 2) for py, by in zip(pert.Y, base.Y)]
-        mean_sq_dz = [np.mean(np.sum((pz - bz) ** 2, axis=1)) for pz, bz in zip(pert.Z[:-1], base.Z[:-1])]
-        out = pert.Y, pert.Z  # the next perturbed pass overwrites this one's arrays
-        del pert
-        rows.append(
-            StabilityRow(
-                epsilon=eps,
-                sup_mean_sq_dy=float(np.max(mean_sq_dy)),
-                integral_mean_sq_dz=float(np.sum(mean_sq_dz) * dt),
-            )
+    return tuple(
+        StabilityRow(
+            epsilon=eps,
+            sup_mean_sq_dy=float(np.max(dy)),
+            integral_mean_sq_dz=float(np.sum(dz) * dt),
         )
-    return tuple(rows)
+        for eps, dy, dz in zip(eps_list, mean_sq_dy, mean_sq_dz)
+    )
 
 
 @dataclass(frozen=True)

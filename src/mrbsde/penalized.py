@@ -175,15 +175,7 @@ def solve_penalized(
     cannot be fitted on the cloud (a forward basis without a forward state,
     or no more particles than basis functions) fails before the first step.
     """
-    grid = cloud.grid
-    if u_k.grid != grid:
-        raise LengthMismatch("smooth obstacle grid does not match the cloud grid")
-    if basis.kind == "forward" and cloud.forward_state is None:
-        raise ValueError("forward basis requested but the cloud has no forward state")
-    if cloud.M <= basis.size(cloud.d):
-        raise ValueError(f"need more particles ({cloud.M}) than basis functions ({basis.size(cloud.d)})")
-    N, M, d, dt = grid.N, cloud.M, cloud.d, grid.dt
-    times = grid.times
+    N, M, d = cloud.grid.N, cloud.M, cloud.d
 
     # Hand the heap pages freed since the last pass back to the system
     # before Y and Z are allocated. glibc keeps them resident, and whether
@@ -192,45 +184,84 @@ def solve_penalized(
     # peak one whole particle array higher in some runs than in others.
     trim_heap()
 
-    # Every row of Y, Z, mean_path and z_mean is written below, so the Y
-    # and Z of an earlier pass on this cloud that nothing else holds
-    # (``_out``, passed only by the package's own loops) serve as well as
-    # fresh arrays, without paying for the first touch of their pages.
+    # Every row of Y and Z is written below, so the Y and Z of an earlier
+    # pass on this cloud that nothing else holds (``_out``, passed only by
+    # ``reflect.penalty_ladder``) serve as well as fresh arrays, without
+    # paying for the first touch of their pages.
+    Y, Z = _out if _out is not None else (np.empty((N + 1, M)), np.empty((N + 1, M, d)))
+    steps = _backward_steps(spec, u_k, n, cloud, basis, Y, Z)
+    try:
+        while True:
+            next(steps)
+    except StopIteration as done:
+        mean_path, dK, mean_f_dt, mean_g_dkappa = done.value
+    Z[N] = Z[N - 1]
+    return PenalizedSolution(
+        grid=cloud.grid,
+        Y=Y,
+        Z=Z,
+        mean_path=mean_path,
+        K=np.concatenate([[0.0], np.cumsum(dK)]),
+        mean_f_dt=mean_f_dt,
+        mean_g_dkappa=mean_g_dkappa,
+    )
+
+
+def _backward_steps(spec, u_k, n, cloud, basis, Y_rows, Z_rows):
+    """One backward pass as a generator that advances one node per ``next()``.
+
+    The first ``next()`` writes node N (Y = xi) into ``Y_rows[N]``; each
+    later one runs step j = N-1, ..., 0 and writes Y_j into ``Y_rows[j]``
+    and Z_j into ``Z_rows[j]``. The rows are indexed by node: full
+    (N+1, M) and (N+1, M, d) arrays, or, since step j reads only
+    ``Y_rows[j + 1]``, lists whose entries repeat a few rows. The
+    generator yields nothing and returns (mean_path, dK, mean_f_dt,
+    mean_g_dkappa) when it is exhausted.
+    """
+    if u_k.grid != cloud.grid:
+        raise LengthMismatch("smooth obstacle grid does not match the cloud grid")
+    if basis.kind == "forward" and cloud.forward_state is None:
+        raise ValueError("forward basis requested but the cloud has no forward state")
+    if cloud.M <= basis.size(cloud.d):
+        raise ValueError(f"need more particles ({cloud.M}) than basis functions ({basis.size(cloud.d)})")
+    N, M, d, dt = cloud.grid.N, cloud.M, cloud.d, cloud.grid.dt
+    times = cloud.grid.times
+
     # Each step works in the same C-ordered (M, d+1) targets and fitted
     # values and one g * dkappa row, so no step allocates particle arrays
     # of its own.
-    Y, Z = _out if _out is not None else (np.empty((N + 1, M)), np.empty((N + 1, M, d)))
     mean_path = np.empty(N + 1)
     z_mean = np.empty((N, d))
     targets = np.empty((M, d + 1))
     fitted = np.empty((M, d + 1))
     g_dkap = np.empty(M)
     z_targets, cond_mean = targets[:, :d], fitted[:, d]
-    Y[N] = cloud.xi
-    mean_path[N] = Y[N].mean()
+    Y_rows[N][...] = cloud.xi
+    mean_path[N] = Y_rows[N].mean()
     dK = np.zeros(N)
     mean_f_dt = np.zeros(N)
     mean_g_dkappa = np.zeros(N)  # stays 0.0 for the zero boundary, whose g * dkappa row is never formed
     has_boundary = spec.boundary.family != "zero"
+    yield
 
     for j in range(N - 1, -1, -1):
-        np.multiply(Y[j + 1][:, None], cloud.dB[j], out=z_targets)
+        y_next, y0, z = Y_rows[j + 1], Y_rows[j], Z_rows[j]
+        np.multiply(y_next[:, None], cloud.dB[j], out=z_targets)
         np.divide(z_targets, dt, out=z_targets)
-        targets[:, d] = Y[j + 1]
+        targets[:, d] = y_next
         _fit(cloud, basis, j, targets, fitted)
-        Z[j] = fitted[:, :d]
-        z_mean[j] = Z[j].mean(axis=0)
+        z[...] = fitted[:, :d]
+        z_mean[j] = z.mean(axis=0)
 
         # Law moments from the step-(j+1) cloud; Z beyond the last regression
         # step does not exist, so the first backward step reuses its own Z.
         m_y = float(mean_path[j + 1])
         m_z = z_mean[min(j + 1, N - 1)]
 
-        # y0 = (cond_mean + f dt) + g dkappa, built in place in Y[j]. A driver
-        # with one value for every particle comes back as a read-only
+        # y0 = (cond_mean + f dt) + g dkappa, built in place in row j. A
+        # driver with one value for every particle comes back as a read-only
         # broadcast, and its f dt is a single float.
-        f_vals = eval_driver(spec.driver, times[j], cond_mean, Z[j], m_y, m_z)
-        y0 = Y[j]
+        f_vals = eval_driver(spec.driver, times[j], cond_mean, z, m_y, m_z)
         if f_vals.strides[0] == 0:
             np.add(cond_mean, float(f_vals[0]) * dt, out=y0)
         else:
@@ -257,15 +288,6 @@ def solve_penalized(
         # The mean over all M copies even for a common value: it can differ
         # from that value in the last bit.
         mean_f_dt[j] = float(np.mean(f_vals)) * dt
+        yield
 
-    Z[N] = Z[N - 1]
-    K = np.concatenate([[0.0], np.cumsum(dK)])
-    return PenalizedSolution(
-        grid=grid,
-        Y=Y,
-        Z=Z,
-        mean_path=mean_path,
-        K=K,
-        mean_f_dt=mean_f_dt,
-        mean_g_dkappa=mean_g_dkappa,
-    )
+    return mean_path, dK, mean_f_dt, mean_g_dkappa

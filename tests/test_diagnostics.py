@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mrbsde import (
+    BoundarySpec,
+    DriverSpec,
+    KappaSpec,
     NonPositiveError,
     ObstacleCurve,
     RegressionBasis,
@@ -15,6 +20,7 @@ from mrbsde import (
     solve_penalized,
     stability_experiment,
 )
+from mrbsde.cli import build_config
 from tests.test_reflect import fake_solution
 from tests.util import zero_problem
 
@@ -121,9 +127,21 @@ class TestStabilityExperiment:
         fit = rate_fit([r.epsilon for r in rows], [r.sup_mean_sq_dy for r in rows])
         assert 1.7 <= fit.slope <= 2.3
 
-    def test_node_reductions_equal_full_difference_arrays(self):
-        # the rows are reduced node by node; the reference forms dY and dZ whole
-        spec = zero_problem(obstacle=SINE, brownian_dim=2)
+    @pytest.mark.parametrize(
+        "case",
+        [
+            dict(brownian_dim=1),
+            dict(brownian_dim=2),
+            dict(boundary=BoundarySpec("linear-monotone", beta=-1.0), kappa=KappaSpec("linear", rate=1.0)),
+            dict(driver=DriverSpec("affine", {"mean_y": 0.5})),
+            dict(driver=DriverSpec("affine", {"mean_z": -0.3})),
+        ],
+        ids=["zero-d1", "zero-d2", "linear-monotone-linear-clock", "affine-mean-y", "affine-mean-z"],
+    )
+    def test_node_reductions_equal_full_difference_arrays(self, case):
+        # the lockstep rows are reduced node by node; the reference runs whole
+        # passes one after another and forms dY and dZ in full
+        spec = zero_problem(obstacle=SINE, **case)
         cloud = simulate_forward(spec, GRID, 10_000, seed=3)
         u_k = mollify_obstacle(SINE, 20, GRID)
         rows = stability_experiment(spec, cloud, (0.1, 0.05), u_k, 200, BASIS)
@@ -135,6 +153,20 @@ class TestStabilityExperiment:
             assert row.integral_mean_sq_dz == float(
                 np.sum(np.mean(np.sum(dZ[:-1] ** 2, axis=2), axis=1)) * GRID.dt
             )
+
+    def test_lockstep_holds_less_than_one_solution_array(self):
+        cfg = build_config({"preset": "BOUNDARY", "numerics": {"M": 4000, "N": 50}})
+        grid = TimeGrid(cfg.spec.horizon, cfg.N)
+        cloud = simulate_forward(cfg.spec, grid, cfg.M, seed=3)
+        u_k = mollify_obstacle(cfg.spec.obstacle, 20, grid)
+        stability_experiment(cfg.spec, cloud, (0.1, 0.05), u_k, 800, cfg.basis)  # fills the Gram cache
+        tracemalloc.start()
+        try:
+            stability_experiment(cfg.spec, cloud, (0.1, 0.05), u_k, 800, cfg.basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (grid.N + 1) * cloud.M * 8
 
     def test_duplicate_epsilons_rejected(self):
         spec = zero_problem(obstacle=SINE)
