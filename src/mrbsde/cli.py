@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .diagnostics import apriori_report, rate_fit, stability_experiment
+from .diagnostics import _rates_ladder, apriori_report, rate_fit, stability_experiment
 from .errors import ConfigError, MrbsdeError, NonPositiveError, NotConverged, ParseError
 from .mollify import mollify_obstacle
 from .oracle import (
@@ -44,7 +44,7 @@ from .paths import TimeGrid, simulate_forward
 from .penalized import RegressionBasis
 from .presets import PRESETS, preset_config
 from .problem import BoundarySpec, ProblemSpec, validate_problem
-from .reflect import ConvergenceSchedule, penalty_ladder, solve_reflected
+from .reflect import ConvergenceSchedule, solve_reflected
 
 _STABILITY_EPS = (0.1, 0.05, 0.025)
 _ORACLE_REFINE = 200  # fine-grid nodes per solver step in oracle-check
@@ -430,15 +430,7 @@ def run_experiment(config: RunConfig, subcommand: str) -> dict:
 
         elif subcommand == "rates":
             u_k = mollify_obstacle(config.spec.obstacle, max(config.schedule.k_levels), grid, config.quad_points)
-            records = []
-            n_levels = config.schedule.n_levels
-            for record, sol in penalty_ladder(
-                config.spec, u_k, n_levels, cloud, config.basis, recycle=True
-            ):
-                records.append(record)
-                if record.n == n_levels[-1]:
-                    apriori_ratio = apriori_report(sol, config.spec, cloud).ratio
-                del sol  # a dropped level's arrays carry the next pass
+            records, apriori_ratio = _rates_ladder(config.spec, u_k, config.schedule.n_levels, cloud, config.basis)
             levels = [rec.n for rec in records]
             diagnostics["rates"] = {
                 "k": u_k.level,

@@ -8,6 +8,7 @@ its constant is existence-theoretic.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ from .mollify import SmoothObstacle
 from .paths import ForwardCloud
 from .penalized import PenalizedSolution, RegressionBasis, _backward_steps
 from .problem import ProblemSpec, eval_driver
+from .reflect import LevelRecord, _level_record
 
 
 @dataclass(frozen=True)
@@ -45,6 +47,43 @@ def rate_fit(levels, errors) -> RateFit:
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
     return RateFit(float(slope), float(intercept), r2)
+
+
+def _rolling_pass(spec, u_k, n, cloud, basis):
+    """(steps, Y rows, Z rows) of a backward pass that holds only its latest two Y rows and latest Z row."""
+    N, M, d = cloud.grid.N, cloud.M, cloud.d
+    y_pair, z_row = np.empty((2, M)), np.empty((M, d))
+    y_rows, z_rows = [y_pair[j % 2] for j in range(N + 1)], [z_row] * N
+    return _backward_steps(spec, u_k, n, cloud, basis, y_rows, z_rows), y_rows, z_rows
+
+
+def _rates_ladder(spec, u_k, n_levels, cloud, basis) -> tuple[list[LevelRecord], float]:
+    """``penalty_ladder``'s records of every level, and the last level's a-priori ratio.
+
+    No level holds a full solution. The last level's node moments are
+    taken as its rows appear and stored by node, so the a-priori report
+    reduces them in the same order as over full arrays.
+    """
+    N = cloud.grid.N
+    mean_y2, mean_z2 = np.empty(N + 1), np.empty(N)
+    records, prev_mean = [], None
+    for n in n_levels:
+        t0 = time.perf_counter()
+        steps, y_rows, z_rows = _rolling_pass(spec, u_k, n, cloud, basis)
+        for j in range(N, -1, -1):
+            next(steps)
+            if n == n_levels[-1]:
+                mean_y2[j] = np.mean(y_rows[j] ** 2)
+                if j < N:
+                    mean_z2[j] = np.mean(np.sum(z_rows[j] ** 2, axis=1))
+        try:
+            next(steps)
+        except StopIteration as done:
+            mean_path, K = done.value[:2]
+        wall_ms = (time.perf_counter() - t0) * 1000.0
+        records.append(_level_record(u_k, n, mean_path, K, prev_mean, cloud.mean_kappa, wall_ms))
+        prev_mean = mean_path
+    return records, _energy_report(mean_y2, mean_z2, K[-1], spec, cloud).ratio
 
 
 @dataclass(frozen=True)
@@ -77,12 +116,9 @@ def stability_experiment(
     if len(set(eps_list)) != len(eps_list):
         raise ValueError("perturbation values must be distinct")
 
-    N, M, d = cloud.grid.N, cloud.M, cloud.d
-    passes = []  # (steps, Y rows, Z rows) of the base pass, then of each perturbed one
-    for c in [cloud] + [cloud.with_terminal(cloud.xi + eps) for eps in eps_list]:
-        y_pair, z_row = np.empty((2, M)), np.empty((M, d))
-        y_rows, z_rows = [y_pair[j % 2] for j in range(N + 1)], [z_row] * N
-        passes.append((_backward_steps(spec, u_k, n, c, basis, y_rows, z_rows), y_rows, z_rows))
+    N = cloud.grid.N
+    clouds = [cloud] + [cloud.with_terminal(cloud.xi + eps) for eps in eps_list]
+    passes = [_rolling_pass(spec, u_k, n, c, basis) for c in clouds]  # the base pass, then each perturbed one
     (_, base_y, base_z), perturbed = passes[0], passes[1:]
 
     # Stored by node, so the max and the sum run in forward node order.
@@ -122,21 +158,24 @@ class AprioriReport:
 
 def apriori_report(solution: PenalizedSolution, spec: ProblemSpec, cloud: ForwardCloud) -> AprioriReport:
     """Sample both sides of the energy bound; the ratio is a regression metric."""
-    grid = solution.grid
-    dt = grid.dt
-    times = grid.times
-    d = cloud.d
-
     # Node by node, so no full-size squared array is ever formed.
-    sup_y2 = float(np.max([np.mean(y**2) for y in solution.Y]))
-    int_z2 = float(np.sum([np.mean(np.sum(z**2, axis=1)) for z in solution.Z[:-1]]) * dt)
+    mean_y2 = [np.mean(y**2) for y in solution.Y]
+    mean_z2 = [np.mean(np.sum(z**2, axis=1)) for z in solution.Z[:-1]]
+    return _energy_report(mean_y2, mean_z2, solution.K[-1], spec, cloud)
+
+
+def _energy_report(mean_y2, mean_z2, K_T, spec: ProblemSpec, cloud: ForwardCloud) -> AprioriReport:
+    """The a-priori report from the node moments E[Y_j^2] (j <= N) and E|Z_j|^2 (j < N) and K(T)."""
+    grid, dt, d = cloud.grid, cloud.grid.dt, cloud.d
+    sup_y2 = float(np.max(mean_y2))
+    int_z2 = float(np.sum(mean_z2) * dt)
     e_xi2 = float(np.mean(cloud.xi**2))
     f0 = eval_driver(
-        spec.driver, times[:-1], np.zeros(grid.N), np.zeros((grid.N, d)), 0.0, np.zeros(d)
+        spec.driver, grid.times[:-1], np.zeros(grid.N), np.zeros((grid.N, d)), 0.0, np.zeros(d)
     )
     int_f0 = float(np.sum(np.asarray(f0) ** 2) * dt)
     int_psi = float(spec.boundary.psi**2 * cloud.mean_kappa[-1])
-    k_t2 = float(solution.K[-1] ** 2)
+    k_t2 = float(K_T**2)
 
     rhs = e_xi2 + int_f0 + int_psi + k_t2
     lhs = sup_y2 + int_z2

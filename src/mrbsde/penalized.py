@@ -194,14 +194,14 @@ def solve_penalized(
         while True:
             next(steps)
     except StopIteration as done:
-        mean_path, dK, mean_f_dt, mean_g_dkappa = done.value
+        mean_path, K, mean_f_dt, mean_g_dkappa = done.value
     Z[N] = Z[N - 1]
     return PenalizedSolution(
         grid=cloud.grid,
         Y=Y,
         Z=Z,
         mean_path=mean_path,
-        K=np.concatenate([[0.0], np.cumsum(dK)]),
+        K=K,
         mean_f_dt=mean_f_dt,
         mean_g_dkappa=mean_g_dkappa,
     )
@@ -215,7 +215,7 @@ def _backward_steps(spec, u_k, n, cloud, basis, Y_rows, Z_rows):
     and Z_j into ``Z_rows[j]``. The rows are indexed by node: full
     (N+1, M) and (N+1, M, d) arrays, or, since step j reads only
     ``Y_rows[j + 1]``, lists whose entries repeat a few rows. The
-    generator yields nothing and returns (mean_path, dK, mean_f_dt,
+    generator yields nothing and returns (mean_path, K, mean_f_dt,
     mean_g_dkappa) when it is exhausted.
     """
     if u_k.grid != cloud.grid:
@@ -290,4 +290,4 @@ def _backward_steps(spec, u_k, n, cloud, basis, Y_rows, Z_rows):
         mean_f_dt[j] = float(np.mean(f_vals)) * dt
         yield
 
-    return mean_path, dK, mean_f_dt, mean_g_dkappa
+    return mean_path, np.concatenate([[0.0], np.cumsum(dK)]), mean_f_dt, mean_g_dkappa

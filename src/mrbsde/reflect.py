@@ -94,21 +94,23 @@ def flatness_residual(mean_path: np.ndarray, u_values: np.ndarray, K: np.ndarray
 
 
 def deficit_metrics(
-    solution: PenalizedSolution, u_k: SmoothObstacle, mean_kappa: np.ndarray
+    solution: PenalizedSolution | np.ndarray, u_k: SmoothObstacle, mean_kappa: np.ndarray
 ) -> tuple[float, float]:
     """Sup and weighted-integral squares of the mean path's obstacle deficit.
 
-    Returns (sup_j |y^-(t_j)|^2, sum_j |y^-(t_j)|^2 (dt + d mean_kappa_j)).
+    Returns (sup_j |y^-(t_j)|^2, sum_j |y^-(t_j)|^2 (dt + d mean_kappa_j)),
+    with dt from the obstacle's grid, for a solution or its mean path.
     Both range over the left-endpoint nodes j < N, the nodes the penalty
     measure touches: the terminal node carries the raw terminal-vs-obstacle
     datum, which no penalty level can move and which the bound under test
     has zero by its terminal condition.
     """
+    mean_path = np.asarray(solution.mean_path if isinstance(solution, PenalizedSolution) else solution, dtype=float)
     mean_kappa = np.asarray(mean_kappa, dtype=float)
-    if u_k.values.shape != solution.mean_path.shape or mean_kappa.shape != solution.mean_path.shape:
+    if u_k.values.shape != mean_path.shape or mean_kappa.shape != mean_path.shape:
         raise LengthMismatch("solution, obstacle and mean_kappa must share the grid")
-    neg = np.maximum(u_k.values[:-1] - solution.mean_path[:-1], 0.0)
-    weights = solution.grid.dt + np.diff(mean_kappa)
+    neg = np.maximum(u_k.values[:-1] - mean_path[:-1], 0.0)
+    weights = u_k.grid.dt + np.diff(mean_kappa)
     sup_sq = float(np.max(neg**2))
     integral_sq = float(np.sum(neg**2 * weights))
     return sup_sq, integral_sq
@@ -138,6 +140,21 @@ def recover_compensator(solution: PenalizedSolution) -> tuple[np.ndarray, tuple]
     return K, tuple(warnings)
 
 
+def _level_record(u_k, n, mean_path, K, prev_mean, mean_kappa, wall_ms) -> LevelRecord:
+    """The trace entry of level n's pass; ``prev_mean`` is the previous level's mean path, or None."""
+    sup_sq, integral_sq = deficit_metrics(mean_path, u_k, mean_kappa)
+    return LevelRecord(
+        k=u_k.level,
+        n=n,
+        sup_deficit=math.sqrt(sup_sq),
+        sup_neg_sq=sup_sq,
+        integral_neg_sq=integral_sq,
+        cauchy_mean_dist=float(np.max(np.abs(mean_path - prev_mean))) if prev_mean is not None else None,
+        flatness_residual=flatness_residual(mean_path, u_k.values, K),
+        wall_ms=wall_ms,
+    )
+
+
 def penalty_ladder(
     spec: ProblemSpec,
     u_k: SmoothObstacle,
@@ -162,7 +179,8 @@ def penalty_ladder(
     yielded solution guards the promise as far as it can: a level whose
     solution is still alive at that point hands nothing on, so the next
     pass gets fresh arrays. A caller that keeps only ``sol.Y`` or a view
-    of it is not seen, and must not pass ``recycle``.
+    of it is not seen, and must not pass ``recycle``. In the package only
+    ``solve_reflected`` passes it.
     """
     prev_mean = None
     out = None
@@ -173,19 +191,8 @@ def penalty_ladder(
         # The pass's workspace is free now; returned to the system, it cannot
         # leave resident holes under what the caller allocates next.
         trim_heap()
-        sup_sq, integral_sq = deficit_metrics(sol, u_k, cloud.mean_kappa)
-        cauchy = float(np.max(np.abs(sol.mean_path - prev_mean))) if prev_mean is not None else None
+        record = _level_record(u_k, n, sol.mean_path, sol.K, prev_mean, cloud.mean_kappa, wall_ms)
         prev_mean = sol.mean_path
-        record = LevelRecord(
-            k=u_k.level,
-            n=n,
-            sup_deficit=math.sqrt(sup_sq),
-            sup_neg_sq=sup_sq,
-            integral_neg_sq=integral_sq,
-            cauchy_mean_dist=cauchy,
-            flatness_residual=flatness_residual(sol.mean_path, u_k.values, sol.K),
-            wall_ms=wall_ms,
-        )
         yield record, sol
         if recycle:
             held = weakref.ref(sol)

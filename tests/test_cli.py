@@ -304,7 +304,7 @@ class TestRunExperiment:
         assert manifest["status"] == "failed"
         assert manifest["error"] == "RuntimeError: simulated crash"
 
-    @pytest.mark.parametrize("subcommand", ["rates", "solve"])
+    @pytest.mark.parametrize("subcommand", ["solve"])
     def test_no_earlier_solution_alive_when_a_pass_starts(self, tmp_path, monkeypatch, subcommand):
         solutions = []
         solve_penalized = reflect.solve_penalized

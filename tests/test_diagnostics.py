@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -15,12 +16,14 @@ from mrbsde import (
     apriori_report,
     deficit_metrics,
     mollify_obstacle,
+    penalty_ladder,
     rate_fit,
     simulate_forward,
     solve_penalized,
     stability_experiment,
 )
 from mrbsde.cli import build_config
+from mrbsde.diagnostics import _rates_ladder
 from tests.test_reflect import fake_solution
 from tests.util import zero_problem
 
@@ -88,6 +91,7 @@ class TestDeficitMetrics:
         mean_kappa = np.linspace(0.0, 1.0, GRID.N + 1)  # doubles the measure
         _, integral_sq = deficit_metrics(sol, u_k, mean_kappa)
         assert abs(integral_sq - 0.02) < 1e-12
+        assert deficit_metrics(sol.mean_path, u_k, mean_kappa) == deficit_metrics(sol, u_k, mean_kappa)
 
     def test_sine_sup_metric_strictly_decreasing_in_level(self):
         spec = zero_problem(obstacle=SINE)
@@ -174,6 +178,50 @@ class TestStabilityExperiment:
         u_k = mollify_obstacle(SINE, 20, GRID)
         with pytest.raises(ValueError):
             stability_experiment(spec, cloud, (0.1, 0.1), u_k, 200, BASIS)
+
+
+class TestRatesLadder:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize(
+        "boundary",
+        [None, BoundarySpec("linear-monotone", beta=-1.0)],
+        ids=["zero-boundary", "linear-monotone"],
+    )
+    @pytest.mark.parametrize(
+        "driver",
+        [None, DriverSpec("affine", {"const": 0.2, "y": -0.5, "z": 0.3, "mean_y": 0.5})],
+        ids=["zero-driver", "affine"],
+    )
+    def test_streamed_levels_equal_the_ladder_on_full_arrays(self, driver, boundary, d):
+        # the a-priori node moments are reduced as the rows appear; the
+        # reference keeps every level's full Y and Z
+        spec = zero_problem(
+            obstacle=SINE, driver=driver, boundary=boundary, kappa=KappaSpec("linear", rate=1.0), brownian_dim=d
+        )
+        cloud = simulate_forward(spec, GRID, 4000, seed=5)
+        u_k = mollify_obstacle(SINE, 20, GRID)
+        levels = (25, 50, 100, 200)
+        records, ratio = _rates_ladder(spec, u_k, levels, cloud, BASIS)
+        ladder = list(penalty_ladder(spec, u_k, levels, cloud, BASIS))
+        assert ladder[-1][1].K[-1] > 0.0  # the penalty fires
+        for streamed, (record, _) in zip(records, ladder, strict=True):
+            assert dataclasses.replace(streamed, wall_ms=0.0) == dataclasses.replace(record, wall_ms=0.0)
+        assert ratio == apriori_report(ladder[-1][1], spec, cloud).ratio
+
+    def test_ladder_holds_less_than_one_solution_array(self):
+        cfg = build_config({"preset": "BOUNDARY", "numerics": {"M": 4000, "N": 50}})
+        grid = TimeGrid(cfg.spec.horizon, cfg.N)
+        cloud = simulate_forward(cfg.spec, grid, cfg.M, seed=3)
+        u_k = mollify_obstacle(cfg.spec.obstacle, 20, grid)
+        levels = cfg.schedule.n_levels
+        _rates_ladder(cfg.spec, u_k, levels, cloud, cfg.basis)  # fills the Gram cache
+        tracemalloc.start()
+        try:
+            _rates_ladder(cfg.spec, u_k, levels, cloud, cfg.basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (grid.N + 1) * cloud.M * 8
 
 
 class TestAprioriReport:
