@@ -14,6 +14,7 @@ from .diagnostics import (
     RateFit,
     StabilityRow,
     apriori_report,
+    penalty_ladder,
     rate_fit,
     stability_experiment,
 )
@@ -66,7 +67,6 @@ from .reflect import (
     ReflectedSolution,
     deficit_metrics,
     flatness_residual,
-    penalty_ladder,
     recover_compensator,
     solve_reflected,
 )

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .diagnostics import _rates_ladder, apriori_report, rate_fit, stability_experiment
+from .diagnostics import apriori_report, penalty_ladder, rate_fit, stability_experiment
 from .errors import ConfigError, MrbsdeError, NonPositiveError, NotConverged, ParseError
 from .mollify import mollify_obstacle
 from .oracle import (
@@ -430,7 +430,7 @@ def run_experiment(config: RunConfig, subcommand: str) -> dict:
 
         elif subcommand == "rates":
             u_k = mollify_obstacle(config.spec.obstacle, max(config.schedule.k_levels), grid, config.quad_points)
-            records, apriori_ratio = _rates_ladder(config.spec, u_k, config.schedule.n_levels, cloud, config.basis)
+            records, apri = penalty_ladder(config.spec, u_k, config.schedule.n_levels, cloud, config.basis)
             levels = [rec.n for rec in records]
             diagnostics["rates"] = {
                 "k": u_k.level,
@@ -442,7 +442,7 @@ def run_experiment(config: RunConfig, subcommand: str) -> dict:
                     levels[:-1], [rec.cauchy_mean_dist for rec in records[1:]], "cauchy"
                 ),
             }
-            diagnostics["apriori_ratio"] = apriori_ratio
+            diagnostics["apriori_ratio"] = apri.ratio
             write_atomic(outdir / "convergence.csv", _convergence_csv(records))
 
         else:  # stability

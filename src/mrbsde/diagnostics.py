@@ -16,7 +16,7 @@ import numpy as np
 from .errors import LengthMismatch, NonPositiveError
 from .mollify import SmoothObstacle
 from .paths import ForwardCloud
-from .penalized import PenalizedSolution, RegressionBasis, _backward_steps
+from .penalized import PenalizedSolution, RegressionBasis, _backward_steps, trim_heap
 from .problem import ProblemSpec, eval_driver
 from .reflect import LevelRecord, _level_record
 
@@ -57,13 +57,22 @@ def _rolling_pass(spec, u_k, n, cloud, basis):
     return _backward_steps(spec, u_k, n, cloud, basis, y_rows, z_rows), y_rows, z_rows
 
 
-def _rates_ladder(spec, u_k, n_levels, cloud, basis) -> tuple[list[LevelRecord], float]:
-    """``penalty_ladder``'s records of every level, and the last level's a-priori ratio.
+def penalty_ladder(
+    spec: ProblemSpec, u_k: SmoothObstacle, n_levels, cloud: ForwardCloud, basis: RegressionBasis
+) -> tuple[list[LevelRecord], AprioriReport]:
+    """Every level's record and the last level's a-priori report, from a pass at each level n against u_k.
 
-    No level holds a full solution. The last level's node moments are
-    taken as its rows appear and stored by node, so the a-priori report
-    reduces them in the same order as over full arrays.
+    ``n_levels`` is any non-empty iterable, read once. Each level steps
+    through the backward pass on two Y rows and one Z row, so no level
+    holds a full solution; ``wall_ms`` times the pass alone, and the Cauchy
+    distance is to the previous level's mean path. The last level's node
+    moments are taken as its rows appear and stored by node, so the report
+    reduces them in the same order as ``apriori_report`` over full arrays.
+    Every level shares the cloud's cached Gram matrices.
     """
+    n_levels = tuple(n_levels)
+    if not n_levels:
+        raise ValueError("the penalty ladder needs at least one level")
     N = cloud.grid.N
     mean_y2, mean_z2 = np.empty(N + 1), np.empty(N)
     records, prev_mean = [], None
@@ -81,9 +90,13 @@ def _rates_ladder(spec, u_k, n_levels, cloud, basis) -> tuple[list[LevelRecord],
         except StopIteration as done:
             mean_path, K = done.value[:2]
         wall_ms = (time.perf_counter() - t0) * 1000.0
+        # As after each pass of ``solve_reflected``: the pass's workspace,
+        # returned to the system, leaves no resident holes under what is
+        # allocated next.
+        trim_heap()
         records.append(_level_record(u_k, n, mean_path, K, prev_mean, cloud.mean_kappa, wall_ms))
         prev_mean = mean_path
-    return records, _energy_report(mean_y2, mean_z2, K[-1], spec, cloud).ratio
+    return records, _energy_report(mean_y2, mean_z2, K[-1], spec, cloud)
 
 
 @dataclass(frozen=True)

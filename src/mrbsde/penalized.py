@@ -186,7 +186,7 @@ def solve_penalized(
 
     # Every row of Y and Z is written below, so the Y and Z of an earlier
     # pass on this cloud that nothing else holds (``_out``, passed only by
-    # ``reflect.penalty_ladder``) serve as well as fresh arrays, without
+    # ``reflect.solve_reflected``) serve as well as fresh arrays, without
     # paying for the first touch of their pages.
     Y, Z = _out if _out is not None else (np.empty((N + 1, M)), np.empty((N + 1, M, d)))
     steps = _backward_steps(spec, u_k, n, cloud, basis, Y, Z)

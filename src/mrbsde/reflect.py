@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 import time
-import weakref
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,22 +91,19 @@ def flatness_residual(mean_path: np.ndarray, u_values: np.ndarray, K: np.ndarray
     return float(np.sum((mean_path[:-1] - u_values[:-1]) * np.diff(K)))
 
 
-def deficit_metrics(
-    solution: PenalizedSolution | np.ndarray, u_k: SmoothObstacle, mean_kappa: np.ndarray
-) -> tuple[float, float]:
-    """Sup and weighted-integral squares of the mean path's obstacle deficit.
+def deficit_metrics(mean_path: np.ndarray, u_k: SmoothObstacle, mean_kappa: np.ndarray) -> tuple[float, float]:
+    """Sup and weighted-integral squares of a mean path's obstacle deficit.
 
     Returns (sup_j |y^-(t_j)|^2, sum_j |y^-(t_j)|^2 (dt + d mean_kappa_j)),
-    with dt from the obstacle's grid, for a solution or its mean path.
-    Both range over the left-endpoint nodes j < N, the nodes the penalty
-    measure touches: the terminal node carries the raw terminal-vs-obstacle
-    datum, which no penalty level can move and which the bound under test
-    has zero by its terminal condition.
+    with dt from the obstacle's grid. Both range over the left-endpoint
+    nodes j < N, the nodes the penalty measure touches: the terminal node
+    carries the raw terminal-vs-obstacle datum, which no penalty level can
+    move and which the bound under test has zero by its terminal condition.
     """
-    mean_path = np.asarray(solution.mean_path if isinstance(solution, PenalizedSolution) else solution, dtype=float)
+    mean_path = np.asarray(mean_path, dtype=float)
     mean_kappa = np.asarray(mean_kappa, dtype=float)
     if u_k.values.shape != mean_path.shape or mean_kappa.shape != mean_path.shape:
-        raise LengthMismatch("solution, obstacle and mean_kappa must share the grid")
+        raise LengthMismatch("mean path, obstacle and mean_kappa must share the grid")
     neg = np.maximum(u_k.values[:-1] - mean_path[:-1], 0.0)
     weights = u_k.grid.dt + np.diff(mean_kappa)
     sup_sq = float(np.max(neg**2))
@@ -155,55 +150,6 @@ def _level_record(u_k, n, mean_path, K, prev_mean, mean_kappa, wall_ms) -> Level
     )
 
 
-def penalty_ladder(
-    spec: ProblemSpec,
-    u_k: SmoothObstacle,
-    n_levels,
-    cloud: ForwardCloud,
-    basis: RegressionBasis,
-    *,
-    recycle: bool = False,
-) -> Iterator[tuple[LevelRecord, PenalizedSolution]]:
-    """Solve the penalized equation at each level n against u_k, yielding (record, solution).
-
-    ``wall_ms`` times the backward pass alone; the Cauchy distance is to
-    the previous level's mean path. The caller stops the ladder by leaving
-    the loop: no level runs before it is asked for. Every level shares the
-    cloud's cached Gram matrices.
-
-    Each level gets arrays of its own, so a caller may keep any level, or
-    its Y, Z or views of them, for as long as it likes. With ``recycle``
-    the caller promises instead to keep nothing of a level's Y and Z once
-    it asks for the next level: the next pass then writes its Y and Z into
-    those arrays instead of paying for fresh ones. A weak reference to the
-    yielded solution guards the promise as far as it can: a level whose
-    solution is still alive at that point hands nothing on, so the next
-    pass gets fresh arrays. A caller that keeps only ``sol.Y`` or a view
-    of it is not seen, and must not pass ``recycle``. In the package only
-    ``solve_reflected`` passes it.
-    """
-    prev_mean = None
-    out = None
-    for n in n_levels:
-        t0 = time.perf_counter()
-        sol = solve_penalized(spec, u_k, n, cloud, basis, _out=out)
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-        # The pass's workspace is free now; returned to the system, it cannot
-        # leave resident holes under what the caller allocates next.
-        trim_heap()
-        record = _level_record(u_k, n, sol.mean_path, sol.K, prev_mean, cloud.mean_kappa, wall_ms)
-        prev_mean = sol.mean_path
-        yield record, sol
-        if recycle:
-            held = weakref.ref(sol)
-            out = sol.Y, sol.Z
-            del sol
-            if held() is not None:
-                out = None  # the caller kept this level: the next pass gets fresh arrays
-        else:
-            del sol  # a level the caller has dropped must not outlive it into the next pass
-
-
 def solve_reflected(
     spec: ProblemSpec,
     cloud: ForwardCloud,
@@ -219,12 +165,28 @@ def solve_reflected(
     obstacle is within deficit_tol / 2 of the raw obstacle in sup norm.
     Raises NotConverged (with the trace attached) when a ladder runs out.
     Every level of both loops shares the cloud's cached Gram matrices.
+
+    Only the latest level is kept, so the first pass's Y and Z carry every
+    later pass of the call, across k levels too: each pass writes into
+    them instead of paying for the first touch of fresh pages. A level's
+    ``wall_ms`` times its backward pass alone; its Cauchy distance is to
+    the previous level's mean path at the same k.
     """
     trace: list[LevelRecord] = []
+    out = None
     for k in schedule.k_levels:
         u_k = mollify_obstacle(spec.obstacle, k, cloud.grid, quad_points)
-        for record, sol in penalty_ladder(spec, u_k, schedule.n_levels, cloud, basis, recycle=True):
+        prev_mean = None
+        for n in schedule.n_levels:
+            t0 = time.perf_counter()
+            sol = solve_penalized(spec, u_k, n, cloud, basis, _out=out)
+            wall_ms = (time.perf_counter() - t0) * 1000.0
+            # The pass's workspace is free now; returned to the system, it cannot
+            # leave resident holes under what is allocated next.
+            trim_heap()
+            record = _level_record(u_k, n, sol.mean_path, sol.K, prev_mean, cloud.mean_kappa, wall_ms)
             trace.append(record)
+            prev_mean, out = sol.mean_path, (sol.Y, sol.Z)
             if record.cauchy_mean_dist is not None:
                 cauchy_ok = record.cauchy_mean_dist <= schedule.cauchy_tol
             else:
@@ -234,7 +196,7 @@ def solve_reflected(
                 cauchy_ok = sol.K[-1] == 0.0 or len(schedule.n_levels) == 1
             if record.sup_deficit <= schedule.deficit_tol and cauchy_ok:
                 break
-            del sol  # a rejected level's arrays carry the next pass
+            del sol  # a rejected level's solution must not live on into the pass that overwrites it
         else:
             cauchy = "none" if record.cauchy_mean_dist is None else f"{record.cauchy_mean_dist:.3g}"
             raise NotConverged(

@@ -113,7 +113,7 @@ def sine_ladder(sine_setup):
     prev = None
     for n in LADDER:
         sol = solve_penalized(cfg.spec, u_k, n, cloud, cfg.basis)
-        sup_sq, int_sq = deficit_metrics(sol, u_k, cloud.mean_kappa)
+        sup_sq, int_sq = deficit_metrics(sol.mean_path, u_k, cloud.mean_kappa)
         sup_vals.append(sup_sq)
         int_vals.append(int_sq)
         if prev is not None:

@@ -8,6 +8,7 @@ from mrbsde import (
     BoundarySpec,
     DriverSpec,
     KappaSpec,
+    LengthMismatch,
     NonPositiveError,
     ObstacleCurve,
     RegressionBasis,
@@ -22,9 +23,9 @@ from mrbsde import (
     solve_penalized,
     stability_experiment,
 )
+from mrbsde import diagnostics
 from mrbsde.cli import build_config
-from mrbsde.diagnostics import _rates_ladder
-from tests.test_reflect import fake_solution
+from mrbsde.reflect import _level_record
 from tests.util import zero_problem
 
 GRID = TimeGrid(1.0, 50)
@@ -76,22 +77,24 @@ class TestDeficitMetrics:
         cloud = simulate_forward(spec, GRID, 2000, seed=1)
         u_k = mollify_obstacle(ObstacleCurve("constant", value=-1.0), 20, GRID)
         sol = solve_penalized(spec, u_k, 100, cloud, BASIS)
-        assert deficit_metrics(sol, u_k, cloud.mean_kappa) == (0.0, 0.0)
+        assert deficit_metrics(sol.mean_path, u_k, cloud.mean_kappa) == (0.0, 0.0)
 
     def test_synthetic_constant_deficit(self):
         u_k = mollify_obstacle(ObstacleCurve("constant", value=0.0), 20, GRID)
-        sol = fake_solution(u_k.values - 0.1)
-        sup_sq, integral_sq = deficit_metrics(sol, u_k, np.zeros(GRID.N + 1))
+        sup_sq, integral_sq = deficit_metrics(u_k.values - 0.1, u_k, np.zeros(GRID.N + 1))
         assert abs(sup_sq - 0.01) < 1e-15
         assert abs(integral_sq - 0.01) < 1e-12  # 0.01 * T with a flat clock
 
     def test_clock_weighting(self):
         u_k = mollify_obstacle(ObstacleCurve("constant", value=0.0), 20, GRID)
-        sol = fake_solution(u_k.values - 0.1)
         mean_kappa = np.linspace(0.0, 1.0, GRID.N + 1)  # doubles the measure
-        _, integral_sq = deficit_metrics(sol, u_k, mean_kappa)
+        _, integral_sq = deficit_metrics(u_k.values - 0.1, u_k, mean_kappa)
         assert abs(integral_sq - 0.02) < 1e-12
-        assert deficit_metrics(sol.mean_path, u_k, mean_kappa) == deficit_metrics(sol, u_k, mean_kappa)
+
+    def test_mean_path_off_the_obstacle_grid_is_rejected(self):
+        u_k = mollify_obstacle(ObstacleCurve("constant", value=0.0), 20, GRID)
+        with pytest.raises(LengthMismatch):
+            deficit_metrics(np.zeros(GRID.N), u_k, np.zeros(GRID.N + 1))
 
     def test_sine_sup_metric_strictly_decreasing_in_level(self):
         spec = zero_problem(obstacle=SINE)
@@ -100,7 +103,7 @@ class TestDeficitMetrics:
         sups = []
         for n in (25, 50, 100, 200, 400, 800):
             sol = solve_penalized(spec, u_k, n, cloud, BASIS)
-            sups.append(deficit_metrics(sol, u_k, cloud.mean_kappa)[0])
+            sups.append(deficit_metrics(sol.mean_path, u_k, cloud.mean_kappa)[0])
         assert all(b < a for a, b in zip(sups, sups[1:]))
 
 
@@ -192,21 +195,49 @@ class TestRatesLadder:
         [None, DriverSpec("affine", {"const": 0.2, "y": -0.5, "z": 0.3, "mean_y": 0.5})],
         ids=["zero-driver", "affine"],
     )
-    def test_streamed_levels_equal_the_ladder_on_full_arrays(self, driver, boundary, d):
+    def test_streamed_levels_equal_passes_on_full_arrays(self, driver, boundary, d):
         # the a-priori node moments are reduced as the rows appear; the
-        # reference keeps every level's full Y and Z
+        # reference runs each level as a full pass
         spec = zero_problem(
             obstacle=SINE, driver=driver, boundary=boundary, kappa=KappaSpec("linear", rate=1.0), brownian_dim=d
         )
         cloud = simulate_forward(spec, GRID, 4000, seed=5)
         u_k = mollify_obstacle(SINE, 20, GRID)
         levels = (25, 50, 100, 200)
-        records, ratio = _rates_ladder(spec, u_k, levels, cloud, BASIS)
-        ladder = list(penalty_ladder(spec, u_k, levels, cloud, BASIS))
-        assert ladder[-1][1].K[-1] > 0.0  # the penalty fires
-        for streamed, (record, _) in zip(records, ladder, strict=True):
-            assert dataclasses.replace(streamed, wall_ms=0.0) == dataclasses.replace(record, wall_ms=0.0)
-        assert ratio == apriori_report(ladder[-1][1], spec, cloud).ratio
+        records, report = penalty_ladder(spec, u_k, levels, cloud, BASIS)
+        prev_mean = None
+        for record, n in zip(records, levels, strict=True):
+            sol = solve_penalized(spec, u_k, n, cloud, BASIS)
+            expected = _level_record(u_k, n, sol.mean_path, sol.K, prev_mean, cloud.mean_kappa, 0.0)
+            assert dataclasses.replace(record, wall_ms=0.0) == expected
+            prev_mean = sol.mean_path
+        assert sol.K[-1] > 0.0  # the penalty fires
+        assert report == apriori_report(sol, spec, cloud)
+
+    def ladder_setup(self):
+        spec = zero_problem(obstacle=SINE)
+        return spec, mollify_obstacle(SINE, 20, GRID), simulate_forward(spec, GRID, 2000, seed=5)
+
+    def test_levels_may_come_from_a_generator(self):
+        spec, u_k, cloud = self.ladder_setup()
+        levels = (25, 50, 100)
+        records, report = penalty_ladder(spec, u_k, (n for n in levels), cloud, BASIS)
+        expected, expected_report = penalty_ladder(spec, u_k, levels, cloud, BASIS)
+        assert [rec.n for rec in records] == list(levels)
+        assert [dataclasses.replace(rec, wall_ms=0.0) for rec in records] == [
+            dataclasses.replace(rec, wall_ms=0.0) for rec in expected
+        ]
+        assert report == expected_report
+
+    def test_no_levels_is_rejected_before_any_pass(self, monkeypatch):
+        spec, u_k, cloud = self.ladder_setup()
+
+        def no_pass(*args):
+            raise AssertionError("a pass ran")
+
+        monkeypatch.setattr(diagnostics, "_backward_steps", no_pass)
+        with pytest.raises(ValueError, match="at least one level"):
+            penalty_ladder(spec, u_k, (), cloud, BASIS)
 
     def test_ladder_holds_less_than_one_solution_array(self):
         cfg = build_config({"preset": "BOUNDARY", "numerics": {"M": 4000, "N": 50}})
@@ -214,10 +245,10 @@ class TestRatesLadder:
         cloud = simulate_forward(cfg.spec, grid, cfg.M, seed=3)
         u_k = mollify_obstacle(cfg.spec.obstacle, 20, grid)
         levels = cfg.schedule.n_levels
-        _rates_ladder(cfg.spec, u_k, levels, cloud, cfg.basis)  # fills the Gram cache
+        penalty_ladder(cfg.spec, u_k, levels, cloud, cfg.basis)  # fills the Gram cache
         tracemalloc.start()
         try:
-            _rates_ladder(cfg.spec, u_k, levels, cloud, cfg.basis)
+            penalty_ladder(cfg.spec, u_k, levels, cloud, cfg.basis)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

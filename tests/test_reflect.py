@@ -1,6 +1,3 @@
-import itertools
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -17,13 +14,13 @@ from mrbsde import (
     TimeGrid,
     flatness_residual,
     mollify_obstacle,
-    penalty_ladder,
     recover_compensator,
     simulate_forward,
     skorokhod_closed_form,
     solve_penalized,
     solve_reflected,
 )
+from mrbsde import reflect
 from tests.util import regression_statistics, zero_problem
 
 GRID = TimeGrid(1.0, 50)
@@ -109,66 +106,55 @@ class TestRecoverCompensator:
         np.testing.assert_allclose(K, [0.0, 1.0, 0.5, 0.5, 0.6])
 
 
-class TestPenaltyLadder:
-    """Every level owns its arrays unless the caller opts in to recycling the dropped ones."""
+class TestSolveLoop:
+    """One Y/Z pair carries every pass of a ``solve_reflected`` call, across k levels too."""
 
     FIELDS = ("Y", "Z", "mean_path", "K", "mean_f_dt", "mean_g_dkappa")
     SPEC = zero_problem(obstacle=SINE, boundary=BoundarySpec("linear-monotone", beta=-1.0),
                         kappa=KappaSpec("linear", rate=1.0))
+    SCHEDULE = ConvergenceSchedule(k_levels=(10, 40))  # k = 10 converges but misses the obstacle gap
 
-    def ladder(self, levels=(25, 50, 100), recycle=False):
+    def test_one_fresh_pair_per_call(self, monkeypatch):
         cloud = simulate_forward(self.SPEC, GRID, 2000, seed=4)
-        u_k = mollify_obstacle(SINE, 20, GRID)
-        options = {"recycle": True} if recycle else {}  # the default is what a public caller gets
-        return penalty_ladder(self.SPEC, u_k, levels, cloud, BASIS, **options), (self.SPEC, u_k, cloud)
+        outs = []
+        solve_penalized = reflect.solve_penalized
 
-    def assert_fresh(self, sol, n, spec, u_k, cloud):
-        fresh = solve_penalized(spec, u_k, n, cloud, BASIS)
+        def counted(*args, _out=None, **kwargs):
+            outs.append(_out)
+            return solve_penalized(*args, _out=_out, **kwargs)
+
+        monkeypatch.setattr(reflect, "solve_penalized", counted)
+        for _ in range(2):
+            outs.clear()
+            refl = solve_reflected(self.SPEC, cloud, self.SCHEDULE, BASIS)
+            assert (refl.trace[0].k, refl.trace[-1].k) == (10, 40)
+            assert len(outs) == len(refl.trace)
+            assert outs[0] is None and sum(out is None for out in outs) == 1
+            assert all(Y is refl.solution.Y and Z is refl.solution.Z for Y, Z in outs[1:])
+
+    @pytest.mark.parametrize("affine", [False, True], ids=["boundary", "affine-driver-2d"])
+    def test_accepted_level_equals_a_fresh_pass(self, affine):
+        spec = self.SPEC
+        if affine:
+            driver = DriverSpec("affine", {"const": 0.2, "y": -0.5, "z": 0.3, "mean_y": 0.5})
+            spec = zero_problem(obstacle=SINE, driver=driver, brownian_dim=2)
+        cloud = simulate_forward(spec, GRID, 2000, seed=4)
+        refl = solve_reflected(spec, cloud, self.SCHEDULE, BASIS)
+        accepted = refl.trace[-1]
+        assert (refl.trace[0].k, accepted.k) == (10, 40) and accepted.n > self.SCHEDULE.n_levels[0]
+        fresh = solve_penalized(spec, mollify_obstacle(SINE, accepted.k, GRID), accepted.n, cloud, BASIS)
         for field in self.FIELDS:
-            assert np.array_equal(getattr(sol, field), getattr(fresh, field)), (n, field)
+            got, want = getattr(refl.solution, field), getattr(fresh, field)
+            assert np.array_equal(got, want), field
+            assert np.array_equal(np.signbit(got), np.signbit(want)), field
 
-    @pytest.mark.parametrize("recycle", [False, True])
-    def test_kept_levels_equal_fresh_passes(self, recycle):
-        ladder, (spec, u_k, cloud) = self.ladder(recycle=recycle)
-        levels = list(ladder)
-        for record, sol in levels:
-            self.assert_fresh(sol, record.n, spec, u_k, cloud)
-        arrays = [a for _, sol in levels for a in (sol.Y, sol.Z)]
-        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
-
-    def test_kept_arrays_of_dropped_levels_are_their_own(self):
-        # Only Y and a view of Z outlive each level: by default nothing overwrites them.
-        ladder, (spec, u_k, cloud) = self.ladder()
-        kept = []
-        for record, sol in ladder:
-            kept.append((record.n, sol.Y, sol.Z[:, :, 0]))
-            del sol
-        for n, Y, z_view in kept:
-            fresh = solve_penalized(spec, u_k, n, cloud, BASIS)
-            assert np.array_equal(Y, fresh.Y) and np.array_equal(z_view, fresh.Z[:, :, 0]), n
-
-    def test_recycled_levels_equal_fresh_passes(self):
-        ladder, (spec, u_k, cloud) = self.ladder(recycle=True)
-        for record, sol in ladder:
-            self.assert_fresh(sol, record.n, spec, u_k, cloud)
-            del sol
-
-    @pytest.mark.parametrize("recycle, keep_first", [(False, False), (True, True), (True, False)])
-    def test_only_a_recycled_dropped_level_saves_the_particle_arrays(self, recycle, keep_first):
-        ladder, (_, _, cloud) = self.ladder(levels=(25, 50), recycle=recycle)
-        first = next(ladder) if keep_first else next(ladder)[0]
-        tracemalloc.start()
-        try:
-            next(ladder)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        particle_array = (GRID.N + 1) * cloud.M * 8
-        if recycle and not keep_first:
-            assert peak < particle_array
-        else:
-            assert peak > 2 * particle_array  # fresh Y and Z
-        del first
+    def test_a_kept_solution_survives_the_next_call(self):
+        cloud = simulate_forward(self.SPEC, GRID, 2000, seed=4)
+        first = solve_reflected(self.SPEC, cloud, self.SCHEDULE, BASIS).solution
+        Y, Z = first.Y.copy(), first.Z.copy()
+        second = solve_reflected(self.SPEC, cloud, ConvergenceSchedule(k_levels=(40,)), BASIS).solution
+        assert not np.shares_memory(first.Y, second.Y) and not np.shares_memory(first.Z, second.Z)
+        assert np.array_equal(first.Y, Y) and np.array_equal(first.Z, Z)
 
 
 class TestSolveReflected:
