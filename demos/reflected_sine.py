@@ -8,9 +8,8 @@ obstacle, which makes this the cleanest end-to-end check of the machinery.
 
 import numpy as np
 
-from mrbsde import TimeGrid, simulate_forward, skorokhod_closed_form, solve_reflected
+from mrbsde import TimeGrid, reference_paths, simulate_forward, solve_reflected
 from mrbsde.cli import build_config
-from mrbsde.oracle import mean_reduction, unconstrained_mean_path
 
 cfg = build_config({"preset": "SINE", "numerics": {"M": 8000, "N": 100}})
 grid = TimeGrid(cfg.spec.horizon, cfg.N)
@@ -22,12 +21,8 @@ final = refl.trace[-1]
 print(f"converged at mollification level k={final.k}, penalty level n={final.n:.0f} "
       f"after {len(refl.trace)} level runs\n")
 
-problem, _ = mean_reduction(cfg.spec)
-fine = np.linspace(0.0, 1.0, 200 * cfg.N + 1)
-mean_star, k_star = skorokhod_closed_form(
-    unconstrained_mean_path(problem, fine), cfg.spec.obstacle.evaluate(fine)
-)
-mean_star, k_star = mean_star[::200], k_star[::200]
+mean_star, k_star, kind = reference_paths(cfg.spec, grid)
+assert kind == "running-maximum closed form"
 
 print(f"{'t':>5s} {'obstacle':>9s} {'mean':>9s} {'exact':>9s} {'K':>9s} {'K exact':>9s}")
 for j in range(0, cfg.N + 1, 10):

@@ -36,6 +36,7 @@ from .mollify import SmoothObstacle, mollify_obstacle
 from .oracle import (
     MeanProblem,
     mean_reduction,
+    reference_paths,
     skorokhod_closed_form,
     solve_mean_ode_reflected,
     unconstrained_mean_path,

@@ -34,12 +34,7 @@ from . import __version__
 from .diagnostics import apriori_report, penalty_ladder, rate_fit, stability_experiment
 from .errors import ConfigError, MrbsdeError, NonPositiveError, NotConverged, ParseError
 from .mollify import mollify_obstacle
-from .oracle import (
-    mean_reduction,
-    skorokhod_closed_form,
-    solve_mean_ode_reflected,
-    unconstrained_mean_path,
-)
+from .oracle import reference_paths
 from .paths import TimeGrid, simulate_forward
 from .penalized import RegressionBasis
 from .presets import PRESETS, preset_config
@@ -47,8 +42,6 @@ from .problem import BoundarySpec, ProblemSpec, validate_problem
 from .reflect import ConvergenceSchedule, solve_reflected
 
 _STABILITY_EPS = (0.1, 0.05, 0.025)
-_ORACLE_REFINE = 200  # fine-grid nodes per solver step in oracle-check
-_ORACLE_PENALTY = 1.0e6
 
 
 # ---------------------------------------------------------------------------
@@ -336,29 +329,6 @@ def _rate_summary(levels, values, name: str) -> dict:
     return out
 
 
-def _oracle_paths(spec: ProblemSpec, grid: TimeGrid):
-    """Reference mean path and compensator on the solver grid, plus oracle name."""
-    reduction = mean_reduction(spec)
-    if reduction is None:
-        raise ConfigError(
-            "oracle-check needs a mean-closed problem "
-            "(zero/affine driver, zero/linear boundary, deterministic clock, direct-sampler terminal)"
-        )
-    problem, y_independent = reduction
-    stride = _ORACLE_REFINE
-    n_fine = stride * grid.N
-    fine_times = np.linspace(0.0, grid.T, n_fine + 1)
-    if y_independent:
-        m_fine = unconstrained_mean_path(problem, fine_times)
-        u_fine = spec.obstacle.evaluate(fine_times)
-        mean_o, k_o = skorokhod_closed_form(m_fine, u_fine)
-        kind = "running-maximum closed form"
-    else:
-        mean_o, k_o = solve_mean_ode_reflected(problem, n_penalty=_ORACLE_PENALTY, n_fine=n_fine)
-        kind = "self-refined penalized mean equation"
-    return mean_o[::stride], k_o[::stride], kind
-
-
 def run_experiment(config: RunConfig, subcommand: str) -> dict:
     """Run one subcommand, emit its artifacts atomically, and return its diagnostics.
 
@@ -398,6 +368,8 @@ def run_experiment(config: RunConfig, subcommand: str) -> dict:
         diagnostics["validation"] = [dataclasses.asdict(c) for c in checks]
 
         grid = TimeGrid(config.spec.horizon, config.N)
+        if subcommand == "oracle-check":  # before the solve, so a problem with no reference fails fast
+            mean_o, k_o, kind = reference_paths(config.spec, grid)
         cloud = simulate_forward(config.spec, grid, config.M, config.seed)
         times = grid.times
         u_vals = config.spec.obstacle.evaluate(times)
@@ -421,7 +393,6 @@ def run_experiment(config: RunConfig, subcommand: str) -> dict:
             write_atomic(outdir / "convergence.csv", _convergence_csv(refl.trace))
 
             if subcommand == "oracle-check":
-                mean_o, k_o, kind = _oracle_paths(config.spec, grid)
                 diagnostics["oracle"] = {
                     "kind": kind,
                     "mean_gap": float(np.max(np.abs(mean_path - mean_o))),

@@ -126,6 +126,8 @@ def stability_experiment(
     epsilon.
     """
     eps_list = sorted(float(e) for e in perturbations)
+    if not eps_list or not np.all(np.isfinite(eps_list)):
+        raise ValueError("the stability experiment needs at least one perturbation, all finite")
     if len(set(eps_list)) != len(eps_list):
         raise ValueError("perturbation values must be distinct")
 

@@ -15,9 +15,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConstraintInfeasible, NoSelfConvergence
+from .errors import ConfigError, ConstraintInfeasible, NoSelfConvergence
+from .paths import TimeGrid
 from .penalized import implicit_mean_penalty
 from .problem import ObstacleCurve, ProblemSpec
+
+_REFINE = 200  # fine-grid nodes per solver step in reference_paths
+_PENALTY = 1.0e6  # penalty level of the coarser run of solve_mean_ode_reflected
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,7 @@ def skorokhod_closed_form(m, u_values: np.ndarray):
     return mean_path, K
 
 
-def _penalized_backward(problem: MeanProblem, n_fine: int, n_penalty: float):
+def _penalized_backward(problem: MeanProblem, n_fine: int, n: float):
     # The loop reads and writes through memoryviews, so its arithmetic is on
     # Python floats rather than numpy scalars.
     times = np.linspace(0.0, problem.horizon, n_fine + 1)
@@ -74,29 +78,27 @@ def _penalized_backward(problem: MeanProblem, n_fine: int, n_penalty: float):
     y[n_fine] = float(problem.terminal_mean)
     for j in range(n_fine - 1, -1, -1):
         p = y[j + 1] + problem.drift(t[j + 1], y[j + 1]) * dt
-        y[j] = implicit_mean_penalty(p, u_vals[j], n_penalty, dt + dkap[j])
+        y[j] = implicit_mean_penalty(p, u_vals[j], n, dt + dkap[j])
         dK[j] = y[j] - p
     K = np.concatenate([[0.0], np.cumsum(dK_arr)])
     return y_arr, K
 
 
-def solve_mean_ode_reflected(problem: MeanProblem, n_penalty: float, n_fine: int = 20_000):
+def solve_mean_ode_reflected(problem: MeanProblem, n_fine: int = 20_000):
     """Penalized backward Euler for the reduced mean equation, self-checked.
 
-    Runs the scheme at (n_fine, n_penalty) and at the doubled pair; rejects
-    the result unless the two agree below 1e-4 in sup norm on the shared
-    nodes. Returns the doubled run restricted to the requested grid.
+    Runs the scheme at n_fine steps and penalty level 1e6 and at the doubled
+    pair; rejects the result unless the two agree below 1e-4 in sup norm on
+    the shared nodes. Returns the doubled run restricted to the requested grid.
     """
     if n_fine < 1_000:
         raise ValueError(f"n_fine must be >= 1000, got {n_fine}")
-    if n_penalty < 10_000:
-        raise ValueError(f"n_penalty must be >= 1e4, got {n_penalty}")
     u_terminal = float(problem.obstacle.evaluate(problem.horizon))
     if problem.terminal_mean < u_terminal - 1e-12 * (1.0 + abs(u_terminal)):
         raise ConstraintInfeasible("terminal mean below obstacle terminal value")
 
-    y1, k1 = _penalized_backward(problem, n_fine, n_penalty)
-    y2, k2 = _penalized_backward(problem, 2 * n_fine, 2 * n_penalty)
+    y1, k1 = _penalized_backward(problem, n_fine, _PENALTY)
+    y2, k2 = _penalized_backward(problem, 2 * n_fine, 2 * _PENALTY)
     gap = max(
         float(np.max(np.abs(y1 - y2[::2]))),
         float(np.max(np.abs(k1 - k2[::2]))),
@@ -174,3 +176,27 @@ def unconstrained_mean_path(problem: MeanProblem, times: np.ndarray) -> np.ndarr
     for j in range(len(t) - 2, -1, -1):
         y[j] = y[j + 1] + problem.drift(t[j + 1], y[j + 1]) * (t[j + 1] - t[j])
     return y_arr
+
+
+def reference_paths(spec: ProblemSpec, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray, str]:
+    """Reference mean path and compensator on the solver nodes, and the reference's kind.
+
+    The running-maximum closed form when the reduced drift ignores the mean,
+    else ``solve_mean_ode_reflected``; both on a grid 200 times finer.
+    """
+    reduction = mean_reduction(spec)
+    if reduction is None:
+        raise ConfigError(
+            "oracle-check needs a mean-closed problem "
+            "(zero/affine driver, zero/linear boundary, deterministic clock, direct-sampler terminal)"
+        )
+    problem, y_independent = reduction
+    n_fine = _REFINE * grid.N
+    if y_independent:
+        fine = np.linspace(0.0, grid.T, n_fine + 1)
+        mean, K = skorokhod_closed_form(unconstrained_mean_path(problem, fine), spec.obstacle.evaluate(fine))
+        kind = "running-maximum closed form"
+    else:
+        mean, K = solve_mean_ode_reflected(problem, n_fine)
+        kind = "self-refined penalized mean equation"
+    return mean[::_REFINE], K[::_REFINE], kind

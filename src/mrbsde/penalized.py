@@ -127,9 +127,9 @@ def implicit_mean_penalty(p_val: float, u_val: float, n: float, delta: float) ->
     as n * delta grows. At n * delta = inf the root is that limit,
     max(p_val, u_val): the mean-level projection onto the obstacle.
     """
-    if n < 0 or delta < 0:
+    if not (n >= 0 and delta >= 0):  # also rejects NaN
         raise ValueError("n and delta must be >= 0")
-    if p_val >= u_val:
+    if p_val >= u_val or math.isnan(n * delta):  # slack, or inf * 0: a penalty with no weight
         return float(p_val)
     if math.isinf(n * delta):
         return float(u_val)

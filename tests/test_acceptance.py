@@ -18,15 +18,13 @@ from mrbsde import (
     deficit_metrics,
     mollify_obstacle,
     rate_fit,
+    reference_paths,
     simulate_forward,
-    skorokhod_closed_form,
-    solve_mean_ode_reflected,
     solve_penalized,
     solve_reflected,
     stability_experiment,
-    unconstrained_mean_path,
 )
-from mrbsde.cli import build_config, main, mean_reduction
+from mrbsde.cli import build_config, main
 from tests.util import mean_path_consistent, regression_statistics
 
 PRESET_NAMES = ("SINE", "AFFINE", "BOUNDARY", "ZDRIFT")
@@ -38,13 +36,10 @@ def report(criterion: str, ok: bool, detail: str) -> bool:
     return ok
 
 
-def closed_form_on_grid(spec, grid: TimeGrid, refine: int = 200):
-    fine = np.linspace(0.0, grid.T, refine * grid.N + 1)
-    problem, y_independent = mean_reduction(spec)
-    assert y_independent
-    base = unconstrained_mean_path(problem, fine)
-    mean, K = skorokhod_closed_form(base, spec.obstacle.evaluate(fine))
-    return mean[::refine], K[::refine]
+def closed_form_on_grid(spec, grid: TimeGrid):
+    mean, K, kind = reference_paths(spec, grid)
+    assert kind == "running-maximum closed form"
+    return mean, K
 
 
 @pytest.fixture(scope="session")
@@ -92,10 +87,9 @@ def test_criterion_2_reflected_ode_oracle(preset_runs):
     gaps = {}
     for name in ("AFFINE", "BOUNDARY"):
         cfg, _, refl = preset_runs[name]
-        problem, y_independent = mean_reduction(cfg.spec)
-        assert not y_independent
-        mean_ref, _ = solve_mean_ode_reflected(problem, n_penalty=1e6, n_fine=200 * cfg.N)
-        gaps[name] = float(np.max(np.abs(refl.solution.mean_path - mean_ref[::200])))
+        mean_ref, _, kind = reference_paths(cfg.spec, refl.solution.grid)
+        assert kind == "self-refined penalized mean equation"
+        gaps[name] = float(np.max(np.abs(refl.solution.mean_path - mean_ref)))
     ok = report(
         "C2 reflected-ODE oracle",
         all(g <= 0.03 for g in gaps.values()),

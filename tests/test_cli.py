@@ -188,6 +188,17 @@ class TestRunExperiment:
         assert diagnostics["oracle"]["kind"] == "running-maximum closed form"
         assert diagnostics["oracle"]["mean_gap"] < 0.1
 
+    def test_oracle_check_without_a_reference_fails_before_the_solve(self, tmp_path):
+        doc = tiny_doc(tmp_path / "run")
+        driver = {"family": "bounded-nonlinear", "coefficients": {"sin_y": 0.2, "cos_my": 0.1}, "lipschitz_L_f": 1.0}
+        doc["problem"] = {"driver": driver}
+        with pytest.raises(ConfigError, match="mean-closed"):
+            run_experiment(build_config(doc), "oracle-check")
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["manifest"]["status"] == "failed"
+        assert list(report["diagnostics"]) == ["validation"]
+        assert sorted(path.name for path in (tmp_path / "run").iterdir()) == ["report.json"]
+
     def test_curve_clock_tracing_the_linear_clock_matches_it(self, tmp_path):
         # A curve clock through (0, 0), (0.5, 0.5), (1, 1) is the rate-1 linear
         # clock, so the particle cloud and the oracle must both read it identically.

@@ -10,14 +10,12 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize(
-    "demo", ["mollifier_smoothing", "penalty_rates", "reflected_sine", "stability_and_seeds"]
-)
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda path: path.stem)
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / f"{demo}.py")],
+        [sys.executable, str(demo)],
         cwd=ROOT,
         env=env,
         capture_output=True,

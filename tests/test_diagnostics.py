@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -182,6 +183,23 @@ class TestStabilityExperiment:
         with pytest.raises(ValueError):
             stability_experiment(spec, cloud, (0.1, 0.1), u_k, 200, BASIS)
 
+    @pytest.mark.parametrize(
+        "perturbations",
+        [(), (0.1, math.nan), (0.1, math.inf), (-math.inf,)],
+        ids=["empty", "nan", "inf", "-inf"],
+    )
+    def test_empty_or_non_finite_perturbations_rejected_before_any_pass(self, monkeypatch, perturbations):
+        spec = zero_problem(obstacle=SINE)
+        cloud = simulate_forward(spec, GRID, 2000, seed=3)
+        u_k = mollify_obstacle(SINE, 20, GRID)
+
+        def no_pass(*args):
+            raise AssertionError("a pass ran")
+
+        monkeypatch.setattr(diagnostics, "_backward_steps", no_pass)
+        with pytest.raises(ValueError):
+            stability_experiment(spec, cloud, perturbations, u_k, 200, BASIS)
+
 
 class TestRatesLadder:
     @pytest.mark.parametrize("d", [1, 2])
@@ -228,6 +246,11 @@ class TestRatesLadder:
             dataclasses.replace(rec, wall_ms=0.0) for rec in expected
         ]
         assert report == expected_report
+
+    def test_nan_level_rejected(self):
+        spec, u_k, cloud = self.ladder_setup()
+        with pytest.raises(ValueError, match="must be >= 0"):
+            penalty_ladder(spec, u_k, (25, math.nan), cloud, BASIS)
 
     def test_no_levels_is_rejected_before_any_pass(self, monkeypatch):
         spec, u_k, cloud = self.ladder_setup()

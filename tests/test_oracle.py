@@ -5,17 +5,23 @@ import numpy as np
 import pytest
 
 from mrbsde import (
+    BoundarySpec,
+    ConfigError,
     ConstraintInfeasible,
     DriverSpec,
     KappaSpec,
     MeanProblem,
     NoSelfConvergence,
     ObstacleCurve,
+    TerminalSpec,
+    TimeGrid,
     mean_reduction,
+    reference_paths,
     skorokhod_closed_form,
     solve_mean_ode_reflected,
     unconstrained_mean_path,
 )
+from mrbsde.oracle import _penalized_backward
 from mrbsde.cli import build_config
 from tests.util import zero_problem
 
@@ -86,7 +92,7 @@ class TestMeanOde:
         problem = MeanProblem(
             drift=lambda t, y: 0.0, terminal_mean=0.0, obstacle=SINE_HALF, horizon=1.0, mean_kappa=FLAT
         )
-        mean, K = solve_mean_ode_reflected(problem, n_penalty=1e6, n_fine=20_000)
+        mean, K = solve_mean_ode_reflected(problem, n_fine=20_000)
         ref_mean, ref_k = skorokhod_closed_form(0.0, SINE_HALF.evaluate(np.linspace(0, 1, 20_001)))
         assert np.max(np.abs(mean - ref_mean)) <= 1e-4
         assert np.max(np.abs(K - ref_k)) <= 1e-4
@@ -99,7 +105,7 @@ class TestMeanOde:
             horizon=1.0,
             mean_kappa=FLAT,
         )
-        mean, K = solve_mean_ode_reflected(problem, n_penalty=1e6, n_fine=20_000)
+        mean, K = solve_mean_ode_reflected(problem, n_fine=20_000)
         assert np.all(K == 0.0)
         assert abs(mean[0] - math.exp(0.5)) <= 1e-4
         assert abs(mean[0] - 1.6487212707001282) <= 1e-4
@@ -108,7 +114,7 @@ class TestMeanOde:
         cfg = build_config({"preset": "AFFINE"})
         problem, y_independent = mean_reduction(cfg.spec)
         assert not y_independent
-        mean, K = solve_mean_ode_reflected(problem, n_penalty=1e6, n_fine=20_000)
+        mean, K = solve_mean_ode_reflected(problem, n_fine=20_000)
         t_ref, mean_ref, k_ref = np.loadtxt(GOLDEN, skiprows=1).T
         np.testing.assert_allclose(mean[::200], mean_ref, atol=5e-10)
         np.testing.assert_allclose(K[::200], k_ref, atol=5e-10)
@@ -117,7 +123,7 @@ class TestMeanOde:
         cfg = build_config({"preset": "AFFINE"})
         problem, _ = mean_reduction(cfg.spec)
         n_fine = 20_000
-        mean, K = solve_mean_ode_reflected(problem, n_penalty=4e6, n_fine=n_fine)
+        mean, K = solve_mean_ode_reflected(problem, n_fine=n_fine)
         times = np.linspace(0.0, 1.0, n_fine + 1)
         u = problem.obstacle.evaluate(times)
         assert float(np.max(u[:-1] - mean[:-1])) <= 1e-6  # reflection deficit
@@ -136,16 +142,14 @@ class TestMeanOde:
             mean_kappa=FLAT,
         )
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NoSelfConvergence):
-            solve_mean_ode_reflected(problem, n_penalty=1e4, n_fine=1000)
+            solve_mean_ode_reflected(problem, n_fine=1000)
 
     def test_preconditions(self):
         problem = MeanProblem(
             drift=lambda t, y: 0.0, terminal_mean=0.0, obstacle=SINE_HALF, horizon=1.0, mean_kappa=FLAT
         )
         with pytest.raises(ValueError):
-            solve_mean_ode_reflected(problem, n_penalty=1e6, n_fine=999)
-        with pytest.raises(ValueError):
-            solve_mean_ode_reflected(problem, n_penalty=9999, n_fine=2000)
+            solve_mean_ode_reflected(problem, n_fine=999)
         bad = MeanProblem(
             drift=lambda t, y: 0.0,
             terminal_mean=-1.0,
@@ -154,7 +158,7 @@ class TestMeanOde:
             mean_kappa=FLAT,
         )
         with pytest.raises(ConstraintInfeasible):
-            solve_mean_ode_reflected(bad, n_penalty=1e6, n_fine=2000)
+            solve_mean_ode_reflected(bad, n_fine=2000)
 
 
 class TestMeanReduction:
@@ -182,3 +186,42 @@ class TestMeanReduction:
         m = unconstrained_mean_path(zdrift, times)
         np.testing.assert_allclose(m, 0.5 * (1.0 - times), atol=1e-12)
 
+
+
+class TestReferencePaths:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            zero_problem(driver=DriverSpec("bounded-nonlinear", {}, lipschitz_L_f=2.0)),
+            zero_problem(boundary=BoundarySpec("nonlinear-monotone", beta=-0.5, growth_L_g=40.0)),
+            zero_problem(kappa=KappaSpec("integral", h_kind="const", h_scale=1.0)),
+            zero_problem(terminal=TerminalSpec("functional-of-forward", payoff="identity")),
+        ],
+        ids=["bounded-nonlinear-driver", "nonlinear-monotone-boundary", "integral-clock", "forward-terminal"],
+    )
+    def test_no_mean_reduction_is_a_config_error(self, spec):
+        with pytest.raises(ConfigError, match="mean-closed"):
+            reference_paths(spec, TimeGrid(1.0, 50))
+
+    def test_sine_is_the_closed_form_on_a_200_times_finer_grid(self):
+        spec = build_config({"preset": "SINE"}).spec
+        grid = TimeGrid(spec.horizon, 50)
+        mean, K, kind = reference_paths(spec, grid)
+        assert kind == "running-maximum closed form"
+        problem, _ = mean_reduction(spec)
+        fine = np.linspace(0.0, grid.T, 200 * grid.N + 1)
+        base = unconstrained_mean_path(problem, fine)
+        ref_mean, ref_k = skorokhod_closed_form(base, spec.obstacle.evaluate(fine))
+        assert np.array_equal(mean, ref_mean[::200])
+        assert np.array_equal(K, ref_k[::200])
+
+    def test_affine_is_the_penalized_equation_at_level_1e6(self):
+        spec = build_config({"preset": "AFFINE"}).spec
+        grid = TimeGrid(spec.horizon, 50)
+        mean, K, kind = reference_paths(spec, grid)
+        assert kind == "self-refined penalized mean equation"
+        problem, _ = mean_reduction(spec)
+        # the doubled run of the self-check: twice the fine grid, twice the penalty level
+        ref_mean, ref_k = _penalized_backward(problem, 2 * 200 * grid.N, 2 * 1e6)
+        assert np.array_equal(mean, ref_mean[::400])
+        assert np.array_equal(K, ref_k[::400])

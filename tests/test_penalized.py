@@ -163,6 +163,32 @@ class TestImplicitMeanPenalty:
         # a finite level whose n * delta overflows takes the same limit
         assert implicit_mean_penalty(0.25, 1.0, 1e308, 10.0) == 1.0
 
+    def test_no_penalty_mass_at_infinite_level_leaves_the_input(self):
+        assert implicit_mean_penalty(0.25, 1.0, math.inf, 0.0) == 0.25
+        assert implicit_mean_penalty(0.25, 1.0, 0.0, math.inf) == 0.25
+
+    @pytest.mark.parametrize(
+        "n, delta", [(math.nan, 0.01), (1e6, math.nan), (math.nan, math.nan), (-1.0, 0.01), (1e6, -0.01)]
+    )
+    def test_negative_or_nan_level_or_mass_rejected(self, n, delta):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            implicit_mean_penalty(0.25, 1.0, n, delta)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            implicit_mean_penalty(2.0, 1.0, n, delta)  # a slack constraint too
+
+    def test_finite_weight_is_the_weighted_average_to_the_bit(self):
+        rng = np.random.default_rng(3)
+        for n, delta in [(1e6, 0.0), (0.0, 0.02)] + [tuple(rng.uniform(0, [1e7, 0.1])) for _ in range(500)]:
+            u = rng.uniform(-2, 2)
+            p = u - rng.uniform(1e-9, 3)
+            assert implicit_mean_penalty(p, u, n, delta) == (p + n * delta * u) / (1.0 + n * delta)
+        assert implicit_mean_penalty(-0.5, 0.75, 1e308, 1e10) == 0.75
+
+    def test_nan_level_in_a_pass_rejected(self):
+        spec, u_k = zero_problem(obstacle=SINE), mollify_obstacle(SINE, 20, GRID)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            solve_penalized(spec, u_k, math.nan, small_cloud(spec, M=2000), RegressionBasis("brownian", 2))
+
     @given(
         p=st.floats(-100, 100),
         u=st.floats(-100, 100),
