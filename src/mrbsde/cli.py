@@ -385,10 +385,9 @@ def run_experiment(config: RunConfig, subcommand: str) -> dict:
             diagnostics["compensator_warnings"] = list(refl.warnings)
             diagnostics["apriori"] = dataclasses.asdict(apri)
             mean_path = refl.solution.mean_path
-            mean_z = refl.solution.Z.mean(axis=1)
             write_atomic(
                 outdir / "mean_path.csv",
-                _mean_path_csv(times, mean_path, mean_z, u_vals, refl.obstacle.values, refl.K),
+                _mean_path_csv(times, mean_path, refl.solution.mean_z, u_vals, refl.obstacle.values, refl.K),
             )
             write_atomic(outdir / "convergence.csv", _convergence_csv(refl.trace))
 

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import LengthMismatch, NonPositiveError
 from .mollify import SmoothObstacle
 from .paths import ForwardCloud
-from .penalized import PenalizedSolution, RegressionBasis, _backward_steps, trim_heap
+from .penalized import PenalizedSolution, RegressionBasis, _mean_sq_norm, _rolling_pass, solve_penalized
 from .problem import ProblemSpec, eval_driver
 from .reflect import LevelRecord, _level_record
 
@@ -49,54 +49,26 @@ def rate_fit(levels, errors) -> RateFit:
     return RateFit(float(slope), float(intercept), r2)
 
 
-def _rolling_pass(spec, u_k, n, cloud, basis):
-    """(steps, Y rows, Z rows) of a backward pass that holds only its latest two Y rows and latest Z row."""
-    N, M, d = cloud.grid.N, cloud.M, cloud.d
-    y_pair, z_row = np.empty((2, M)), np.empty((M, d))
-    y_rows, z_rows = [y_pair[j % 2] for j in range(N + 1)], [z_row] * N
-    return _backward_steps(spec, u_k, n, cloud, basis, y_rows, z_rows), y_rows, z_rows
-
-
 def penalty_ladder(
     spec: ProblemSpec, u_k: SmoothObstacle, n_levels, cloud: ForwardCloud, basis: RegressionBasis
 ) -> tuple[list[LevelRecord], AprioriReport]:
     """Every level's record and the last level's a-priori report, from a pass at each level n against u_k.
 
-    ``n_levels`` is any non-empty iterable, read once. Each level steps
-    through the backward pass on two Y rows and one Z row, so no level
-    holds a full solution; ``wall_ms`` times the pass alone, and the Cauchy
-    distance is to the previous level's mean path. The last level's node
-    moments are taken as its rows appear and stored by node, so the report
-    reduces them in the same order as ``apriori_report`` over full arrays.
-    Every level shares the cloud's cached Gram matrices.
+    ``n_levels`` is any non-empty iterable, read once. ``wall_ms`` times
+    the pass alone, and the Cauchy distance is to the previous level's
+    mean path. Every level shares the cloud's cached Gram matrices.
     """
     n_levels = tuple(n_levels)
     if not n_levels:
         raise ValueError("the penalty ladder needs at least one level")
-    N = cloud.grid.N
-    mean_y2, mean_z2 = np.empty(N + 1), np.empty(N)
     records, prev_mean = [], None
     for n in n_levels:
         t0 = time.perf_counter()
-        steps, y_rows, z_rows = _rolling_pass(spec, u_k, n, cloud, basis)
-        for j in range(N, -1, -1):
-            next(steps)
-            if n == n_levels[-1]:
-                mean_y2[j] = np.mean(y_rows[j] ** 2)
-                if j < N:
-                    mean_z2[j] = np.mean(np.sum(z_rows[j] ** 2, axis=1))
-        try:
-            next(steps)
-        except StopIteration as done:
-            mean_path, K = done.value[:2]
+        sol = solve_penalized(spec, u_k, n, cloud, basis)
         wall_ms = (time.perf_counter() - t0) * 1000.0
-        # As after each pass of ``solve_reflected``: the pass's workspace,
-        # returned to the system, leaves no resident holes under what is
-        # allocated next.
-        trim_heap()
-        records.append(_level_record(u_k, n, mean_path, K, prev_mean, cloud.mean_kappa, wall_ms))
-        prev_mean = mean_path
-    return records, _energy_report(mean_y2, mean_z2, K[-1], spec, cloud)
+        records.append(_level_record(u_k, n, sol.mean_path, sol.K, prev_mean, cloud.mean_kappa, wall_ms))
+        prev_mean = sol.mean_path
+    return records, apriori_report(sol, spec, cloud)
 
 
 @dataclass(frozen=True)
@@ -143,9 +115,9 @@ def stability_experiment(
         for steps, _, _ in passes:
             next(steps)
         for i, (_, pert_y, pert_z) in enumerate(perturbed):
-            mean_sq_dy[i, j] = np.mean((pert_y[j] - base_y[j]) ** 2)
+            mean_sq_dy[i, j] = np.mean((pert_y[j % 2] - base_y[j % 2]) ** 2)
             if j < N:
-                mean_sq_dz[i, j] = np.mean(np.sum((pert_z[j] - base_z[j]) ** 2, axis=1))
+                mean_sq_dz[i, j] = _mean_sq_norm(pert_z - base_z)
     dt = cloud.grid.dt
     return tuple(
         StabilityRow(
@@ -172,25 +144,17 @@ class AprioriReport:
 
 
 def apriori_report(solution: PenalizedSolution, spec: ProblemSpec, cloud: ForwardCloud) -> AprioriReport:
-    """Sample both sides of the energy bound; the ratio is a regression metric."""
-    # Node by node, so no full-size squared array is ever formed.
-    mean_y2 = [np.mean(y**2) for y in solution.Y]
-    mean_z2 = [np.mean(np.sum(z**2, axis=1)) for z in solution.Z[:-1]]
-    return _energy_report(mean_y2, mean_z2, solution.K[-1], spec, cloud)
-
-
-def _energy_report(mean_y2, mean_z2, K_T, spec: ProblemSpec, cloud: ForwardCloud) -> AprioriReport:
-    """The a-priori report from the node moments E[Y_j^2] (j <= N) and E|Z_j|^2 (j < N) and K(T)."""
+    """Sample both sides of the energy bound from the pass's node moments; the ratio is a regression metric."""
     grid, dt, d = cloud.grid, cloud.grid.dt, cloud.d
-    sup_y2 = float(np.max(mean_y2))
-    int_z2 = float(np.sum(mean_z2) * dt)
+    sup_y2 = float(np.max(solution.mean_y2))
+    int_z2 = float(np.sum(solution.mean_z2) * dt)
     e_xi2 = float(np.mean(cloud.xi**2))
     f0 = eval_driver(
         spec.driver, grid.times[:-1], np.zeros(grid.N), np.zeros((grid.N, d)), 0.0, np.zeros(d)
     )
     int_f0 = float(np.sum(np.asarray(f0) ** 2) * dt)
     int_psi = float(spec.boundary.psi**2 * cloud.mean_kappa[-1])
-    k_t2 = float(K_T**2)
+    k_t2 = float(solution.K[-1] ** 2)
 
     rhs = e_xi2 + int_f0 + int_psi + k_t2
     lhs = sup_y2 + int_z2

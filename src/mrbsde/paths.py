@@ -1,11 +1,14 @@
 """Forward Monte Carlo machinery: particle clouds and clock paths.
 
-All randomness flows through a Philox counter-based generator keyed by the
-master seed; the slot (particle, step, coordinate) fixes the counter offset
-of every variate, so a cloud is a pure function of (spec, grid, M, seed) no
-matter how the consuming code is scheduled. The variates are drawn particle
-by particle but stored time-major, so that the backward pass reads each
-step's slice of the cloud as one contiguous block.
+All randomness flows through one Philox counter-based generator keyed by
+the master seed and read in one fixed order: particle by particle, each
+particle's steps and coordinates in turn. numpy's ziggurat normals take a
+variable number of Philox words each, so no slot (particle, step,
+coordinate) has a fixed counter offset; it is the fixed order that makes a
+cloud a pure function of (spec, grid, M, seed) no matter how the consuming
+code is scheduled. The variates are drawn particle by particle but stored
+time-major, so that the backward pass reads each step's slice of the cloud
+as one contiguous block.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ grow without bound at a fixed grid.
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass
 
@@ -24,19 +23,6 @@ from .problem import ProblemSpec, eval_boundary, eval_driver
 _COND_LIMIT = 1e12
 _COND_FUDGE_AT = 1e10
 _TIKHONOV_REL = 1e-10
-
-try:  # glibc's malloc_trim; None where the C library has none
-    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim
-    _MALLOC_TRIM.argtypes = [ctypes.c_size_t]
-except (OSError, TypeError, AttributeError):
-    _MALLOC_TRIM = None
-
-
-def trim_heap() -> None:
-    """Hand the heap pages freed so far back to the system; nothing happens without glibc."""
-    if _MALLOC_TRIM is not None:
-        _MALLOC_TRIM(0)
-
 
 @dataclass(frozen=True)
 class RegressionBasis:
@@ -140,30 +126,29 @@ def implicit_mean_penalty(p_val: float, u_val: float, n: float, delta: float) ->
 class PenalizedSolution:
     """Output of one penalized backward pass at levels (n, k).
 
-    Z is stored on the full grid with the terminal row copied from the last
-    regression step (no increment exists beyond T). ``mean_f_dt`` and
-    ``mean_g_dkappa`` keep the per-step sample means of the driver and
-    boundary contributions exactly as the scheme evaluated them, which is
-    what makes the compensator recoverable to round-off from the mean path.
+    The pass holds two Y rows and one Z row at a time, so the solution
+    keeps node moments rather than particles: ``Y`` is the pass's own row
+    pair, with row j the particles of node j for j = 0, 1. ``mean_z``
+    carries the terminal row copied from the last regression step (no
+    increment exists beyond T). ``mean_f_dt`` and ``mean_g_dkappa`` keep
+    the per-step sample means of the driver and boundary contributions
+    exactly as the scheme evaluated them, which is what makes the
+    compensator recoverable to round-off from the mean path.
     """
 
     grid: TimeGrid
-    Y: np.ndarray  # (N+1, M)
-    Z: np.ndarray  # (N+1, M, d)
+    Y: np.ndarray  # (2, M): nodes 0 and 1
     mean_path: np.ndarray  # (N+1,)
     K: np.ndarray  # (N+1,)
     mean_f_dt: np.ndarray  # (N,)
     mean_g_dkappa: np.ndarray  # (N,)
+    mean_z: np.ndarray  # (N+1, d)
+    mean_y2: np.ndarray  # (N+1,): E[Y_j^2]
+    mean_z2: np.ndarray  # (N,): E|Z_j|^2
 
 
 def solve_penalized(
-    spec: ProblemSpec,
-    u_k: SmoothObstacle,
-    n: float,
-    cloud: ForwardCloud,
-    basis: RegressionBasis,
-    *,
-    _out: tuple[np.ndarray, np.ndarray] | None = None,
+    spec: ProblemSpec, u_k: SmoothObstacle, n: float, cloud: ForwardCloud, basis: RegressionBasis
 ) -> PenalizedSolution:
     """Run the backward induction from Y(T) = xi down to t = 0.
 
@@ -174,37 +159,64 @@ def solve_penalized(
     deterministic, so the shift is common to all particles. A basis that
     cannot be fitted on the cloud (a forward basis without a forward state,
     or no more particles than basis functions) fails before the first step.
+
+    The pass steps on two Y rows and one Z row, and E[Y_j^2] and E|Z_j|^2
+    are reduced as each row appears, so no pass holds a full solution.
     """
-    N, M, d = cloud.grid.N, cloud.M, cloud.d
-
-    # Hand the heap pages freed since the last pass back to the system
-    # before Y and Z are allocated. glibc keeps them resident, and whether
-    # this pass's arrays land in them turns on a few bytes of unrelated
-    # allocations, so a process that runs pass after pass would otherwise
-    # peak one whole particle array higher in some runs than in others.
-    trim_heap()
-
-    # Every row of Y and Z is written below, so the Y and Z of an earlier
-    # pass on this cloud that nothing else holds (``_out``, passed only by
-    # ``reflect.solve_reflected``) serve as well as fresh arrays, without
-    # paying for the first touch of their pages.
-    Y, Z = _out if _out is not None else (np.empty((N + 1, M)), np.empty((N + 1, M, d)))
-    steps = _backward_steps(spec, u_k, n, cloud, basis, Y, Z)
+    N = cloud.grid.N
+    steps, y_pair, z_row = _rolling_pass(spec, u_k, n, cloud, basis)
+    mean_y2, mean_z2, sq = np.empty(N + 1), np.empty(N), np.empty(cloud.M)
+    for j in range(N, -1, -1):
+        next(steps)
+        mean_y2[j] = np.mean(np.square(y_pair[j % 2], out=sq))
+        if j < N:
+            mean_z2[j] = _mean_sq_norm(z_row, sq)
     try:
-        while True:
-            next(steps)
+        next(steps)
     except StopIteration as done:
-        mean_path, K, mean_f_dt, mean_g_dkappa = done.value
-    Z[N] = Z[N - 1]
+        mean_path, K, mean_f_dt, mean_g_dkappa, z_mean = done.value
     return PenalizedSolution(
         grid=cloud.grid,
-        Y=Y,
-        Z=Z,
+        Y=y_pair,
         mean_path=mean_path,
         K=K,
         mean_f_dt=mean_f_dt,
         mean_g_dkappa=mean_g_dkappa,
+        mean_z=np.concatenate([z_mean, z_mean[-1:]]),
+        mean_y2=mean_y2,
+        mean_z2=mean_z2,
     )
+
+
+def _mean_sq_norm(z: np.ndarray, out: np.ndarray | None = None) -> np.floating:
+    """E|z|^2 over the rows of an (M, d) array, with the bits of ``np.mean(np.sum(z ** 2, axis=1))``.
+
+    numpy adds fewer than 8 terms of a row left to right, so for d < 8 the
+    squares of z's columns are added left to right, into the (M,) row
+    ``out`` when it is given, and then averaged, without the reduction over
+    a short last axis, which is slow. From 8 terms on numpy sums pairwise,
+    and the reduction is numpy's own.
+    """
+    d = z.shape[1]
+    if d >= 8:
+        return np.mean(np.sum(z**2, axis=1))
+    acc = np.square(z[:, 0], out=out)
+    for c in range(1, d):
+        acc += np.square(z[:, c])
+    return np.mean(acc)
+
+
+def _rolling_pass(spec, u_k, n, cloud, basis):
+    """(steps, Y pair, Z row) of a backward pass that holds only its latest two Y rows and its latest Z row.
+
+    Node j's Y is in ``Y pair[j % 2]`` and step j's Z in ``Z row`` from the
+    ``next()`` that writes them until the pass overwrites them, two nodes
+    (Y) or one step (Z) later.
+    """
+    N, M, d = cloud.grid.N, cloud.M, cloud.d
+    y_pair, z_row = np.empty((2, M)), np.empty((M, d))
+    y_rows = [y_pair[j % 2] for j in range(N + 1)]
+    return _backward_steps(spec, u_k, n, cloud, basis, y_rows, [z_row] * N), y_pair, z_row
 
 
 def _backward_steps(spec, u_k, n, cloud, basis, Y_rows, Z_rows):
@@ -216,7 +228,8 @@ def _backward_steps(spec, u_k, n, cloud, basis, Y_rows, Z_rows):
     (N+1, M) and (N+1, M, d) arrays, or, since step j reads only
     ``Y_rows[j + 1]``, lists whose entries repeat a few rows. The
     generator yields nothing and returns (mean_path, K, mean_f_dt,
-    mean_g_dkappa) when it is exhausted.
+    mean_g_dkappa, z_mean) when it is exhausted, with z_mean the (N, d)
+    per-step mean of Z.
     """
     if u_k.grid != cloud.grid:
         raise LengthMismatch("smooth obstacle grid does not match the cloud grid")
@@ -290,4 +303,4 @@ def _backward_steps(spec, u_k, n, cloud, basis, Y_rows, Z_rows):
         mean_f_dt[j] = float(np.mean(f_vals)) * dt
         yield
 
-    return mean_path, np.concatenate([[0.0], np.cumsum(dK)]), mean_f_dt, mean_g_dkappa
+    return mean_path, np.concatenate([[0.0], np.cumsum(dK)]), mean_f_dt, mean_g_dkappa, z_mean

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import LengthMismatch, NotConverged
 from .mollify import SmoothObstacle, mollify_obstacle
 from .paths import ForwardCloud
-from .penalized import PenalizedSolution, RegressionBasis, solve_penalized, trim_heap
+from .penalized import PenalizedSolution, RegressionBasis, solve_penalized
 from .problem import ProblemSpec
 
 
@@ -165,28 +165,20 @@ def solve_reflected(
     obstacle is within deficit_tol / 2 of the raw obstacle in sup norm.
     Raises NotConverged (with the trace attached) when a ladder runs out.
     Every level of both loops shares the cloud's cached Gram matrices.
-
-    Only the latest level is kept, so the first pass's Y and Z carry every
-    later pass of the call, across k levels too: each pass writes into
-    them instead of paying for the first touch of fresh pages. A level's
-    ``wall_ms`` times its backward pass alone; its Cauchy distance is to
-    the previous level's mean path at the same k.
+    A level's ``wall_ms`` times its backward pass alone; its Cauchy
+    distance is to the previous level's mean path at the same k.
     """
     trace: list[LevelRecord] = []
-    out = None
     for k in schedule.k_levels:
         u_k = mollify_obstacle(spec.obstacle, k, cloud.grid, quad_points)
         prev_mean = None
         for n in schedule.n_levels:
             t0 = time.perf_counter()
-            sol = solve_penalized(spec, u_k, n, cloud, basis, _out=out)
+            sol = solve_penalized(spec, u_k, n, cloud, basis)
             wall_ms = (time.perf_counter() - t0) * 1000.0
-            # The pass's workspace is free now; returned to the system, it cannot
-            # leave resident holes under what is allocated next.
-            trim_heap()
             record = _level_record(u_k, n, sol.mean_path, sol.K, prev_mean, cloud.mean_kappa, wall_ms)
             trace.append(record)
-            prev_mean, out = sol.mean_path, (sol.Y, sol.Z)
+            prev_mean = sol.mean_path
             if record.cauchy_mean_dist is not None:
                 cauchy_ok = record.cauchy_mean_dist <= schedule.cauchy_tol
             else:
@@ -196,7 +188,6 @@ def solve_reflected(
                 cauchy_ok = sol.K[-1] == 0.0 or len(schedule.n_levels) == 1
             if record.sup_deficit <= schedule.deficit_tol and cauchy_ok:
                 break
-            del sol  # a rejected level's solution must not live on into the pass that overwrites it
         else:
             cauchy = "none" if record.cauchy_mean_dist is None else f"{record.cauchy_mean_dist:.3g}"
             raise NotConverged(
@@ -207,7 +198,6 @@ def solve_reflected(
             )
         if u_k.sup_gap <= schedule.deficit_tol / 2.0:
             break
-        del sol
     else:
         raise NotConverged(
             f"mollification ladder exhausted with obstacle gap {u_k.sup_gap:.3g} "

@@ -25,7 +25,7 @@ from mrbsde import (
     stability_experiment,
 )
 from mrbsde.cli import build_config, main
-from tests.util import mean_path_consistent, regression_statistics
+from tests.util import full_pass, mean_path_consistent, regression_statistics
 
 PRESET_NAMES = ("SINE", "AFFINE", "BOUNDARY", "ZDRIFT")
 LADDER = (25, 50, 100, 200, 400, 800)
@@ -234,9 +234,13 @@ def test_criterion_10_z_path_sanity(preset_runs):
     # E[Z_t] consistency: with an intercept in the basis the estimator is the
     # sample mean of the integrand regression targets, so its CLT scale is the
     # targets' std / sqrt(M). Rows 0..N-1 are the regression nodes; the
-    # terminal row copies row N-1 and carries no information of its own.
-    std = regression_statistics(refl.solution, cloud, cfg.basis)[2][:, 0]
-    z_mean = refl.solution.Z.mean(axis=1)[: std.size, 0]
+    # terminal row copies row N-1 and carries no information of its own. The
+    # targets come from the accepted level's pass rerun on the same cloud with
+    # every row kept.
+    rerun = full_pass(cfg.spec, refl.obstacle, refl.trace[-1].n, cloud, cfg.basis)
+    assert np.array_equal(rerun.mean_path, refl.solution.mean_path)
+    std = regression_statistics(rerun, cloud, cfg.basis)[2][:, 0]
+    z_mean = refl.solution.mean_z[: std.size, 0]
     z = mean_path_consistent(z_mean, std / np.sqrt(cfg.M), 1.0, 0.9973)
 
     ok = report(

@@ -1,11 +1,11 @@
 import json
-import weakref
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from mrbsde import ConfigError, NotConverged, ParseError
-from mrbsde import cli, reflect
+from mrbsde import ConfigError, NotConverged, ParseError, TimeGrid, simulate_forward
+from mrbsde import cli
 from mrbsde.cli import build_config, main, parse_config, run_experiment, write_atomic
 
 TINY = {
@@ -315,21 +315,19 @@ class TestRunExperiment:
         assert manifest["status"] == "failed"
         assert manifest["error"] == "RuntimeError: simulated crash"
 
-    @pytest.mark.parametrize("subcommand", ["solve"])
-    def test_no_earlier_solution_alive_when_a_pass_starts(self, tmp_path, monkeypatch, subcommand):
-        solutions = []
-        solve_penalized = reflect.solve_penalized
-
-        def checked(*args, **kwargs):
-            alive = [ref() for ref in solutions if ref() is not None]
-            assert not alive, f"{len(alive)} earlier solution(s) alive at pass {len(solutions) + 1}"
-            sol = solve_penalized(*args, **kwargs)
-            solutions.append(weakref.ref(sol))
-            return sol
-
-        monkeypatch.setattr(reflect, "solve_penalized", checked)
-        run_experiment(build_config(tiny_doc(tmp_path / "run")), subcommand)
-        assert len(solutions) >= 2
+    def test_a_warm_solve_holds_less_than_one_solution_array(self, tmp_path, monkeypatch):
+        cfg = build_config({"preset": "BOUNDARY", "numerics": {"M": 4000, "N": 50}, "output": str(tmp_path)})
+        grid = TimeGrid(cfg.spec.horizon, cfg.N)
+        cloud = simulate_forward(cfg.spec, grid, cfg.M, cfg.seed)
+        monkeypatch.setattr(cli, "simulate_forward", lambda *args: cloud)  # the cloud is built untraced
+        run_experiment(cfg, "solve")  # fills the Gram cache
+        tracemalloc.start()
+        try:
+            run_experiment(cfg, "solve")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (grid.N + 1) * cfg.M * 8
 
     def test_rates_and_solve_share_the_level_ladder(self, tmp_path):
         # Tolerances no level can meet: solve records every level, then fails.

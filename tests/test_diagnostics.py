@@ -24,10 +24,10 @@ from mrbsde import (
     solve_penalized,
     stability_experiment,
 )
-from mrbsde import diagnostics
+from mrbsde import penalized
 from mrbsde.cli import build_config
 from mrbsde.reflect import _level_record
-from tests.util import zero_problem
+from tests.util import full_pass, zero_problem
 
 GRID = TimeGrid(1.0, 50)
 SINE = ObstacleCurve("sine", amplitude=0.5)
@@ -153,9 +153,9 @@ class TestStabilityExperiment:
         cloud = simulate_forward(spec, GRID, 10_000, seed=3)
         u_k = mollify_obstacle(SINE, 20, GRID)
         rows = stability_experiment(spec, cloud, (0.1, 0.05), u_k, 200, BASIS)
-        base = solve_penalized(spec, u_k, 200, cloud, BASIS)
+        base = full_pass(spec, u_k, 200, cloud, BASIS)
         for row in rows:
-            pert = solve_penalized(spec, u_k, 200, cloud.with_terminal(cloud.xi + row.epsilon), BASIS)
+            pert = full_pass(spec, u_k, 200, cloud.with_terminal(cloud.xi + row.epsilon), BASIS)
             dY, dZ = pert.Y - base.Y, pert.Z - base.Z
             assert row.sup_mean_sq_dy == float(np.max(np.mean(dY**2, axis=1)))
             assert row.integral_mean_sq_dz == float(
@@ -196,7 +196,7 @@ class TestStabilityExperiment:
         def no_pass(*args):
             raise AssertionError("a pass ran")
 
-        monkeypatch.setattr(diagnostics, "_backward_steps", no_pass)
+        monkeypatch.setattr(penalized, "_backward_steps", no_pass)
         with pytest.raises(ValueError):
             stability_experiment(spec, cloud, perturbations, u_k, 200, BASIS)
 
@@ -215,7 +215,7 @@ class TestRatesLadder:
     )
     def test_streamed_levels_equal_passes_on_full_arrays(self, driver, boundary, d):
         # the a-priori node moments are reduced as the rows appear; the
-        # reference runs each level as a full pass
+        # reference runs each level as a pass over full arrays
         spec = zero_problem(
             obstacle=SINE, driver=driver, boundary=boundary, kappa=KappaSpec("linear", rate=1.0), brownian_dim=d
         )
@@ -225,12 +225,16 @@ class TestRatesLadder:
         records, report = penalty_ladder(spec, u_k, levels, cloud, BASIS)
         prev_mean = None
         for record, n in zip(records, levels, strict=True):
-            sol = solve_penalized(spec, u_k, n, cloud, BASIS)
-            expected = _level_record(u_k, n, sol.mean_path, sol.K, prev_mean, cloud.mean_kappa, 0.0)
+            full = full_pass(spec, u_k, n, cloud, BASIS)
+            expected = _level_record(u_k, n, full.mean_path, full.K, prev_mean, cloud.mean_kappa, 0.0)
             assert dataclasses.replace(record, wall_ms=0.0) == expected
-            prev_mean = sol.mean_path
-        assert sol.K[-1] > 0.0  # the penalty fires
-        assert report == apriori_report(sol, spec, cloud)
+            prev_mean = full.mean_path
+        assert full.K[-1] > 0.0  # the penalty fires
+        assert report.compensator_terminal_sq == float(full.K[-1] ** 2)
+        assert report.sup_mean_sq_y == float(np.max(np.mean(full.Y**2, axis=1)))
+        assert report.integral_mean_sq_z == float(
+            np.sum(np.mean(np.sum(full.Z[:-1] ** 2, axis=2), axis=1)) * GRID.dt
+        )
 
     def ladder_setup(self):
         spec = zero_problem(obstacle=SINE)
@@ -258,7 +262,7 @@ class TestRatesLadder:
         def no_pass(*args):
             raise AssertionError("a pass ran")
 
-        monkeypatch.setattr(diagnostics, "_backward_steps", no_pass)
+        monkeypatch.setattr(penalized, "_backward_steps", no_pass)
         with pytest.raises(ValueError, match="at least one level"):
             penalty_ladder(spec, u_k, (), cloud, BASIS)
 
@@ -310,12 +314,12 @@ class TestAprioriReport:
         spec = zero_problem(obstacle=SINE, brownian_dim=2)
         cloud = simulate_forward(spec, GRID, 10_000, seed=4)
         u_k = mollify_obstacle(SINE, 30, GRID)
-        sol = solve_penalized(spec, u_k, 400, cloud, BASIS)
-        rep = apriori_report(sol, spec, cloud)
-        assert sol.Z.shape[2] == 2
-        assert rep.sup_mean_sq_y == float(np.max(np.mean(sol.Y**2, axis=1)))
+        rep = apriori_report(solve_penalized(spec, u_k, 400, cloud, BASIS), spec, cloud)
+        full = full_pass(spec, u_k, 400, cloud, BASIS)
+        assert full.Z.shape[2] == 2
+        assert rep.sup_mean_sq_y == float(np.max(np.mean(full.Y**2, axis=1)))
         assert rep.integral_mean_sq_z == float(
-            np.sum(np.mean(np.sum(sol.Z[:-1] ** 2, axis=2), axis=1)) * GRID.dt
+            np.sum(np.mean(np.sum(full.Z[:-1] ** 2, axis=2), axis=1)) * GRID.dt
         )
 
     def test_ratio_stable_under_doubling_particles(self):

@@ -31,7 +31,7 @@ from mrbsde import (
 )
 from mrbsde import penalized
 from mrbsde.problem import eval_boundary, eval_driver
-from tests.util import regression_statistics, zero_problem
+from tests.util import FullPass, full_pass, regression_statistics, zero_problem
 
 GRID = TimeGrid(1.0, 50)
 SINE = ObstacleCurve("sine", amplitude=0.5)
@@ -231,9 +231,10 @@ class TestSolvePenalized:
         spec = zero_problem()
         cloud = small_cloud(spec)
         u_k = mollify_obstacle(ObstacleCurve("constant", value=-1.0), 10, GRID)
-        sol = solve_penalized(spec, u_k, 0.0, cloud, RegressionBasis("brownian", 1))
+        basis = RegressionBasis("brownian", 1)
+        sol = solve_penalized(spec, u_k, 0.0, cloud, basis)
         assert np.all(sol.K == 0.0)
-        np.testing.assert_allclose(sol.Y[-1], cloud.xi)
+        np.testing.assert_allclose(full_pass(spec, u_k, 0.0, cloud, basis).Y[-1], cloud.xi)
         # martingale mean: stays near the terminal sample mean
         assert np.max(np.abs(sol.mean_path - cloud.xi.mean())) <= 5 / np.sqrt(cloud.M)
 
@@ -285,8 +286,8 @@ class TestSolvePenalized:
         cloud = small_cloud(spec)
         u_k = mollify_obstacle(SINE, 30, GRID)
         basis = RegressionBasis("brownian", 2)
-        lo = solve_penalized(spec, u_k, 50, cloud, basis)
-        hi = solve_penalized(spec, u_k, 800, cloud, basis)
+        lo = full_pass(spec, u_k, 50, cloud, basis)
+        hi = full_pass(spec, u_k, 800, cloud, basis)
         spread_lo = lo.Y - lo.mean_path[:, None]
         spread_hi = hi.Y - hi.mean_path[:, None]
         np.testing.assert_allclose(spread_lo, spread_hi, atol=1e-10)
@@ -309,14 +310,14 @@ class TestSolvePenalized:
         grid = TimeGrid(1.0, 100)
         cloud = simulate_forward(spec, grid, 2000, seed=2)
         u_k = mollify_obstacle(SINE, 30, grid)
-        sol = solve_penalized(spec, u_k, 1e6, cloud, RegressionBasis("brownian", 2))
+        sol = full_pass(spec, u_k, 1e6, cloud, RegressionBasis("brownian", 2))
         assert np.all(np.isfinite(sol.Y)) and np.all(np.isfinite(sol.K))
 
     def test_terminal_row_is_exact_terminal_draw(self):
         spec = zero_problem(obstacle=SINE)
         cloud = small_cloud(spec)
         u_k = mollify_obstacle(SINE, 20, GRID)
-        sol = solve_penalized(spec, u_k, 100, cloud, RegressionBasis("brownian", 2))
+        sol = full_pass(spec, u_k, 100, cloud, RegressionBasis("brownian", 2))
         assert np.array_equal(sol.Y[-1], cloud.xi)
         assert sol.K[0] == 0.0
         assert np.array_equal(sol.mean_path, sol.Y.mean(axis=1))
@@ -349,7 +350,7 @@ class TestSolvePenalized:
         )
         cloud = small_cloud(spec)
         u_k = mollify_obstacle(SINE, 25, GRID)
-        sol = solve_penalized(spec, u_k, 300, cloud, RegressionBasis("brownian", 2))
+        sol = full_pass(spec, u_k, 300, cloud, RegressionBasis("brownian", 2))
         assert np.all(np.isfinite(sol.Y)) and np.all(np.isfinite(sol.Z))
         dK = np.diff(sol.K)
         assert np.all(dK >= 0.0)
@@ -363,9 +364,11 @@ class TestSolvePenalized:
         cloud = simulate_forward(spec, GRID, 8000, seed=13)
         u_k = mollify_obstacle(SINE, 30, GRID)
         sol = solve_penalized(spec, u_k, 200, cloud, RegressionBasis("brownian", 1))
-        assert sol.Z.shape == (GRID.N + 1, 8000, 2)
-        z_mean = sol.Z.mean(axis=1)
-        z_target_std = regression_statistics(sol, cloud, RegressionBasis("brownian", 1))[2]
+        assert sol.mean_z.shape == (GRID.N + 1, 2)
+        z_mean = sol.mean_z
+        full = full_pass(spec, u_k, 200, cloud, RegressionBasis("brownian", 1))
+        assert_moments_match(sol, full)
+        z_target_std = regression_statistics(full, cloud, RegressionBasis("brownian", 1))[2]
         band = 4.0 * z_target_std.max() / np.sqrt(8000)
         assert np.max(np.abs(z_mean[:, 0] - 1.0)) <= band
         assert np.max(np.abs(z_mean[:, 1])) <= band
@@ -397,9 +400,7 @@ def reference_pass(spec, u_k, n, cloud, basis):
         mean_f_dt[j] = float(np.mean(f_vals)) * dt
         mean_g_dkappa[j] = float(np.mean(g_dkap))
     Z[N] = Z[N - 1]
-    return penalized.PenalizedSolution(
-        grid, Y, Z, mean_path, np.concatenate([[0.0], np.cumsum(dK)]), mean_f_dt, mean_g_dkappa
-    )
+    return FullPass(Y, Z, mean_path, np.concatenate([[0.0], np.cumsum(dK)]), mean_f_dt, mean_g_dkappa)
 
 
 LEAN_GRID = TimeGrid(1.0, 12)
@@ -421,10 +422,23 @@ CLOCKS = {
 }
 
 
+def assert_bits_equal(a, b, field):
+    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), field
+
+
 def assert_same_bits(lean, ref):
-    for field in ("Y", "Z", "mean_path", "K", "mean_f_dt", "mean_g_dkappa"):
-        a, b = getattr(lean, field), getattr(ref, field)
-        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), field
+    for field in FullPass._fields:
+        assert_bits_equal(getattr(lean, field), getattr(ref, field), field)
+
+
+def assert_moments_match(sol, full):
+    """A solution's rows and node moments are those of the full rows of the same pass."""
+    for field in ("mean_path", "K", "mean_f_dt", "mean_g_dkappa"):
+        assert_bits_equal(getattr(sol, field), getattr(full, field), field)
+    assert_bits_equal(sol.Y, full.Y[:2], "Y")
+    assert_bits_equal(sol.mean_z, full.Z.mean(axis=1), "mean_z")
+    assert_bits_equal(sol.mean_y2, [np.mean(y**2) for y in full.Y], "mean_y2")
+    assert_bits_equal(sol.mean_z2, [np.mean(np.sum(z**2, axis=1)) for z in full.Z[:-1]], "mean_z2")
 
 
 class TestLeanStep:
@@ -445,7 +459,9 @@ class TestLeanStep:
         ref = reference_pass(spec, u_k, 200, cloud, basis)
         slack = np.diff(ref.K) == 0.0
         assert slack.any() and not slack.all()  # a slack and an active penalty step
-        assert_same_bits(solve_penalized(spec, u_k, 200, cloud, basis), ref)
+        full = full_pass(spec, u_k, 200, cloud, basis)
+        assert_same_bits(full, ref)
+        assert_moments_match(solve_penalized(spec, u_k, 200, cloud, basis), full)
 
     @pytest.mark.parametrize("value", [-1.0, 0.5])
     def test_identically_zero_solution_keeps_its_zero_signs(self, value):
@@ -455,20 +471,22 @@ class TestLeanStep:
         cloud = small_cloud(spec, M=600, grid=LEAN_GRID)
         u_k = mollify_obstacle(obstacle, 20, LEAN_GRID)
         basis = RegressionBasis("brownian", 2)
-        lean = solve_penalized(spec, u_k, 200, cloud, basis)
-        assert_same_bits(lean, reference_pass(spec, u_k, 200, cloud, basis))
+        full = full_pass(spec, u_k, 200, cloud, basis)
+        assert_same_bits(full, reference_pass(spec, u_k, 200, cloud, basis))
+        assert_moments_match(solve_penalized(spec, u_k, 200, cloud, basis), full)
 
-    def test_arrays_of_a_dropped_pass_give_the_same_bits(self):
-        spec = zero_problem(obstacle=SINE, boundary=BOUNDARIES["cubic"], kappa=CLOCKS["linear"])
-        cloud = small_cloud(spec, M=600, grid=LEAN_GRID)
-        u_k = mollify_obstacle(SINE, 20, LEAN_GRID)
-        basis = RegressionBasis("brownian", 2)
-        dropped = solve_penalized(spec, u_k, 25, cloud, basis)
-        out = dropped.Y, dropped.Z
-        del dropped
-        sol = solve_penalized(spec, u_k, 800, cloud, basis, _out=out)
-        assert sol.Y is out[0] and sol.Z is out[1]
-        assert_same_bits(sol, reference_pass(spec, u_k, 800, cloud, basis))
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 13])
+def test_mean_sq_norm_has_the_bits_of_the_row_sum_form(d):
+    rng = np.random.default_rng(d)
+    for m in [1] * 200 + [7, 1000, 20_001]:  # a single row's mean is its sum, to the bit
+        z = rng.normal(0.0, 1.0, (m, d)) * rng.choice([1e-160, 1e-3, 1.0, 1e3], (m, d))
+        z[rng.random((m, d)) < 0.1] = 0.0
+        z[rng.random((m, d)) < 0.1] = -0.0
+        for rows in (z, -z, np.full((m, d), -0.0)):
+            want = np.mean(np.sum(rows**2, axis=1))
+            for got in (penalized._mean_sq_norm(rows), penalized._mean_sq_norm(rows, np.empty(m))):
+                assert got == want and np.signbit(got) == np.signbit(want)
 
 
 class TestRegressionOperator:
@@ -481,23 +499,13 @@ class TestRegressionOperator:
         u_k = mollify_obstacle(SINE, 30, GRID)
         basis = RegressionBasis("brownian", 2)
         for n in (25, 800):
-            a = solve_penalized(spec, u_k, n, cloud, basis)  # warm cache from the second level on
-            b = solve_penalized(spec, u_k, n, replace(cloud, grams={}), basis)
-            for field in ("Y", "Z", "K", "mean_path"):
+            a = full_pass(spec, u_k, n, cloud, basis)  # warm cache from the second level on
+            b = full_pass(spec, u_k, n, replace(cloud, grams={}), basis)
+            for field in FullPass._fields:
                 assert np.array_equal(getattr(a, field), getattr(b, field)), field
+            assert_moments_match(solve_penalized(spec, u_k, n, replace(cloud, grams={}), basis), a)
             stats_a, stats_b = (regression_statistics(s, cloud, basis) for s in (a, b))
             assert all(np.array_equal(x, y) for x, y in zip(stats_a, stats_b))
-
-    def test_heap_trim_leaves_the_solution_unchanged(self, monkeypatch):
-        spec = zero_problem(obstacle=SINE, kappa=KappaSpec("linear", rate=1.0))
-        cloud = small_cloud(spec)
-        u_k = mollify_obstacle(SINE, 30, GRID)
-        basis = RegressionBasis("brownian", 2)
-        trimmed = solve_penalized(spec, u_k, 800, cloud, basis)
-        monkeypatch.setattr(penalized, "_MALLOC_TRIM", None)
-        plain = solve_penalized(spec, u_k, 800, cloud, basis)
-        for field in ("Y", "Z", "mean_path", "K", "mean_f_dt", "mean_g_dkappa"):
-            assert np.array_equal(getattr(trimmed, field), getattr(plain, field)), field
 
     def test_rank_deficient_basis_fails_at_the_first_step_of_the_first_pass(self, monkeypatch):
         spec = zero_problem(obstacle=SINE)

@@ -31,6 +31,36 @@ def zero_problem(obstacle=None, terminal=None, boundary=None, driver=None, kappa
     )
 
 
+class FullPass(NamedTuple):
+    """Every particle row of one backward pass, as :func:`full_pass` returns it."""
+
+    Y: np.ndarray  # (N+1, M)
+    Z: np.ndarray  # (N+1, M, d), the terminal row copied from step N-1
+    mean_path: np.ndarray
+    K: np.ndarray
+    mean_f_dt: np.ndarray
+    mean_g_dkappa: np.ndarray
+
+
+def full_pass(spec, u_k, n, cloud, basis) -> FullPass:
+    """The solver's backward pass at level n with every row kept.
+
+    Drives ``penalized._backward_steps`` over full (N+1, M) Y and
+    (N+1, M, d) Z arrays, so its rows are the rows ``solve_penalized``
+    steps through, by construction; only the per-particle checks need them.
+    """
+    N, M, d = cloud.grid.N, cloud.M, cloud.d
+    Y, Z = np.empty((N + 1, M)), np.empty((N + 1, M, d))
+    steps = penalized._backward_steps(spec, u_k, n, cloud, basis, Y, Z)
+    try:
+        while True:
+            next(steps)
+    except StopIteration as done:
+        mean_path, K, mean_f_dt, mean_g_dkappa, _ = done.value
+    Z[N] = Z[N - 1]
+    return FullPass(Y, Z, mean_path, K, mean_f_dt, mean_g_dkappa)
+
+
 class MeanPathVerdict(NamedTuple):
     """Outcome of :func:`mean_path_consistent`."""
 
@@ -69,7 +99,7 @@ def mean_path_consistent(means, std_errors, truth, confidence: float) -> MeanPat
 
 
 def regression_statistics(sol, cloud, basis):
-    """Per-step regression statistics of a backward pass, recomputed after it.
+    """Per-step regression statistics of a :func:`full_pass`, recomputed after it.
 
     Refits step j's stacked targets [Y_{j+1} dB_j / dt, Y_{j+1}] exactly as
     the pass did and returns (residual_y (N,), residual_z (N,),
