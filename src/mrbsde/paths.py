@@ -113,12 +113,15 @@ def simulate_forward(spec: ProblemSpec, grid: TimeGrid, M: int, seed: int) -> Fo
     N, d, dt = grid.N, spec.brownian_dim, grid.dt
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     # Consecutive particle blocks continue one variate stream, so the cloud
-    # equals a single (M, N, d) draw, transposed.
+    # equals a single (M, N, d) draw, transposed. Every block is drawn into
+    # one buffer, so the loop frees nothing and touches the same pages each
+    # time.
     dB = np.empty((N, M, d))
     sqrt_dt = math.sqrt(dt)
     block = max(1, _BLOCK_VALUES // (N * d))
+    buffer = np.empty((min(block, M), N, d))
     for start in range(0, M, block):
-        draw = rng.standard_normal((min(block, M - start), N, d))
+        draw = rng.standard_normal(out=buffer[: M - start])
         np.multiply(draw.transpose(1, 0, 2), sqrt_dt, out=dB[:, start : start + draw.shape[0]])
 
     brownian = _partial_sums(dB)
