@@ -14,7 +14,6 @@ from .diagnostics import (
     RateFit,
     StabilityRow,
     apriori_report,
-    penalty_ladder,
     rate_fit,
     stability_experiment,
 )
@@ -68,6 +67,7 @@ from .reflect import (
     ReflectedSolution,
     deficit_metrics,
     flatness_residual,
+    penalty_ladder,
     recover_compensator,
     solve_reflected,
 )

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .diagnostics import apriori_report, penalty_ladder, rate_fit, stability_experiment
+from .diagnostics import apriori_report, rate_fit, stability_experiment
 from .errors import ConfigError, MrbsdeError, NonPositiveError, NotConverged, ParseError
 from .mollify import mollify_obstacle
 from .oracle import reference_paths
@@ -39,7 +39,7 @@ from .paths import TimeGrid, simulate_forward
 from .penalized import RegressionBasis
 from .presets import PRESETS, preset_config
 from .problem import BoundarySpec, ProblemSpec, validate_problem
-from .reflect import ConvergenceSchedule, solve_reflected
+from .reflect import ConvergenceSchedule, penalty_ladder, solve_reflected
 
 _STABILITY_EPS = (0.1, 0.05, 0.025)
 
@@ -170,7 +170,7 @@ def build_config(doc: dict) -> RunConfig:
     )
     preset = doc.get("preset")
     if preset is not None:
-        if preset not in PRESETS:
+        if not isinstance(preset, str) or preset not in PRESETS:
             raise ParseError(f"unknown preset {preset!r}; available: {sorted(PRESETS)}")
         merged = _deep_merge(preset_config(preset), {k: v for k, v in doc.items() if k != "preset"})
     else:
@@ -208,6 +208,8 @@ def build_config(doc: dict) -> RunConfig:
 
     schedule = _section(ConvergenceSchedule, merged["schedule"], "schedule")
     seed = _num(merged["seed"], "config.seed", integer=True)
+    if not 0 <= seed < 2**64:
+        raise ParseError(f"config.seed must be in [0, 2**64), got {seed}")
     _num(merged.get("threads", 0), "config.threads", integer=True)  # validated; never affects a run
     output = merged["output"]
     if not isinstance(output, str):
@@ -400,7 +402,9 @@ def run_experiment(config: RunConfig, subcommand: str) -> dict:
 
         elif subcommand == "rates":
             u_k = mollify_obstacle(config.spec.obstacle, max(config.schedule.k_levels), grid, config.quad_points)
-            records, apri = penalty_ladder(config.spec, u_k, config.schedule.n_levels, cloud, config.basis)
+            records = []
+            for record, sol in penalty_ladder(config.spec, u_k, config.schedule.n_levels, cloud, config.basis):
+                records.append(record)
             levels = [rec.n for rec in records]
             diagnostics["rates"] = {
                 "k": u_k.level,
@@ -412,7 +416,7 @@ def run_experiment(config: RunConfig, subcommand: str) -> dict:
                     levels[:-1], [rec.cauchy_mean_dist for rec in records[1:]], "cauchy"
                 ),
             }
-            diagnostics["apriori_ratio"] = apri.ratio
+            diagnostics["apriori_ratio"] = apriori_report(sol, config.spec, cloud).ratio
             write_atomic(outdir / "convergence.csv", _convergence_csv(records))
 
         else:  # stability

@@ -8,7 +8,6 @@ its constant is existence-theoretic.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,9 +15,8 @@ import numpy as np
 from .errors import LengthMismatch, NonPositiveError
 from .mollify import SmoothObstacle
 from .paths import ForwardCloud
-from .penalized import PenalizedSolution, RegressionBasis, _mean_sq_norm, _rolling_pass, solve_penalized
+from .penalized import PenalizedSolution, RegressionBasis, _backward_steps, _mean_sq_norm
 from .problem import ProblemSpec, eval_driver
-from .reflect import LevelRecord, _level_record
 
 
 @dataclass(frozen=True)
@@ -47,28 +45,6 @@ def rate_fit(levels, errors) -> RateFit:
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
     return RateFit(float(slope), float(intercept), r2)
-
-
-def penalty_ladder(
-    spec: ProblemSpec, u_k: SmoothObstacle, n_levels, cloud: ForwardCloud, basis: RegressionBasis
-) -> tuple[list[LevelRecord], AprioriReport]:
-    """Every level's record and the last level's a-priori report, from a pass at each level n against u_k.
-
-    ``n_levels`` is any non-empty iterable, read once. ``wall_ms`` times
-    the pass alone, and the Cauchy distance is to the previous level's
-    mean path. Every level shares the cloud's cached Gram matrices.
-    """
-    n_levels = tuple(n_levels)
-    if not n_levels:
-        raise ValueError("the penalty ladder needs at least one level")
-    records, prev_mean = [], None
-    for n in n_levels:
-        t0 = time.perf_counter()
-        sol = solve_penalized(spec, u_k, n, cloud, basis)
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-        records.append(_level_record(u_k, n, sol.mean_path, sol.K, prev_mean, cloud.mean_kappa, wall_ms))
-        prev_mean = sol.mean_path
-    return records, apriori_report(sol, spec, cloud)
 
 
 @dataclass(frozen=True)
@@ -105,17 +81,15 @@ def stability_experiment(
 
     N = cloud.grid.N
     clouds = [cloud] + [cloud.with_terminal(cloud.xi + eps) for eps in eps_list]
-    passes = [_rolling_pass(spec, u_k, n, c, basis) for c in clouds]  # the base pass, then each perturbed one
-    (_, base_y, base_z), perturbed = passes[0], passes[1:]
+    passes = [_backward_steps(spec, u_k, n, c, basis) for c in clouds]  # the base pass, then each perturbed one
 
     # Stored by node, so the max and the sum run in forward node order.
     mean_sq_dy = np.empty((len(eps_list), N + 1))
     mean_sq_dz = np.empty((len(eps_list), N))
     for j in range(N, -1, -1):
-        for steps, _, _ in passes:
-            next(steps)
-        for i, (_, pert_y, pert_z) in enumerate(perturbed):
-            mean_sq_dy[i, j] = np.mean((pert_y[j % 2] - base_y[j % 2]) ** 2)
+        (base_y, base_z), *perturbed = [next(steps) for steps in passes]
+        for i, (pert_y, pert_z) in enumerate(perturbed):
+            mean_sq_dy[i, j] = np.mean((pert_y - base_y) ** 2)
             if j < N:
                 mean_sq_dz[i, j] = _mean_sq_norm(pert_z - base_z)
     dt = cloud.grid.dt

@@ -123,6 +123,7 @@ def simulate_forward(spec: ProblemSpec, grid: TimeGrid, M: int, seed: int) -> Fo
     for start in range(0, M, block):
         draw = rng.standard_normal(out=buffer[: M - start])
         np.multiply(draw.transpose(1, 0, 2), sqrt_dt, out=dB[:, start : start + draw.shape[0]])
+    del buffer, draw  # give the block back before brownian is allocated
 
     brownian = _partial_sums(dB)
 

@@ -164,17 +164,17 @@ def solve_penalized(
     are reduced as each row appears, so no pass holds a full solution.
     """
     N = cloud.grid.N
-    steps, y_pair, z_row = _rolling_pass(spec, u_k, n, cloud, basis)
+    steps = _backward_steps(spec, u_k, n, cloud, basis)
     mean_y2, mean_z2, sq = np.empty(N + 1), np.empty(N), np.empty(cloud.M)
     for j in range(N, -1, -1):
-        next(steps)
-        mean_y2[j] = np.mean(np.square(y_pair[j % 2], out=sq))
+        y, z = next(steps)
+        mean_y2[j] = np.mean(np.square(y, out=sq))
         if j < N:
-            mean_z2[j] = _mean_sq_norm(z_row, sq)
+            mean_z2[j] = _mean_sq_norm(z, sq)
     try:
         next(steps)
     except StopIteration as done:
-        mean_path, K, mean_f_dt, mean_g_dkappa, z_mean = done.value
+        y_pair, mean_path, K, mean_f_dt, mean_g_dkappa, z_mean = done.value
     return PenalizedSolution(
         grid=cloud.grid,
         Y=y_pair,
@@ -206,30 +206,17 @@ def _mean_sq_norm(z: np.ndarray, out: np.ndarray | None = None) -> np.floating:
     return np.mean(acc)
 
 
-def _rolling_pass(spec, u_k, n, cloud, basis):
-    """(steps, Y pair, Z row) of a backward pass that holds only its latest two Y rows and its latest Z row.
-
-    Node j's Y is in ``Y pair[j % 2]`` and step j's Z in ``Z row`` from the
-    ``next()`` that writes them until the pass overwrites them, two nodes
-    (Y) or one step (Z) later.
-    """
-    N, M, d = cloud.grid.N, cloud.M, cloud.d
-    y_pair, z_row = np.empty((2, M)), np.empty((M, d))
-    y_rows = [y_pair[j % 2] for j in range(N + 1)]
-    return _backward_steps(spec, u_k, n, cloud, basis, y_rows, [z_row] * N), y_pair, z_row
-
-
-def _backward_steps(spec, u_k, n, cloud, basis, Y_rows, Z_rows):
+def _backward_steps(spec, u_k, n, cloud, basis):
     """One backward pass as a generator that advances one node per ``next()``.
 
-    The first ``next()`` writes node N (Y = xi) into ``Y_rows[N]``; each
-    later one runs step j = N-1, ..., 0 and writes Y_j into ``Y_rows[j]``
-    and Z_j into ``Z_rows[j]``. The rows are indexed by node: full
-    (N+1, M) and (N+1, M, d) arrays, or, since step j reads only
-    ``Y_rows[j + 1]``, lists whose entries repeat a few rows. The
-    generator yields nothing and returns (mean_path, K, mean_f_dt,
-    mean_g_dkappa, z_mean) when it is exhausted, with z_mean the (N, d)
-    per-step mean of Z.
+    The pass holds two Y rows and one Z row: node j's Y lives in row
+    j % 2 of its (2, M) row pair and step j's Z in its (M, d) row. The
+    first ``next()`` yields (Y_N, None), with Y_N = xi and no Z beyond the
+    last step; each later one runs step j = N-1, ..., 0 and yields
+    (Y_j, Z_j). A yielded row stays valid until the pass overwrites it,
+    two nodes (Y) or one step (Z) later. When exhausted the generator
+    returns (row pair, mean_path, K, mean_f_dt, mean_g_dkappa, z_mean),
+    with z_mean the (N, d) per-step mean of Z.
     """
     if u_k.grid != cloud.grid:
         raise LengthMismatch("smooth obstacle grid does not match the cloud grid")
@@ -240,6 +227,7 @@ def _backward_steps(spec, u_k, n, cloud, basis, Y_rows, Z_rows):
     N, M, d, dt = cloud.grid.N, cloud.M, cloud.d, cloud.grid.dt
     times = cloud.grid.times
 
+    y_pair, z = np.empty((2, M)), np.empty((M, d))
     # Each step works in the same C-ordered (M, d+1) targets and fitted
     # values and one g * dkappa row, so no step allocates particle arrays
     # of its own.
@@ -249,16 +237,17 @@ def _backward_steps(spec, u_k, n, cloud, basis, Y_rows, Z_rows):
     fitted = np.empty((M, d + 1))
     g_dkap = np.empty(M)
     z_targets, cond_mean = targets[:, :d], fitted[:, d]
-    Y_rows[N][...] = cloud.xi
-    mean_path[N] = Y_rows[N].mean()
+    y0 = y_pair[N % 2]
+    y0[...] = cloud.xi
+    mean_path[N] = y0.mean()
     dK = np.zeros(N)
     mean_f_dt = np.zeros(N)
     mean_g_dkappa = np.zeros(N)  # stays 0.0 for the zero boundary, whose g * dkappa row is never formed
     has_boundary = spec.boundary.family != "zero"
-    yield
+    yield y0, None
 
     for j in range(N - 1, -1, -1):
-        y_next, y0, z = Y_rows[j + 1], Y_rows[j], Z_rows[j]
+        y_next, y0 = y0, y_pair[j % 2]
         np.multiply(y_next[:, None], cloud.dB[j], out=z_targets)
         np.divide(z_targets, dt, out=z_targets)
         targets[:, d] = y_next
@@ -301,6 +290,6 @@ def _backward_steps(spec, u_k, n, cloud, basis, Y_rows, Z_rows):
         # The mean over all M copies even for a common value: it can differ
         # from that value in the last bit.
         mean_f_dt[j] = float(np.mean(f_vals)) * dt
-        yield
+        yield y0, z
 
-    return mean_path, np.concatenate([[0.0], np.cumsum(dK)]), mean_f_dt, mean_g_dkappa, z_mean
+    return y_pair, mean_path, np.concatenate([[0.0], np.cumsum(dK)]), mean_f_dt, mean_g_dkappa, z_mean

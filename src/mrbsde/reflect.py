@@ -135,19 +135,34 @@ def recover_compensator(solution: PenalizedSolution) -> tuple[np.ndarray, tuple]
     return K, tuple(warnings)
 
 
-def _level_record(u_k, n, mean_path, K, prev_mean, mean_kappa, wall_ms) -> LevelRecord:
-    """The trace entry of level n's pass; ``prev_mean`` is the previous level's mean path, or None."""
-    sup_sq, integral_sq = deficit_metrics(mean_path, u_k, mean_kappa)
-    return LevelRecord(
-        k=u_k.level,
-        n=n,
-        sup_deficit=math.sqrt(sup_sq),
-        sup_neg_sq=sup_sq,
-        integral_neg_sq=integral_sq,
-        cauchy_mean_dist=float(np.max(np.abs(mean_path - prev_mean))) if prev_mean is not None else None,
-        flatness_residual=flatness_residual(mean_path, u_k.values, K),
-        wall_ms=wall_ms,
-    )
+def penalty_ladder(spec: ProblemSpec, u_k: SmoothObstacle, n_levels, cloud: ForwardCloud, basis: RegressionBasis):
+    """Yield (record, solution) of a pass at each level n against u_k, one level per ``next()``.
+
+    ``n_levels`` is any non-empty iterable, read once and lazily; an empty
+    one raises ValueError once the ladder is run. ``wall_ms`` times the
+    pass alone, and the Cauchy distance is to the previous level's mean
+    path. Every level shares the cloud's cached Gram matrices.
+    """
+    prev_mean = None
+    for n in n_levels:
+        t0 = time.perf_counter()
+        sol = solve_penalized(spec, u_k, n, cloud, basis)
+        wall_ms = (time.perf_counter() - t0) * 1000.0
+        sup_sq, integral_sq = deficit_metrics(sol.mean_path, u_k, cloud.mean_kappa)
+        record = LevelRecord(
+            k=u_k.level,
+            n=n,
+            sup_deficit=math.sqrt(sup_sq),
+            sup_neg_sq=sup_sq,
+            integral_neg_sq=integral_sq,
+            cauchy_mean_dist=None if prev_mean is None else float(np.max(np.abs(sol.mean_path - prev_mean))),
+            flatness_residual=flatness_residual(sol.mean_path, u_k.values, sol.K),
+            wall_ms=wall_ms,
+        )
+        prev_mean = sol.mean_path
+        yield record, sol
+    if prev_mean is None:
+        raise ValueError("the penalty ladder needs at least one level")
 
 
 def solve_reflected(
@@ -171,14 +186,8 @@ def solve_reflected(
     trace: list[LevelRecord] = []
     for k in schedule.k_levels:
         u_k = mollify_obstacle(spec.obstacle, k, cloud.grid, quad_points)
-        prev_mean = None
-        for n in schedule.n_levels:
-            t0 = time.perf_counter()
-            sol = solve_penalized(spec, u_k, n, cloud, basis)
-            wall_ms = (time.perf_counter() - t0) * 1000.0
-            record = _level_record(u_k, n, sol.mean_path, sol.K, prev_mean, cloud.mean_kappa, wall_ms)
+        for record, sol in penalty_ladder(spec, u_k, schedule.n_levels, cloud, basis):
             trace.append(record)
-            prev_mean = sol.mean_path
             if record.cauchy_mean_dist is not None:
                 cauchy_ok = record.cauchy_mean_dist <= schedule.cauchy_tol
             else:

@@ -76,9 +76,10 @@ class TestParseConfig:
         assert cfg.M == 1500
         assert cfg.output == str(tmp_path / "out")
 
-    def test_unknown_preset(self):
+    @pytest.mark.parametrize("preset", ["COSINE", ["SINE"], {"name": "SINE"}], ids=["name", "list", "object"])
+    def test_unknown_preset(self, preset):
         with pytest.raises(ParseError, match="unknown preset"):
-            build_config({"preset": "COSINE"})
+            build_config({"preset": preset})
 
     def test_hard_problem_error_surfaces(self, tmp_path):
         bad = {"preset": "SINE", "problem": {"boundary": {"family": "zero", "beta": 0.5}},
@@ -97,6 +98,8 @@ class TestParseConfig:
             ("problem", "horizon", float("nan")),
             ("numerics", "M", float("inf")),
             (None, "seed", float("nan")),
+            (None, "seed", -1),
+            (None, "seed", 2**64),
             ("schedule", "deficit_tol", float("nan")),
             ("schedule", "k_levels", [8.7]),
             ("schedule", "k_levels", ["a"]),

@@ -10,6 +10,7 @@ from mrbsde import (
     DriverSpec,
     KappaSpec,
     LengthMismatch,
+    LevelRecord,
     NonPositiveError,
     ObstacleCurve,
     RegressionBasis,
@@ -17,6 +18,7 @@ from mrbsde import (
     TimeGrid,
     apriori_report,
     deficit_metrics,
+    flatness_residual,
     mollify_obstacle,
     penalty_ladder,
     rate_fit,
@@ -24,9 +26,8 @@ from mrbsde import (
     solve_penalized,
     stability_experiment,
 )
-from mrbsde import penalized
+from mrbsde import diagnostics, reflect
 from mrbsde.cli import build_config
-from mrbsde.reflect import _level_record
 from tests.util import full_pass, zero_problem
 
 GRID = TimeGrid(1.0, 50)
@@ -196,7 +197,7 @@ class TestStabilityExperiment:
         def no_pass(*args):
             raise AssertionError("a pass ran")
 
-        monkeypatch.setattr(penalized, "_backward_steps", no_pass)
+        monkeypatch.setattr(diagnostics, "_backward_steps", no_pass)
         with pytest.raises(ValueError):
             stability_experiment(spec, cloud, perturbations, u_k, 200, BASIS)
 
@@ -222,13 +223,24 @@ class TestRatesLadder:
         cloud = simulate_forward(spec, GRID, 4000, seed=5)
         u_k = mollify_obstacle(SINE, 20, GRID)
         levels = (25, 50, 100, 200)
-        records, report = penalty_ladder(spec, u_k, levels, cloud, BASIS)
+        ladder = list(penalty_ladder(spec, u_k, levels, cloud, BASIS))
         prev_mean = None
-        for record, n in zip(records, levels, strict=True):
+        for (record, _), n in zip(ladder, levels, strict=True):
             full = full_pass(spec, u_k, n, cloud, BASIS)
-            expected = _level_record(u_k, n, full.mean_path, full.K, prev_mean, cloud.mean_kappa, 0.0)
+            sup_sq, integral_sq = deficit_metrics(full.mean_path, u_k, cloud.mean_kappa)
+            expected = LevelRecord(
+                k=u_k.level,
+                n=n,
+                sup_deficit=math.sqrt(sup_sq),
+                sup_neg_sq=sup_sq,
+                integral_neg_sq=integral_sq,
+                cauchy_mean_dist=None if prev_mean is None else float(np.max(np.abs(full.mean_path - prev_mean))),
+                flatness_residual=flatness_residual(full.mean_path, u_k.values, full.K),
+                wall_ms=0.0,
+            )
             assert dataclasses.replace(record, wall_ms=0.0) == expected
             prev_mean = full.mean_path
+        report = apriori_report(ladder[-1][1], spec, cloud)
         assert full.K[-1] > 0.0  # the penalty fires
         assert report.compensator_terminal_sq == float(full.K[-1] ** 2)
         assert report.sup_mean_sq_y == float(np.max(np.mean(full.Y**2, axis=1)))
@@ -243,18 +255,18 @@ class TestRatesLadder:
     def test_levels_may_come_from_a_generator(self):
         spec, u_k, cloud = self.ladder_setup()
         levels = (25, 50, 100)
-        records, report = penalty_ladder(spec, u_k, (n for n in levels), cloud, BASIS)
-        expected, expected_report = penalty_ladder(spec, u_k, levels, cloud, BASIS)
-        assert [rec.n for rec in records] == list(levels)
-        assert [dataclasses.replace(rec, wall_ms=0.0) for rec in records] == [
-            dataclasses.replace(rec, wall_ms=0.0) for rec in expected
+        got = list(penalty_ladder(spec, u_k, (n for n in levels), cloud, BASIS))
+        expected = list(penalty_ladder(spec, u_k, levels, cloud, BASIS))
+        assert [rec.n for rec, _ in got] == list(levels)
+        assert [dataclasses.replace(rec, wall_ms=0.0) for rec, _ in got] == [
+            dataclasses.replace(rec, wall_ms=0.0) for rec, _ in expected
         ]
-        assert report == expected_report
+        assert apriori_report(got[-1][1], spec, cloud) == apriori_report(expected[-1][1], spec, cloud)
 
     def test_nan_level_rejected(self):
         spec, u_k, cloud = self.ladder_setup()
         with pytest.raises(ValueError, match="must be >= 0"):
-            penalty_ladder(spec, u_k, (25, math.nan), cloud, BASIS)
+            list(penalty_ladder(spec, u_k, (25, math.nan), cloud, BASIS))
 
     def test_no_levels_is_rejected_before_any_pass(self, monkeypatch):
         spec, u_k, cloud = self.ladder_setup()
@@ -262,9 +274,9 @@ class TestRatesLadder:
         def no_pass(*args):
             raise AssertionError("a pass ran")
 
-        monkeypatch.setattr(penalized, "_backward_steps", no_pass)
+        monkeypatch.setattr(reflect, "solve_penalized", no_pass)
         with pytest.raises(ValueError, match="at least one level"):
-            penalty_ladder(spec, u_k, (), cloud, BASIS)
+            list(penalty_ladder(spec, u_k, (), cloud, BASIS))
 
     def test_ladder_holds_less_than_one_solution_array(self):
         cfg = build_config({"preset": "BOUNDARY", "numerics": {"M": 4000, "N": 50}})
@@ -272,10 +284,12 @@ class TestRatesLadder:
         cloud = simulate_forward(cfg.spec, grid, cfg.M, seed=3)
         u_k = mollify_obstacle(cfg.spec.obstacle, 20, grid)
         levels = cfg.schedule.n_levels
-        penalty_ladder(cfg.spec, u_k, levels, cloud, cfg.basis)  # fills the Gram cache
+        for _ in penalty_ladder(cfg.spec, u_k, levels, cloud, cfg.basis):  # fills the Gram cache
+            pass
         tracemalloc.start()
         try:
-            penalty_ladder(cfg.spec, u_k, levels, cloud, cfg.basis)
+            for _ in penalty_ladder(cfg.spec, u_k, levels, cloud, cfg.basis):
+                pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -16,12 +18,14 @@ from mrbsde import (
     TimeGrid,
     flatness_residual,
     mollify_obstacle,
+    penalty_ladder,
     recover_compensator,
     simulate_forward,
     skorokhod_closed_form,
     solve_penalized,
     solve_reflected,
 )
+from mrbsde import reflect
 from mrbsde.cli import build_config
 from tests.util import full_pass, regression_statistics, zero_problem
 
@@ -133,6 +137,31 @@ class TestSolveLoop:
             got, want = getattr(refl.solution, field), getattr(fresh, field)
             assert np.array_equal(got, want), field
             assert np.array_equal(np.signbit(got), np.signbit(want)), field
+
+    def test_one_pass_per_trace_row(self, monkeypatch):
+        # the ladder runs a level only when the stopping rule asks for it
+        cloud = simulate_forward(self.SPEC, GRID, 2000, seed=4)
+        passes = []
+
+        def counted(*args):
+            passes.append(args[2])
+            return solve_penalized(*args)
+
+        monkeypatch.setattr(reflect, "solve_penalized", counted)
+        refl = solve_reflected(self.SPEC, cloud, self.SCHEDULE, BASIS)
+        assert passes == [rec.n for rec in refl.trace]
+        assert len(passes) < len(self.SCHEDULE.k_levels) * len(self.SCHEDULE.n_levels)
+
+    def test_trace_rows_are_the_leading_ladder_records(self):
+        cloud = simulate_forward(self.SPEC, GRID, 2000, seed=4)
+        trace = solve_reflected(self.SPEC, cloud, self.SCHEDULE, BASIS).trace
+        ks = [rec.k for rec in trace]
+        assert sorted(set(ks)) == list(self.SCHEDULE.k_levels)
+        for k in self.SCHEDULE.k_levels:
+            rows = [dataclasses.replace(rec, wall_ms=0.0) for rec in trace if rec.k == k]
+            ladder = penalty_ladder(self.SPEC, mollify_obstacle(SINE, k, GRID), self.SCHEDULE.n_levels, cloud, BASIS)
+            leading = [dataclasses.replace(rec, wall_ms=0.0) for rec, _ in itertools.islice(ladder, len(rows))]
+            assert rows == leading
 
     def test_a_warm_solve_holds_less_than_one_solution_array(self):
         cfg = build_config({"preset": "BOUNDARY", "numerics": {"M": 4000, "N": 50}})

@@ -45,18 +45,21 @@ class FullPass(NamedTuple):
 def full_pass(spec, u_k, n, cloud, basis) -> FullPass:
     """The solver's backward pass at level n with every row kept.
 
-    Drives ``penalized._backward_steps`` over full (N+1, M) Y and
-    (N+1, M, d) Z arrays, so its rows are the rows ``solve_penalized``
-    steps through, by construction; only the per-particle checks need them.
+    Copies each row that ``penalized._backward_steps`` yields into full
+    (N+1, M) Y and (N+1, M, d) Z arrays, so its rows are the rows
+    ``solve_penalized`` steps through, by construction; only the
+    per-particle checks need them.
     """
     N, M, d = cloud.grid.N, cloud.M, cloud.d
     Y, Z = np.empty((N + 1, M)), np.empty((N + 1, M, d))
-    steps = penalized._backward_steps(spec, u_k, n, cloud, basis, Y, Z)
+    steps = penalized._backward_steps(spec, u_k, n, cloud, basis)
+    Y[N] = next(steps)[0]
+    for j in range(N - 1, -1, -1):
+        Y[j], Z[j] = next(steps)
     try:
-        while True:
-            next(steps)
+        next(steps)
     except StopIteration as done:
-        mean_path, K, mean_f_dt, mean_g_dkappa, _ = done.value
+        _, mean_path, K, mean_f_dt, mean_g_dkappa, _ = done.value
     Z[N] = Z[N - 1]
     return FullPass(Y, Z, mean_path, K, mean_f_dt, mean_g_dkappa)
 
