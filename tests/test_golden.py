@@ -1,11 +1,13 @@
-"""Small end-to-end solves pinned to committed artifact values.
+"""Small end-to-end runs pinned to committed artifact values.
 
 The CSV artifacts carry 12 significant digits, so a change in any
 floating-point summation order of the forward cloud or the backward pass
 (a pairwise instead of a sequential mean, a GEMM at another shape or
 layout) shows up here, not only in the benchmark's reference gate.
-``GOLDEN`` was captured with the forward cloud still stored particle-major;
-it must never be recaptured to make this test pass.
+The two ``solve`` cases of ``GOLDEN`` were captured with the forward cloud
+still stored particle-major, and the ``stability`` and ``rates`` cases with
+every Brownian position still held in one full array; no case may ever be
+recaptured to make this test pass.
 """
 
 import json
@@ -28,18 +30,40 @@ _SCHEDULE = {
 
 CASES = {
     # linear clock, Brownian basis: six levels over two smoothing levels
-    "boundary": {"preset": "BOUNDARY", "numerics": {"M": 2000, "N": 20}, "schedule": _SCHEDULE, "seed": 11},
+    "boundary": (
+        "solve",
+        {"preset": "BOUNDARY", "numerics": {"M": 2000, "N": 20}, "schedule": _SCHEDULE, "seed": 11},
+    ),
     # pathwise-integral clock along a forward state, forward-state basis
-    "boundary-forward": {
-        "preset": "BOUNDARY",
-        "numerics": {"M": 2000, "N": 20, "basis": "forward"},
-        "problem": {
-            "kappa": {"family": "integral", "h_kind": "square", "h_scale": 0.5},
-            "forward": {"x0": 1.0, "drift_const": 0.1, "sigma": 0.3},
+    "boundary-forward": (
+        "solve",
+        {
+            "preset": "BOUNDARY",
+            "numerics": {"M": 2000, "N": 20, "basis": "forward"},
+            "problem": {
+                "kappa": {"family": "integral", "h_kind": "square", "h_scale": 0.5},
+                "forward": {"x0": 1.0, "drift_const": 0.1, "sigma": 0.3},
+            },
+            "schedule": _SCHEDULE,
+            "seed": 11,
         },
-        "schedule": _SCHEDULE,
-        "seed": 11,
-    },
+    ),
+    # a base pass and its perturbed passes stepped in lockstep on one two-dimensional cloud
+    "stability": (
+        "stability",
+        {
+            "preset": "AFFINE",
+            "numerics": {"M": 2000, "N": 20},
+            "problem": {"brownian_dim": 2},
+            "schedule": _SCHEDULE,
+            "seed": 11,
+        },
+    ),
+    # six penalty levels streamed one pass at a time over one cloud
+    "rates": (
+        "rates",
+        {"preset": "BOUNDARY", "numerics": {"M": 2000, "N": 20}, "schedule": _SCHEDULE, "seed": 11},
+    ),
 }
 
 
@@ -55,9 +79,11 @@ def _numeric_leaves(obj, prefix=""):
 
 
 def artifact_values(outdir: Path) -> dict:
-    """Deterministic numbers of a solve: both CSVs without ``wall_ms``, and report diagnostics."""
+    """Deterministic numbers of a run: the CSVs it wrote without ``wall_ms``, and report diagnostics."""
     values = {}
     for name in ("mean_path.csv", "convergence.csv"):
+        if not (outdir / name).exists():
+            continue
         header, *rows = (outdir / name).read_text(encoding="ascii").splitlines()
         cols = header.split(",")
         for j, row in enumerate(rows):
@@ -70,10 +96,10 @@ def artifact_values(outdir: Path) -> dict:
 
 
 def run_case(name: str, tmp_path: Path) -> dict:
-    doc = {**CASES[name], "output": str(tmp_path / name)}
+    subcommand, doc = CASES[name]
     config = tmp_path / f"{name}.json"
-    config.write_text(json.dumps(doc), encoding="utf-8")
-    assert main(["solve", "--config", str(config)]) == 0
+    config.write_text(json.dumps({**doc, "output": str(tmp_path / name)}), encoding="utf-8")
+    assert main([subcommand, "--config", str(config)]) == 0
     return artifact_values(tmp_path / name)
 
 
