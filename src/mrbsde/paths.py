@@ -9,11 +9,20 @@ cloud a pure function of (spec, grid, M, seed) no matter how the consuming
 code is scheduled. The variates are drawn particle by particle but stored
 time-major, so that the backward pass reads each step's slice of the cloud
 as one contiguous block.
+
+The Brownian positions are the running sum of the increments, so the cloud
+does not store them all: it keeps the increments, B at every s-th node
+(s = floor(sqrt(N))) and at N, and one s-node segment that is rebuilt from
+its checkpoint when a node outside it is read. A pass reads the nodes from
+N - 1 down to 0, so it rebuilds each segment once, at the cost of N row
+additions; the rebuilt rows repeat the additions that made them, so they
+are bit-identical to a full running sum.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -52,14 +61,19 @@ class ForwardCloud:
 
     The arrays are time-major: row j of ``dB``, ``brownian``, ``kappa`` and
     ``forward_state`` holds every particle at step j, contiguously.
+    ``brownian[j]`` is node j's (M, d) row, read from a
+    ``BrownianPositions`` (checkpoints and one rebuilt segment) on a
+    simulated cloud; any array indexed by node works in its place.
     ``mean_kappa`` is the per-node sample mean of kappa, frozen here so the
     backward solver's penalty measure d(s + E[kappa_s]) does not move when
-    particles are revisited.
+    particles are revisited. ``with_terminal`` copies share every array,
+    the positions' segment included, so passes stepped in lockstep over
+    them rebuild each segment once.
     """
 
     grid: TimeGrid
     dB: np.ndarray  # (N, M, d)
-    brownian: np.ndarray  # (N+1, M, d), cumulative sums, B_0 = 0
+    brownian: "BrownianPositions | np.ndarray"  # node j -> (M, d) cumulative sums, B_0 = 0
     kappa: np.ndarray  # (N+1, M), a read-only broadcast of one curve for a deterministic clock
     xi: np.ndarray  # (M,)
     mean_kappa: np.ndarray  # (N+1,)
@@ -83,18 +97,90 @@ class ForwardCloud:
         return replace(self, xi=xi)
 
 
-def _partial_sums(increments: np.ndarray) -> np.ndarray:
-    """Running sums over the leading (time) axis, from a zero first row, in time order.
+def _running_sum(rows, increments, start=None) -> None:
+    """Write ``start`` and its running sums with ``increments`` into ``rows``, in time order.
 
-    Row by row: ``np.cumsum`` along the leading axis of a time-major array
-    walks each particle with a stride and takes about twice as long.
+    rows[0] = start and rows[i + 1] = rows[i] + increments[i]; ``rows`` is
+    any sequence of row views, one more than there are increments. With no
+    ``start`` the sum runs from zero, and rows[1] is a copy of
+    increments[0] (0 + x would turn a -0.0 into +0.0). Every Brownian
+    position of a cloud is made by this loop, so a row rebuilt from a
+    checkpoint repeats the additions that first made it. Row by row:
+    ``np.cumsum`` along the leading axis of a time-major array walks each
+    particle with a stride and takes about twice as long.
     """
+    if start is None:
+        rows[0][...] = 0.0
+        if len(increments) == 0:
+            return
+        rows[1][...] = increments[0]
+        rows, increments = rows[1:], increments[1:]
+    else:
+        rows[0][...] = start
+    for i, inc in enumerate(increments):
+        np.add(rows[i], inc, out=rows[i + 1])
+
+
+def _partial_sums(increments: np.ndarray) -> np.ndarray:
+    """Running sums over the leading (time) axis, from a zero first row, in time order."""
     out = np.empty((increments.shape[0] + 1,) + increments.shape[1:])
-    out[0] = 0.0
-    out[1] = increments[0]
-    for j in range(1, increments.shape[0]):
-        np.add(out[j], increments[j], out=out[j + 1])
+    _running_sum(out, increments)
     return out
+
+
+class BrownianPositions:
+    """Brownian positions B_0, ..., B_N of a cloud, held as checkpoints and one rebuilt segment.
+
+    With s = floor(sqrt(N)), B is kept at nodes s, 2s, ... and at N (B_0 is
+    zero), and ``positions[j]`` returns node j from one (s, M, d) segment
+    buffer covering nodes a, ..., a + s - 1, a = s * (j // s). Reading a
+    node outside the current segment rebuilds the buffer from the
+    checkpoint at a with ``_running_sum``, so every row equals the full
+    running sum ``_partial_sums(dB)[j]`` bit for bit. A returned row is a
+    read-only view that stays valid until a node of another segment is
+    read. Together the checkpoints and the segment hold about 2 sqrt(N)
+    rows where the full path would hold N + 1.
+    """
+
+    def __init__(self, dB: np.ndarray):
+        N = dB.shape[0]
+        self.stride = s = math.isqrt(N)
+        nodes = list(range(s, N + 1, s))
+        if nodes[-1] != N:
+            nodes.append(N)
+        self._dB = dB
+        self._checkpoints = np.empty((len(nodes),) + dB.shape[1:])
+        self._segment = np.empty((s,) + dB.shape[1:])
+        self._start = None  # first node of the rows in the segment buffer, None when they are stale
+        # One forward walk: each segment in turn, with the checkpoint after it
+        # written by the same call as the rows before it.
+        for i, node in enumerate(nodes):
+            a = (node - 1) // s * s
+            rows = [*self._segment[: node - a], self._checkpoints[i]]
+            _running_sum(rows, dB[a:node], self._checkpoint(a))
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the positions hold: the checkpoints and the segment buffer, not the shared increments."""
+        return self._checkpoints.nbytes + self._segment.nbytes
+
+    def _checkpoint(self, a: int) -> np.ndarray | None:
+        return None if a == 0 else self._checkpoints[a // self.stride - 1]
+
+    def __getitem__(self, j) -> np.ndarray:
+        j = operator.index(j)
+        N, s = self._dB.shape[0], self.stride
+        if not 0 <= j <= N:
+            raise IndexError(f"node {j} is outside 0..{N}")
+        a = j // s * s
+        if self._start != a:
+            self._start = None  # a failed rebuild leaves no segment claimed
+            length = min(s, N + 1 - a)
+            _running_sum(self._segment[:length], self._dB[a : a + length - 1], self._checkpoint(a))
+            self._start = a
+        row = self._segment[j - a]
+        row.flags.writeable = False
+        return row
 
 
 def simulate_forward(spec: ProblemSpec, grid: TimeGrid, M: int, seed: int) -> ForwardCloud:
@@ -123,9 +209,9 @@ def simulate_forward(spec: ProblemSpec, grid: TimeGrid, M: int, seed: int) -> Fo
     for start in range(0, M, block):
         draw = rng.standard_normal(out=buffer[: M - start])
         np.multiply(draw.transpose(1, 0, 2), sqrt_dt, out=dB[:, start : start + draw.shape[0]])
-    del buffer, draw  # give the block back before brownian is allocated
+    del buffer, draw  # give the block back before the positions are allocated
 
-    brownian = _partial_sums(dB)
+    brownian = BrownianPositions(dB)
 
     forward_state = None
     if spec.forward is not None:
@@ -150,7 +236,7 @@ def simulate_forward(spec: ProblemSpec, grid: TimeGrid, M: int, seed: int) -> Fo
 
     term = spec.terminal
     if term.mode == "direct-sampler":
-        xi = term.sample_direct(brownian[-1, :, 0], grid.T)
+        xi = term.sample_direct(brownian[N][:, 0], grid.T)
     else:
         xi = term.apply_payoff(forward_state[-1])
 

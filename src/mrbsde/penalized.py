@@ -230,7 +230,8 @@ def _backward_steps(spec, u_k, n, cloud, basis):
     y_pair, z = np.empty((2, M)), np.empty((M, d))
     # Each step works in the same C-ordered (M, d+1) targets and fitted
     # values and one g * dkappa row, so no step allocates particle arrays
-    # of its own.
+    # of its own. Every mean is numpy's own: np.add.reduce over the row,
+    # divided by the count, which is what .mean() computes.
     mean_path = np.empty(N + 1)
     z_mean = np.empty((N, d))
     targets = np.empty((M, d + 1))
@@ -239,7 +240,7 @@ def _backward_steps(spec, u_k, n, cloud, basis):
     z_targets, cond_mean = targets[:, :d], fitted[:, d]
     y0 = y_pair[N % 2]
     y0[...] = cloud.xi
-    mean_path[N] = y0.mean()
+    mean_path[N] = np.add.reduce(y0) / M
     dK = np.zeros(N)
     mean_f_dt = np.zeros(N)
     mean_g_dkappa = np.zeros(N)  # stays 0.0 for the zero boundary, whose g * dkappa row is never formed
@@ -248,12 +249,14 @@ def _backward_steps(spec, u_k, n, cloud, basis):
 
     for j in range(N - 1, -1, -1):
         y_next, y0 = y0, y_pair[j % 2]
-        np.multiply(y_next[:, None], cloud.dB[j], out=z_targets)
-        np.divide(z_targets, dt, out=z_targets)
+        # Y dB / dt in the contiguous Z row, then into the targets' strided columns.
+        np.multiply(y_next[:, None], cloud.dB[j], out=z)
+        np.divide(z, dt, out=z)
+        z_targets[...] = z
         targets[:, d] = y_next
         _fit(cloud, basis, j, targets, fitted)
         z[...] = fitted[:, :d]
-        z_mean[j] = z.mean(axis=0)
+        z_mean[j] = np.add.reduce(z) / M
 
         # Law moments from the step-(j+1) cloud; Z beyond the last regression
         # step does not exist, so the first backward step reuses its own Z.
@@ -274,22 +277,22 @@ def _backward_steps(spec, u_k, n, cloud, basis):
             np.subtract(cloud.kappa[j + 1], cloud.kappa[j], out=g_dkap)
             np.multiply(g_vals, g_dkap, out=g_dkap)
             y0 += g_dkap
-            mean_g_dkappa[j] = float(np.mean(g_dkap))
+            mean_g_dkappa[j] = float(np.add.reduce(g_dkap) / M)
 
-        p_val = float(y0.mean())
+        p_val = float(np.add.reduce(y0) / M)
         delta = dt + float(cloud.mean_kappa[j + 1] - cloud.mean_kappa[j])
         shifted = implicit_mean_penalty(p_val, float(u_k.values[j]), n, delta)
         dK[j] = shifted - p_val
         y0 += dK[j]
-        mean_path[j] = y0.mean()
+        mean_path[j] = np.add.reduce(y0) / M
 
         # A non-finite value anywhere in a row makes its mean non-finite.
-        if not (math.isfinite(mean_path[j]) and np.all(np.isfinite(z_mean[j]))):
+        if not (math.isfinite(mean_path[j]) and np.isfinite(z_mean[j]).all()):
             raise NonFinite(f"non-finite solution values at step {j}")
 
         # The mean over all M copies even for a common value: it can differ
         # from that value in the last bit.
-        mean_f_dt[j] = float(np.mean(f_vals)) * dt
+        mean_f_dt[j] = float(np.add.reduce(f_vals) / M) * dt
         yield y0, z
 
     return y_pair, mean_path, np.concatenate([[0.0], np.cumsum(dK)]), mean_f_dt, mean_g_dkappa, z_mean

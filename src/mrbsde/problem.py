@@ -280,7 +280,10 @@ def eval_driver(spec: DriverSpec, t, y, z, m_y, m_z):
     if spec.family in ("zero", "affine"):
         # Only the declared terms, summed left to right; a sum of constant
         # terms alone is broadcast, read-only, to the argument shape.
-        shape = np.broadcast_shapes(np.shape(y), np.shape(z1), np.shape(m_y), np.shape(mz1))
+        shapes = [np.shape(y), np.shape(z1), np.shape(m_y), np.shape(mz1)]
+        shape = max(shapes, key=len)
+        if any(s and s != shape for s in shapes):  # scalars and equal shapes broadcast to the longest
+            shape = np.broadcast_shapes(*shapes)
         out = c.get("const", 0.0)
         for key, arg in (("y", np.asarray(y, dtype=float)), ("z", z1), ("mean_y", m_y), ("mean_z", mz1)):
             if key in c:

@@ -177,6 +177,28 @@ class TestStabilityExperiment:
             tracemalloc.stop()
         assert peak < (grid.N + 1) * cloud.M * 8
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_lockstep_passes_on_a_fresh_cloud_share_its_positions(self, d):
+        # Each pass holds its two Y rows, Z row, targets, fitted values and
+        # g * dkappa row, (2d + 5) M floats, and each perturbation one
+        # terminal; 2 ceil(sqrt N) position rows cover a step's transients.
+        # A segment and checkpoints per copy, or a full path, exceed that.
+        spec = zero_problem(obstacle=SINE, brownian_dim=d)
+        grid = TimeGrid(1.0, 100)
+        cloud = simulate_forward(spec, grid, 4000, seed=3)
+        u_k = mollify_obstacle(SINE, 20, grid)
+        eps = (0.1, 0.05, 0.025)
+        bound = ((len(eps) + 1) * (2 * d + 5) + len(eps)) * cloud.M * 8 + 2 * math.ceil(
+            math.sqrt(grid.N)
+        ) * cloud.M * d * 8
+        tracemalloc.start()
+        try:
+            stability_experiment(spec, cloud, eps, u_k, 200, BASIS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
     def test_duplicate_epsilons_rejected(self):
         spec = zero_problem(obstacle=SINE)
         cloud = simulate_forward(spec, GRID, 2000, seed=3)

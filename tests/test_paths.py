@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -71,8 +74,9 @@ class TestSimulateForward:
             forward=ForwardSDESpec(x0=0.0, drift_const=0.0, drift_lin=0.0, sigma=1.0),
         )
         cloud = simulate_forward(spec, TimeGrid(1.0, 8), 32, seed=1)
-        np.testing.assert_allclose(cloud.forward_state, cloud.brownian[:, :, 0], atol=1e-14)
-        np.testing.assert_allclose(cloud.xi, cloud.brownian[-1, :, 0])
+        for j in range(9):  # the positions are read node by node
+            np.testing.assert_allclose(cloud.forward_state[j], cloud.brownian[j][:, 0], atol=1e-14)
+        np.testing.assert_allclose(cloud.xi, cloud.brownian[8][:, 0])
 
     def test_direct_sampler_matches_declared_law(self):
         spec = zero_problem(terminal=TerminalSpec("direct-sampler", mean=1.5, std=2.0, declared_mean=1.5))
@@ -115,7 +119,9 @@ class TestSimulateForward:
         draw = rng.standard_normal((m, 6, 2)) * np.sqrt(grid.dt)
         assert cloud.dB.shape == (6, m, 2) and cloud.dB.flags.c_contiguous
         assert np.array_equal(cloud.dB, draw.transpose(1, 0, 2))
-        assert np.array_equal(cloud.brownian[1:], np.cumsum(draw, axis=1).transpose(1, 0, 2))
+        positions = np.cumsum(draw, axis=1).transpose(1, 0, 2)
+        for j in range(1, 7):  # the positions are read node by node
+            assert np.array_equal(cloud.brownian[j], positions[j - 1])
 
     def test_mean_kappa_is_the_sequential_particle_sum(self):
         spec = zero_problem(
@@ -144,3 +150,77 @@ class TestSimulateForward:
         assert np.array_equal(shifted.dB, cloud.dB)
         np.testing.assert_allclose(shifted.xi, cloud.xi + 1.0)
 
+
+
+def node_orders(N):
+    return {
+        "descending": range(N, -1, -1),
+        "ascending": range(N + 1),
+        "random": np.random.default_rng(N).permutation(N + 1),
+    }
+
+
+def position_rows(N, M, d):
+    """Rows a cloud may hold for its increments and positions: N + 2 ceil(sqrt N) + 2, each M d floats."""
+    return (N + 2 * math.ceil(math.sqrt(N)) + 2) * M * d * 8
+
+
+class TestBrownianPositions:
+    """The positions are held as checkpoints and one rebuilt segment, and read exactly as the full running sum."""
+
+    @pytest.mark.parametrize("order", ["descending", "ascending", "random"])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("N", [2, 3, 16, 17, 100, 200])
+    def test_every_node_equals_the_full_running_sum(self, N, d, order):
+        cloud = simulate_forward(zero_problem(brownian_dim=d), TimeGrid(1.0, N), 5, seed=N)
+        full = paths._partial_sums(cloud.dB)
+        for j in node_orders(N)[order]:
+            assert np.array_equal(cloud.brownian[j], full[j]), j
+
+    @pytest.mark.parametrize("N", [16, 17])
+    def test_with_terminal_copies_share_the_segment(self, N):
+        cloud = simulate_forward(zero_problem(brownian_dim=2), TimeGrid(1.0, N), 5, seed=1)
+        full = paths._partial_sums(cloud.dB)
+        copy = cloud.with_terminal(cloud.xi + 0.5)
+        assert copy.brownian is cloud.brownian
+        for j in node_orders(N)["random"]:  # reads alternate between the copy and the base
+            assert np.array_equal(copy.brownian[j], full[j]), j
+            assert np.array_equal(cloud.brownian[j], full[j]), j
+
+    def test_a_row_is_a_read_only_view_valid_until_another_segment_is_read(self):
+        cloud = simulate_forward(zero_problem(), TimeGrid(1.0, 16), 5, seed=1)
+        full = paths._partial_sums(cloud.dB)
+        row = cloud.brownian[7]  # segments of s = 4 nodes: 4..7 now
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 1.0
+        cloud.brownian[4]
+        assert np.array_equal(row, full[7])
+        cloud.brownian[12]  # rebuilds the buffer with nodes 12..15
+        assert np.array_equal(row, full[15])
+
+    @pytest.mark.parametrize("j", [-1, 17, 2.0])
+    def test_nodes_outside_the_grid_are_rejected(self, j):
+        cloud = simulate_forward(zero_problem(), TimeGrid(1.0, 16), 5, seed=1)
+        with pytest.raises((IndexError, TypeError)):
+            cloud.brownian[j]
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_simulation_peak_and_held_bytes_are_bounded(self, d):
+        # the increments, about 2 sqrt(N) position rows and one draw block:
+        # a full (N+1)-row path on top of the increments exceeds the bound
+        N, M = 100, 4000
+        spec, grid = zero_problem(brownian_dim=d), TimeGrid(1.0, N)
+        simulate_forward(spec, grid, 8, seed=0)  # imports done before tracing
+        bound = position_rows(N, M, d) + paths._BLOCK_VALUES * 8
+        tracemalloc.start()
+        try:
+            cloud = simulate_forward(spec, grid, M, seed=3)
+            held, peak = tracemalloc.get_traced_memory()
+            for j in range(N, -1, -1):
+                cloud.brownian[j]
+            held_after_reads = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound and held <= bound
+        assert held_after_reads - held < M * d * 8  # reading every node keeps no row
+        assert cloud.dB.nbytes + cloud.brownian.nbytes <= position_rows(N, M, d)
