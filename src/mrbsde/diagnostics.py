@@ -89,7 +89,7 @@ def stability_experiment(
     for j in range(N, -1, -1):
         (base_y, base_z), *perturbed = [next(steps) for steps in passes]
         for i, (pert_y, pert_z) in enumerate(perturbed):
-            mean_sq_dy[i, j] = np.mean((pert_y - base_y) ** 2)
+            mean_sq_dy[i, j] = np.add.reduce((pert_y - base_y) ** 2) / cloud.M
             if j < N:
                 mean_sq_dz[i, j] = _mean_sq_norm(pert_z - base_z)
     dt = cloud.grid.dt

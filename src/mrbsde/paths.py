@@ -144,7 +144,7 @@ class BrownianPositions:
 
     def __init__(self, dB: np.ndarray):
         N = dB.shape[0]
-        self.stride = s = math.isqrt(N)
+        self._stride = s = math.isqrt(N)
         nodes = list(range(s, N + 1, s))
         if nodes[-1] != N:
             nodes.append(N)
@@ -165,11 +165,11 @@ class BrownianPositions:
         return self._checkpoints.nbytes + self._segment.nbytes
 
     def _checkpoint(self, a: int) -> np.ndarray | None:
-        return None if a == 0 else self._checkpoints[a // self.stride - 1]
+        return None if a == 0 else self._checkpoints[a // self._stride - 1]
 
     def __getitem__(self, j) -> np.ndarray:
         j = operator.index(j)
-        N, s = self._dB.shape[0], self.stride
+        N, s = self._dB.shape[0], self._stride
         if not 0 <= j <= N:
             raise IndexError(f"node {j} is outside 0..{N}")
         a = j // s * s

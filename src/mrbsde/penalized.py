@@ -168,7 +168,7 @@ def solve_penalized(
     mean_y2, mean_z2, sq = np.empty(N + 1), np.empty(N), np.empty(cloud.M)
     for j in range(N, -1, -1):
         y, z = next(steps)
-        mean_y2[j] = np.mean(np.square(y, out=sq))
+        mean_y2[j] = np.add.reduce(np.square(y, out=sq)) / cloud.M
         if j < N:
             mean_z2[j] = _mean_sq_norm(z, sq)
     try:
@@ -203,7 +203,7 @@ def _mean_sq_norm(z: np.ndarray, out: np.ndarray | None = None) -> np.floating:
     acc = np.square(z[:, 0], out=out)
     for c in range(1, d):
         acc += np.square(z[:, c])
-    return np.mean(acc)
+    return np.add.reduce(acc) / acc.shape[0]  # np.mean's bits, without its Python overhead
 
 
 def _backward_steps(spec, u_k, n, cloud, basis):
