@@ -138,8 +138,9 @@ class BrownianPositions:
     checkpoint at a with ``_running_sum``, so every row equals the full
     running sum ``_partial_sums(dB)[j]`` bit for bit. A returned row is a
     read-only view that stays valid until a node of another segment is
-    read. Together the checkpoints and the segment hold about 2 sqrt(N)
-    rows where the full path would hold N + 1.
+    read, so two threads must not read one cloud's positions at once.
+    Together the checkpoints and the segment hold about 2 sqrt(N) rows
+    where the full path would hold N + 1.
     """
 
     def __init__(self, dB: np.ndarray):
