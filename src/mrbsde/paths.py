@@ -73,7 +73,7 @@ class ForwardCloud:
 
     grid: TimeGrid
     dB: np.ndarray  # (N, M, d)
-    brownian: "BrownianPositions | np.ndarray"  # node j -> (M, d) cumulative sums, B_0 = 0
+    brownian: BrownianPositions | np.ndarray  # node j -> (M, d) cumulative sums, B_0 = 0
     kappa: np.ndarray  # (N+1, M), a read-only broadcast of one curve for a deterministic clock
     xi: np.ndarray  # (M,)
     mean_kappa: np.ndarray  # (N+1,)

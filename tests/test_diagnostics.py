@@ -188,9 +188,8 @@ class TestStabilityExperiment:
         cloud = simulate_forward(spec, grid, 4000, seed=3)
         u_k = mollify_obstacle(SINE, 20, grid)
         eps = (0.1, 0.05, 0.025)
-        bound = ((len(eps) + 1) * (2 * d + 5) + len(eps)) * cloud.M * 8 + 2 * math.ceil(
-            math.sqrt(grid.N)
-        ) * cloud.M * d * 8
+        row = cloud.M * 8
+        bound = ((len(eps) + 1) * (2 * d + 5) + len(eps)) * row + 2 * math.ceil(math.sqrt(grid.N)) * d * row
         tracemalloc.start()
         try:
             stability_experiment(spec, cloud, eps, u_k, 200, BASIS)
