@@ -15,7 +15,7 @@ import numpy as np
 from .errors import LengthMismatch, NonPositiveError
 from .mollify import SmoothObstacle
 from .paths import ForwardCloud
-from .penalized import PenalizedSolution, RegressionBasis, _backward_steps, _mean_sq_norm
+from .penalized import PenalizedSolution, RegressionBasis, _backward_steps, _mean_sq_norm, _StepScratch
 from .problem import ProblemSpec, eval_driver
 
 
@@ -68,10 +68,13 @@ def stability_experiment(
     (common random numbers), so the reported differences isolate the
     perturbation; every run shares the cloud's cached Gram matrices. The
     base pass and every perturbed pass step backward in lockstep, the base
-    pass first at each step, and each holds only its latest two Y rows and
-    its latest Z row: the per-node moments of the differences are taken as
-    the rows appear, so no full solution is ever held. Rows are sorted by
-    epsilon.
+    pass first at each step. Each holds only its latest two Y rows and its
+    latest Z row, and writes xi + epsilon into its own terminal row. The
+    passes take turns in one step scratch, whose targets, fitted values,
+    g * dkappa row and node design serve them all, so each node's design
+    is built once. The per-node moments of the differences are taken as the
+    rows appear, in one difference row pair, so no full solution is ever
+    held. Rows are sorted by epsilon.
     """
     eps_list = sorted(float(e) for e in perturbations)
     if not eps_list or not np.all(np.isfinite(eps_list)):
@@ -79,19 +82,22 @@ def stability_experiment(
     if len(set(eps_list)) != len(eps_list):
         raise ValueError("perturbation values must be distinct")
 
-    N = cloud.grid.N
-    clouds = [cloud] + [cloud.with_terminal(cloud.xi + eps) for eps in eps_list]
-    passes = [_backward_steps(spec, u_k, n, c, basis) for c in clouds]  # the base pass, then each perturbed one
+    N, M = cloud.grid.N, cloud.M
+    scratch = _StepScratch(M, cloud.d)
+    # The base pass (no shift), then each perturbed one.
+    passes = [_backward_steps(spec, u_k, n, cloud, basis, eps, scratch) for eps in [None, *eps_list]]
 
     # Stored by node, so the max and the sum run in forward node order.
     mean_sq_dy = np.empty((len(eps_list), N + 1))
     mean_sq_dz = np.empty((len(eps_list), N))
+    dy, dz = np.empty(M), np.empty((M, cloud.d))
     for j in range(N, -1, -1):
         (base_y, base_z), *perturbed = [next(steps) for steps in passes]
         for i, (pert_y, pert_z) in enumerate(perturbed):
-            mean_sq_dy[i, j] = np.add.reduce((pert_y - base_y) ** 2) / cloud.M
+            np.subtract(pert_y, base_y, out=dy)
+            mean_sq_dy[i, j] = np.add.reduce(np.square(dy, out=dy)) / M
             if j < N:
-                mean_sq_dz[i, j] = _mean_sq_norm(pert_z - base_z)
+                mean_sq_dz[i, j] = _mean_sq_norm(np.subtract(pert_z, base_z, out=dz), dy, overwrite=True)
     dt = cloud.grid.dt
     return tuple(
         StabilityRow(

@@ -16,6 +16,8 @@ from .errors import QuadratureError
 from .paths import TimeGrid
 from .problem import ObstacleCurve
 
+_BLOCK_VALUES = 1 << 16  # kernel values evaluated at once: 512 KB per array
+
 
 def bump(x: np.ndarray) -> np.ndarray:
     """Unnormalized bump exp(-1/(1-x^2)) on (-1, 1), zero outside."""
@@ -93,21 +95,31 @@ def mollify_obstacle(
     values = np.empty(times.shape[0])
     derivative = np.empty(times.shape[0])
 
-    for j, t in enumerate(times):
-        edges = _panel_edges(float(t), radius, grid.T, kinks)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        s = (half[:, None] * gl_nodes[None, :] + mid[:, None]).ravel()
-        w = (half[:, None] * gl_weights[None, :]).ravel()
-        kernel = w * bump(k * s)
-        mass = kernel.sum()
-        samples = u.evaluate(np.clip(t - s, 0.0, grid.T))
-        values[j] = samples @ kernel / mass
-        # Center the derivative kernel so it annihilates constants exactly,
-        # as the analytic kernel derivative does by integrating to zero.
-        deriv_kernel = w * bump_derivative(k * s) * k
-        deriv_kernel -= (deriv_kernel.sum() / mass) * kernel
-        derivative[j] = samples @ deriv_kernel / mass
+    # The kernel is evaluated for many nodes at once: nodes with the same
+    # number of panel edges form one (nodes, panels * quad_points) block, at
+    # most _BLOCK_VALUES values. Each node's sums and dot products are still
+    # taken on its own contiguous row, so they keep a one-node loop's bits.
+    edges = [_panel_edges(float(t), radius, grid.T, kinks) for t in times]
+    for count in sorted({e.size for e in edges}):
+        group = [j for j, e in enumerate(edges) if e.size == count]
+        step = max(1, _BLOCK_VALUES // ((count - 1) * quad_points))
+        for first in range(0, len(group), step):
+            nodes = group[first : first + step]
+            block = np.array([edges[j] for j in nodes])
+            half = 0.5 * (block[:, 1:] - block[:, :-1])
+            mid = 0.5 * (block[:, 1:] + block[:, :-1])
+            s = (half[:, :, None] * gl_nodes + mid[:, :, None]).reshape(len(nodes), -1)
+            w = (half[:, :, None] * gl_weights).reshape(len(nodes), -1)
+            kernels = w * bump(k * s)
+            deriv_kernels = w * bump_derivative(k * s) * k
+            samples = u.evaluate(np.clip(times[nodes, None] - s, 0.0, grid.T))
+            for j, kernel, deriv_kernel, sample in zip(nodes, kernels, deriv_kernels, samples):
+                mass = kernel.sum()
+                values[j] = sample @ kernel / mass
+                # Center the derivative kernel so it annihilates constants exactly,
+                # as the analytic kernel derivative does by integrating to zero.
+                deriv_kernel -= (deriv_kernel.sum() / mass) * kernel
+                derivative[j] = sample @ deriv_kernel / mass
 
     if not (np.all(np.isfinite(values)) and np.all(np.isfinite(derivative))):
         raise QuadratureError("mollified obstacle produced non-finite values")

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LengthMismatch, SimulationError
+from .errors import SimulationError
 from .problem import ProblemSpec
 
 _BLOCK_VALUES = 1 << 16  # values per block of particles drawn at once: 512 KB
@@ -66,9 +66,8 @@ class ForwardCloud:
     simulated cloud; any array indexed by node works in its place.
     ``mean_kappa`` is the per-node sample mean of kappa, frozen here so the
     backward solver's penalty measure d(s + E[kappa_s]) does not move when
-    particles are revisited. ``with_terminal`` copies share every array,
-    the positions' segment included, so passes stepped in lockstep over
-    them rebuild each segment once.
+    particles are revisited. Passes stepped in lockstep over one cloud
+    read one positions segment, so they rebuild each segment once.
     """
 
     grid: TimeGrid
@@ -78,7 +77,7 @@ class ForwardCloud:
     xi: np.ndarray  # (M,)
     mean_kappa: np.ndarray  # (N+1,)
     forward_state: np.ndarray | None = None  # (N+1, M) when a forward SDE is simulated
-    # (basis, j) -> checked Gram of step j's design; features only, so with_terminal copies share it
+    # (basis, j) -> checked Gram of step j's design; features only, so every pass on the cloud shares it
     grams: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -88,13 +87,6 @@ class ForwardCloud:
     @property
     def d(self) -> int:
         return self.dB.shape[2]
-
-    def with_terminal(self, xi: np.ndarray) -> "ForwardCloud":
-        """Same cloud with the terminal draws replaced (perturbation experiments)."""
-        xi = np.asarray(xi, dtype=float)
-        if xi.shape != self.xi.shape:
-            raise LengthMismatch(f"terminal shape {xi.shape} != {self.xi.shape}")
-        return replace(self, xi=xi)
 
 
 def _running_sum(rows, increments, start=None) -> None:
@@ -184,6 +176,22 @@ class BrownianPositions:
         return row
 
 
+def _sequential_sums(kappa: np.ndarray) -> np.ndarray:
+    """Sum of each row of ``kappa``, taken sequentially in particle order.
+
+    That is the order a reduction over the particle-major layout used; a
+    reduction along the contiguous row would sum pairwise and move the last
+    digits. A deterministic clock is a broadcast of one curve (zero row
+    stride), whose row sum depends only on the node's value, so it is taken
+    once per distinct value, keyed by the value's bit pattern so +0.0 and
+    -0.0 stay apart, and mapped back to the nodes.
+    """
+    if kappa.strides[1] != 0:
+        return np.array([np.cumsum(row)[-1] for row in kappa])
+    _, first, inverse = np.unique(kappa[:, 0].view(np.uint64), return_index=True, return_inverse=True)
+    return np.array([np.cumsum(kappa[j])[-1] for j in first])[inverse]
+
+
 def simulate_forward(spec: ProblemSpec, grid: TimeGrid, M: int, seed: int) -> ForwardCloud:
     """Simulate the forward inputs of the backward solver.
 
@@ -230,10 +238,7 @@ def simulate_forward(spec: ProblemSpec, grid: TimeGrid, M: int, seed: int) -> Fo
         kappa = _partial_sums(kap.eval_h(forward_state[:-1]) * dt)
     else:
         kappa = np.broadcast_to(kap.curve(grid.times)[:, None], (N + 1, M))
-    # Each row summed sequentially in particle order, as a reduction over the
-    # particle-major layout did; a reduction along the contiguous row would
-    # sum pairwise and move the last digits.
-    mean_kappa = np.array([np.cumsum(row)[-1] for row in kappa]) / M
+    mean_kappa = _sequential_sums(kappa) / M
 
     term = spec.terminal
     if term.mode == "direct-sampler":

@@ -87,21 +87,58 @@ def _checked_gram(design: np.ndarray) -> np.ndarray:
 
 
 def _fit(
-    cloud: ForwardCloud, basis: RegressionBasis, j: int, targets: np.ndarray, fitted: np.ndarray | None = None
+    cloud: ForwardCloud,
+    basis: RegressionBasis,
+    j: int,
+    targets: np.ndarray,
+    fitted: np.ndarray | None = None,
+    design: np.ndarray | None = None,
 ):
     """Fitted values and coefficients of ``targets`` on step j's design of ``basis`` on ``cloud``.
 
-    The design is rebuilt on every call; its checked Gram is formed once
-    per cloud and step and kept in ``cloud.grams`` for every later pass.
-    The fitted values are written into ``fitted`` when it is given.
+    The design is built here unless it is given; its checked Gram is formed
+    once per cloud and step and kept in ``cloud.grams`` for every later
+    pass. The fitted values are written into ``fitted`` when it is given.
     """
-    features = cloud.forward_state if basis.kind == "forward" else cloud.brownian
-    design = build_design(features[j], basis)
+    if design is None:
+        design = _build_node_design(cloud, basis, j)
     gram = cloud.grams.get((basis, j))
     if gram is None:
         gram = cloud.grams[basis, j] = _checked_gram(design)
     coef = np.linalg.solve(gram, design.T @ targets)
     return np.matmul(design, coef, out=fitted), coef
+
+
+def _build_node_design(cloud: ForwardCloud, basis: RegressionBasis, j: int) -> np.ndarray:
+    features = cloud.forward_state if basis.kind == "forward" else cloud.brownian
+    return build_design(features[j], basis)
+
+
+class _StepScratch:
+    """The working rows of a backward step, shared by every pass stepped in lockstep on one cloud and basis.
+
+    A step's (M, d+1) regression targets, their (M, d+1) fitted values and
+    its g * dkappa row are dead once the step yields, so passes that take
+    turns at each node can all work in one set. The scratch also keeps the
+    design of the node it last built: the first pass to reach node j builds
+    it, and the other passes reuse it.
+    """
+
+    def __init__(self, M: int, d: int):
+        self.targets = np.empty((M, d + 1))
+        self.fitted = np.empty((M, d + 1))
+        self.g_dkap = np.empty(M)
+        self._design = None
+        self._node = None  # node of the design held, None when none is
+
+    def design(self, cloud: ForwardCloud, basis: RegressionBasis, j: int) -> np.ndarray:
+        """Step j's design, built at the first request for node j."""
+        if self._node != j:
+            # Drop the old design before the new one is built, so the two are never held at once.
+            self._design = self._node = None
+            self._design = _build_node_design(cloud, basis, j)
+            self._node = j
+        return self._design
 
 
 def implicit_mean_penalty(p_val: float, u_val: float, n: float, delta: float) -> float:
@@ -188,35 +225,40 @@ def solve_penalized(
     )
 
 
-def _mean_sq_norm(z: np.ndarray, out: np.ndarray | None = None) -> np.floating:
+def _mean_sq_norm(z: np.ndarray, out: np.ndarray | None = None, overwrite: bool = False) -> np.floating:
     """E|z|^2 over the rows of an (M, d) array, with the bits of ``np.mean(np.sum(z ** 2, axis=1))``.
 
     numpy adds fewer than 8 terms of a row left to right, so for d < 8 the
     squares of z's columns are added left to right, into the (M,) row
     ``out`` when it is given, and then averaged, without the reduction over
-    a short last axis, which is slow. From 8 terms on numpy sums pairwise,
-    and the reduction is numpy's own.
+    a short last axis, which is slow. With ``overwrite`` the squares of the
+    later columns are formed in z's own columns, so no row is allocated.
+    From 8 terms on numpy sums pairwise, and the reduction is numpy's own.
     """
     d = z.shape[1]
     if d >= 8:
         return np.mean(np.sum(z**2, axis=1))
     acc = np.square(z[:, 0], out=out)
     for c in range(1, d):
-        acc += np.square(z[:, c])
+        acc += np.square(z[:, c], out=z[:, c] if overwrite else None)
     return np.add.reduce(acc) / acc.shape[0]  # np.mean's bits, without its Python overhead
 
 
-def _backward_steps(spec, u_k, n, cloud, basis):
+def _backward_steps(spec, u_k, n, cloud, basis, shift=None, scratch=None):
     """One backward pass as a generator that advances one node per ``next()``.
 
     The pass holds two Y rows and one Z row: node j's Y lives in row
     j % 2 of its (2, M) row pair and step j's Z in its (M, d) row. The
-    first ``next()`` yields (Y_N, None), with Y_N = xi and no Z beyond the
-    last step; each later one runs step j = N-1, ..., 0 and yields
-    (Y_j, Z_j). A yielded row stays valid until the pass overwrites it,
-    two nodes (Y) or one step (Z) later. When exhausted the generator
-    returns (row pair, mean_path, K, mean_f_dt, mean_g_dkappa, z_mean),
-    with z_mean the (N, d) per-step mean of Z.
+    first ``next()`` yields (Y_N, None), with Y_N = xi + ``shift`` (xi
+    itself, sign bits included, with no shift) and no Z beyond the last
+    step; each later one runs step j = N-1, ..., 0 and yields (Y_j, Z_j).
+    A yielded row stays valid until the pass overwrites it, two nodes (Y)
+    or one step (Z) later. A step works in a ``_StepScratch``: the pass
+    allocates its own, and builds each node's design for itself, unless
+    passes stepped in lockstep on the cloud and basis share one ``scratch``
+    and with it each node's design. When exhausted the generator returns
+    (row pair, mean_path, K, mean_f_dt, mean_g_dkappa, z_mean), with z_mean
+    the (N, d) per-step mean of Z.
     """
     if u_k.grid != cloud.grid:
         raise LengthMismatch("smooth obstacle grid does not match the cloud grid")
@@ -228,18 +270,21 @@ def _backward_steps(spec, u_k, n, cloud, basis):
     times = cloud.grid.times
 
     y_pair, z = np.empty((2, M)), np.empty((M, d))
-    # Each step works in the same C-ordered (M, d+1) targets and fitted
-    # values and one g * dkappa row, so no step allocates particle arrays
-    # of its own. Every mean is numpy's own: np.add.reduce over the row,
+    # Each step works in the scratch's C-ordered (M, d+1) targets and fitted
+    # values and its g * dkappa row, so no step allocates particle arrays of
+    # its own. Every mean is numpy's own: np.add.reduce over the row,
     # divided by the count, which is what .mean() computes.
     mean_path = np.empty(N + 1)
     z_mean = np.empty((N, d))
-    targets = np.empty((M, d + 1))
-    fitted = np.empty((M, d + 1))
-    g_dkap = np.empty(M)
+    shared = scratch is not None
+    if not shared:
+        scratch = _StepScratch(M, d)
+    targets, fitted, g_dkap = scratch.targets, scratch.fitted, scratch.g_dkap
     z_targets, cond_mean = targets[:, :d], fitted[:, d]
     y0 = y_pair[N % 2]
     y0[...] = cloud.xi
+    if shift is not None:
+        y0 += shift
     mean_path[N] = np.add.reduce(y0) / M
     dK = np.zeros(N)
     mean_f_dt = np.zeros(N)
@@ -254,7 +299,7 @@ def _backward_steps(spec, u_k, n, cloud, basis):
         np.divide(z, dt, out=z)
         z_targets[...] = z
         targets[:, d] = y_next
-        _fit(cloud, basis, j, targets, fitted)
+        _fit(cloud, basis, j, targets, fitted, scratch.design(cloud, basis, j) if shared else None)
         z[...] = fitted[:, :d]
         z_mean[j] = np.add.reduce(z) / M
 

@@ -26,7 +26,7 @@ from mrbsde import (
     solve_penalized,
     stability_experiment,
 )
-from mrbsde import diagnostics, reflect
+from mrbsde import diagnostics, penalized, reflect
 from mrbsde.cli import build_config
 from tests.util import full_pass, zero_problem
 
@@ -142,21 +142,36 @@ class TestStabilityExperiment:
             dict(brownian_dim=1),
             dict(brownian_dim=2),
             dict(boundary=BoundarySpec("linear-monotone", beta=-1.0), kappa=KappaSpec("linear", rate=1.0)),
+            dict(
+                brownian_dim=2,
+                boundary=BoundarySpec("linear-monotone", beta=-1.0),
+                kappa=KappaSpec("linear", rate=1.0),
+                driver=DriverSpec("affine", {"y": -0.5, "z": 0.3}),
+            ),
             dict(driver=DriverSpec("affine", {"mean_y": 0.5})),
             dict(driver=DriverSpec("affine", {"mean_z": -0.3})),
         ],
-        ids=["zero-d1", "zero-d2", "linear-monotone-linear-clock", "affine-mean-y", "affine-mean-z"],
+        ids=[
+            "zero-d1",
+            "zero-d2",
+            "linear-monotone-linear-clock",
+            "linear-monotone-linear-clock-affine-d2",
+            "affine-mean-y",
+            "affine-mean-z",
+        ],
     )
     def test_node_reductions_equal_full_difference_arrays(self, case):
-        # the lockstep rows are reduced node by node; the reference runs whole
-        # passes one after another and forms dY and dZ in full
+        # the lockstep rows are reduced node by node, in one shared step
+        # scratch (targets, fitted values, g * dkappa row, node design); the
+        # reference runs whole passes one after another, each on its own
+        # cloud and workspace, and forms dY and dZ in full
         spec = zero_problem(obstacle=SINE, **case)
         cloud = simulate_forward(spec, GRID, 10_000, seed=3)
         u_k = mollify_obstacle(SINE, 20, GRID)
         rows = stability_experiment(spec, cloud, (0.1, 0.05), u_k, 200, BASIS)
         base = full_pass(spec, u_k, 200, cloud, BASIS)
         for row in rows:
-            pert = full_pass(spec, u_k, 200, cloud.with_terminal(cloud.xi + row.epsilon), BASIS)
+            pert = full_pass(spec, u_k, 200, dataclasses.replace(cloud, xi=cloud.xi + row.epsilon), BASIS)
             dY, dZ = pert.Y - base.Y, pert.Z - base.Z
             assert row.sup_mean_sq_dy == float(np.max(np.mean(dY**2, axis=1)))
             assert row.integral_mean_sq_dz == float(
@@ -197,6 +212,48 @@ class TestStabilityExperiment:
         finally:
             tracemalloc.stop()
         assert peak <= bound
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_lockstep_passes_hold_their_rows_and_one_scratch(self, d):
+        # Each pass holds its two Y rows and its Z row, (d + 2) M floats; all
+        # of them share one step scratch: targets and fitted values, a
+        # g * dkappa row and one node design, (2d + 3 + p) M floats; the
+        # differences take (d + 1) M more. 2 ceil(sqrt N) position rows cover
+        # the node arrays and a step's transients. A scratch or a terminal
+        # per pass exceeds that.
+        spec = zero_problem(obstacle=SINE, brownian_dim=d)
+        grid = TimeGrid(1.0, 100)
+        cloud = simulate_forward(spec, grid, 4000, seed=3)
+        u_k = mollify_obstacle(SINE, 20, grid)
+        eps = (0.2, 0.1, 0.05, 0.025, -0.05, -0.1)
+        p = BASIS.size(d)
+        own, scratch, diffs = (len(eps) + 1) * (d + 2), 2 * d + 3 + p, d + 1
+        bound = (own + scratch + diffs + 2 * math.ceil(math.sqrt(grid.N)) * d) * cloud.M * 8
+        tracemalloc.start()
+        try:
+            stability_experiment(spec, cloud, eps, u_k, 200, BASIS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
+    def test_each_node_design_is_built_once_for_all_passes(self, monkeypatch):
+        builds, build_design = [], penalized.build_design
+
+        def counted(*args):
+            builds.append(1)
+            return build_design(*args)
+
+        monkeypatch.setattr(penalized, "build_design", counted)
+        spec = zero_problem(obstacle=SINE)
+        cloud = simulate_forward(spec, GRID, 2000, seed=3)
+        u_k = mollify_obstacle(SINE, 20, GRID)
+        stability_experiment(spec, cloud, (0.1, 0.05, 0.025), u_k, 200, BASIS)
+        assert len(builds) == GRID.N
+        builds.clear()
+        solve_penalized(spec, u_k, 200, cloud, BASIS)
+        solve_penalized(spec, u_k, 400, cloud, BASIS)
+        assert len(builds) == 2 * GRID.N  # a pass on its own still builds every node's design
 
     def test_duplicate_epsilons_rejected(self):
         spec = zero_problem(obstacle=SINE)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mrbsde import ObstacleCurve, QuadratureError, TimeGrid, mollify_obstacle
-from mrbsde.mollify import bump
+from mrbsde import mollify
+from mrbsde.mollify import _panel_edges, bump, bump_derivative
 
 GRID = TimeGrid(1.0, 100)
 
@@ -18,6 +19,59 @@ def simpson_kernel_average(u_fn, t: float, k: int, panels: int = 10_000) -> floa
     vals = u_fn(np.clip(t - s, 0.0, 1.0))
     mass = np.sum(w * kernel) * h / 3.0
     return float(np.sum(w * kernel * vals) * h / 3.0 / mass)
+
+
+def per_node_mollify(u, k: int, grid: TimeGrid, quad_points: int = 64):
+    """The one-node-at-a-time quadrature: each node's panels, kernel and sums on their own."""
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(quad_points)
+    values, derivative = np.empty(grid.N + 1), np.empty(grid.N + 1)
+    for j, t in enumerate(grid.times):
+        edges = _panel_edges(float(t), 1.0 / k, grid.T, u.kink_points())
+        half = 0.5 * (edges[1:] - edges[:-1])
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        s = (half[:, None] * gl_nodes[None, :] + mid[:, None]).ravel()
+        w = (half[:, None] * gl_weights[None, :]).ravel()
+        kernel = w * bump(k * s)
+        mass = kernel.sum()
+        samples = u.evaluate(np.clip(t - s, 0.0, grid.T))
+        values[j] = samples @ kernel / mass
+        deriv_kernel = w * bump_derivative(k * s) * k
+        deriv_kernel -= (deriv_kernel.sum() / mass) * kernel
+        derivative[j] = samples @ deriv_kernel / mass
+    return values, derivative
+
+
+OBSTACLES = {
+    "constant": ObstacleCurve("constant", value=-1.0),
+    "sine": ObstacleCurve("sine", amplitude=0.5, omega=6.0),
+    "abs": ObstacleCurve("abs", center=0.4),
+    "linear": ObstacleCurve("linear", intercept=0.2, slope=-0.7),
+    "tabulated": ObstacleCurve("tabulated", knots_t=(0.0, 0.3, 0.55, 1.0), knots_u=(0.0, 0.4, -0.2, 0.1)),
+    "tabulated-9-knots": ObstacleCurve(
+        "tabulated", knots_t=tuple(np.linspace(0.0, 1.0, 9)), knots_u=tuple(np.sin(5.0 * np.linspace(0.0, 1.0, 9)))
+    ),
+}
+
+
+class TestMollifyBlocks:
+    """Nodes are evaluated in blocks of equal panel count, with a one-node loop's bits."""
+
+    @pytest.mark.parametrize("N", [16, 100, 200, 333])
+    @pytest.mark.parametrize("name", OBSTACLES)
+    def test_blocks_equal_the_per_node_loop(self, name, N):
+        u, grid = OBSTACLES[name], TimeGrid(1.0, N)
+        for k in (1, 3, 10, 20, 40, 200):
+            sm = mollify_obstacle(u, k, grid)
+            values, derivative = per_node_mollify(u, k, grid)
+            assert np.array_equal(sm.values, values), k
+            assert np.array_equal(sm.derivative, derivative), k
+
+    def test_small_blocks_equal_the_per_node_loop(self, monkeypatch):
+        monkeypatch.setattr(mollify, "_BLOCK_VALUES", 1000)  # a few nodes per block, and a partial last one
+        u, grid = OBSTACLES["tabulated"], TimeGrid(1.0, 100)
+        sm = mollify_obstacle(u, 10, grid)
+        values, derivative = per_node_mollify(u, 10, grid)
+        assert np.array_equal(sm.values, values) and np.array_equal(sm.derivative, derivative)
 
 
 class TestMollifyValues:
