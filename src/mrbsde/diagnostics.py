@@ -73,8 +73,8 @@ def stability_experiment(
     passes take turns in one step scratch, whose targets, fitted values,
     g * dkappa row and node design serve them all, so each node's design
     is built once. The per-node moments of the differences are taken as the
-    rows appear, in one difference row pair, so no full solution is ever
-    held. Rows are sorted by epsilon.
+    rows appear, in one Y and one Z difference row, so no full solution is
+    ever held. Rows are sorted by epsilon.
     """
     eps_list = sorted(float(e) for e in perturbations)
     if not eps_list or not np.all(np.isfinite(eps_list)):
@@ -97,7 +97,7 @@ def stability_experiment(
             np.subtract(pert_y, base_y, out=dy)
             mean_sq_dy[i, j] = np.add.reduce(np.square(dy, out=dy)) / M
             if j < N:
-                mean_sq_dz[i, j] = _mean_sq_norm(np.subtract(pert_z, base_z, out=dz), dy, overwrite=True)
+                mean_sq_dz[i, j] = _mean_sq_norm(np.subtract(pert_z, base_z, out=dz), dy)
     dt = cloud.grid.dt
     return tuple(
         StabilityRow(

@@ -225,22 +225,21 @@ def solve_penalized(
     )
 
 
-def _mean_sq_norm(z: np.ndarray, out: np.ndarray | None = None, overwrite: bool = False) -> np.floating:
+def _mean_sq_norm(z: np.ndarray, out: np.ndarray | None = None) -> np.floating:
     """E|z|^2 over the rows of an (M, d) array, with the bits of ``np.mean(np.sum(z ** 2, axis=1))``.
 
     numpy adds fewer than 8 terms of a row left to right, so for d < 8 the
     squares of z's columns are added left to right, into the (M,) row
     ``out`` when it is given, and then averaged, without the reduction over
-    a short last axis, which is slow. With ``overwrite`` the squares of the
-    later columns are formed in z's own columns, so no row is allocated.
-    From 8 terms on numpy sums pairwise, and the reduction is numpy's own.
+    a short last axis, which is slow. From 8 terms on numpy sums pairwise,
+    and the reduction is numpy's own.
     """
     d = z.shape[1]
     if d >= 8:
         return np.mean(np.sum(z**2, axis=1))
     acc = np.square(z[:, 0], out=out)
     for c in range(1, d):
-        acc += np.square(z[:, c], out=z[:, c] if overwrite else None)
+        acc += np.square(z[:, c])
     return np.add.reduce(acc) / acc.shape[0]  # np.mean's bits, without its Python overhead
 
 
