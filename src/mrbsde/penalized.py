@@ -275,6 +275,8 @@ def _backward_steps(spec, u_k, n, cloud, basis, shift=None, scratch=None):
     # divided by the count, which is what .mean() computes.
     mean_path = np.empty(N + 1)
     z_mean = np.empty((N, d))
+    # A pass on its own lets _fit drop each design before the step goes on,
+    # as it always has; passes sharing a scratch keep the node's design there.
     shared = scratch is not None
     if not shared:
         scratch = _StepScratch(M, d)
