@@ -476,6 +476,21 @@ class TestLeanStep:
         assert_moments_match(solve_penalized(spec, u_k, 200, cloud, basis), full)
 
 
+def test_terminal_row_is_xi_plus_the_shift_to_the_bit():
+    # a lockstep pass writes xi + eps into its own Y_N row; the base pass
+    # copies xi and adds nothing, so its signed zeros survive
+    cloud = small_cloud(zero_problem(), M=600, grid=LEAN_GRID)
+    xi = cloud.xi.copy()
+    xi[:3] = [-0.0, 0.0, -0.0]
+    cloud = replace(cloud, xi=xi)
+    u_k = mollify_obstacle(SINE, 20, LEAN_GRID)
+    basis = RegressionBasis("brownian", 2)
+    scratch = penalized._StepScratch(cloud.M, cloud.d)
+    for shift, want in [(None, xi), (0.0, xi + 0.0), (0.1, xi + 0.1), (-0.05, xi - 0.05)]:
+        y_n, z = next(penalized._backward_steps(zero_problem(), u_k, 200, cloud, basis, shift, scratch))
+        assert z is None and np.array_equal(y_n, want) and np.array_equal(np.signbit(y_n), np.signbit(want))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 13])
 def test_mean_sq_norm_has_the_bits_of_the_row_sum_form(d):
     rng = np.random.default_rng(d)
