@@ -252,12 +252,12 @@ def _backward_steps(spec, u_k, n, cloud, basis, shift=None, scratch=None):
     itself, sign bits included, with no shift) and no Z beyond the last
     step; each later one runs step j = N-1, ..., 0 and yields (Y_j, Z_j).
     A yielded row stays valid until the pass overwrites it, two nodes (Y)
-    or one step (Z) later. A step works in a ``_StepScratch``: the pass
-    allocates its own, and builds each node's design for itself, unless
-    passes stepped in lockstep on the cloud and basis share one ``scratch``
-    and with it each node's design. When exhausted the generator returns
-    (row pair, mean_path, K, mean_f_dt, mean_g_dkappa, z_mean), with z_mean
-    the (N, d) per-step mean of Z.
+    or one step (Z) later. A step works in a ``_StepScratch``, which holds
+    the design of the node it last built: the pass allocates its own
+    unless passes stepped in lockstep on the cloud and basis share one
+    ``scratch`` and with it each node's design. When exhausted the
+    generator returns (row pair, mean_path, K, mean_f_dt, mean_g_dkappa,
+    z_mean), with z_mean the (N, d) per-step mean of Z.
     """
     if u_k.grid != cloud.grid:
         raise LengthMismatch("smooth obstacle grid does not match the cloud grid")
@@ -275,10 +275,7 @@ def _backward_steps(spec, u_k, n, cloud, basis, shift=None, scratch=None):
     # divided by the count, which is what .mean() computes.
     mean_path = np.empty(N + 1)
     z_mean = np.empty((N, d))
-    # A pass on its own lets _fit drop each design before the step goes on,
-    # as it always has; passes sharing a scratch keep the node's design there.
-    shared = scratch is not None
-    if not shared:
+    if scratch is None:
         scratch = _StepScratch(M, d)
     targets, fitted, g_dkap = scratch.targets, scratch.fitted, scratch.g_dkap
     z_targets, cond_mean = targets[:, :d], fitted[:, d]
@@ -300,7 +297,7 @@ def _backward_steps(spec, u_k, n, cloud, basis, shift=None, scratch=None):
         np.divide(z, dt, out=z)
         z_targets[...] = z
         targets[:, d] = y_next
-        _fit(cloud, basis, j, targets, fitted, scratch.design(cloud, basis, j) if shared else None)
+        _fit(cloud, basis, j, targets, fitted, scratch.design(cloud, basis, j))
         z[...] = fitted[:, :d]
         z_mean[j] = np.add.reduce(z) / M
 
