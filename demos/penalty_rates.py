@@ -2,14 +2,17 @@
 
 One particle cloud is reused across the whole penalty ladder (common random
 numbers), so the level-to-level differences below are the penalty error
-itself, not resampling noise. The sup and integral deficits shrink like
-1/n^2 on this problem and consecutive mean paths contract like 1/n.
+itself, not resampling noise. The levels run as one lockstep sweep, as in
+the `rates` subcommand: every pass advances one node at a time, so each
+node's regression design is built once for all six levels. The sup and
+integral deficits shrink like 1/n^2 on this problem and consecutive mean
+paths contract like 1/n.
 """
 
 from mrbsde import (
     TimeGrid,
     mollify_obstacle,
-    penalty_ladder,
+    penalty_sweep,
     rate_fit,
     simulate_forward,
 )
@@ -22,7 +25,7 @@ u_k = mollify_obstacle(cfg.spec.obstacle, 40, grid)
 
 levels = (25, 50, 100, 200, 400, 800)
 print(f"{'n':>5s} {'sup deficit^2':>14s} {'integral deficit^2':>19s} {'cauchy to n/2':>14s}")
-records = [rec for rec, _ in penalty_ladder(cfg.spec, u_k, levels, cloud, cfg.basis)]
+records, _ = penalty_sweep(cfg.spec, u_k, levels, cloud, cfg.basis)
 for rec in records:
     cauchy = rec.cauchy_mean_dist if rec.cauchy_mean_dist is not None else float("nan")
     print(f"{rec.n:5d} {rec.sup_neg_sq:14.3e} {rec.integral_neg_sq:19.3e} {cauchy:14.3e}")

@@ -68,6 +68,7 @@ from .reflect import (
     deficit_metrics,
     flatness_residual,
     penalty_ladder,
+    penalty_sweep,
     recover_compensator,
     solve_reflected,
 )

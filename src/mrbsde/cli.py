@@ -39,7 +39,7 @@ from .paths import TimeGrid, simulate_forward
 from .penalized import RegressionBasis
 from .presets import PRESETS, preset_config
 from .problem import BoundarySpec, ProblemSpec, validate_problem
-from .reflect import ConvergenceSchedule, penalty_ladder, solve_reflected
+from .reflect import ConvergenceSchedule, penalty_sweep, solve_reflected
 
 _STABILITY_EPS = (0.1, 0.05, 0.025)
 
@@ -402,9 +402,7 @@ def run_experiment(config: RunConfig, subcommand: str) -> dict:
 
         elif subcommand == "rates":
             u_k = mollify_obstacle(config.spec.obstacle, max(config.schedule.k_levels), grid, config.quad_points)
-            records = []
-            for record, sol in penalty_ladder(config.spec, u_k, config.schedule.n_levels, cloud, config.basis):
-                records.append(record)
+            records, sol = penalty_sweep(config.spec, u_k, config.schedule.n_levels, cloud, config.basis)
             levels = [rec.n for rec in records]
             diagnostics["rates"] = {
                 "k": u_k.level,

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import LengthMismatch, NonPositiveError
 from .mollify import SmoothObstacle
 from .paths import ForwardCloud
-from .penalized import PenalizedSolution, RegressionBasis, _backward_steps, _mean_sq_norm, _StepScratch
+from .penalized import PenalizedSolution, RegressionBasis, _lockstep, _mean_sq_norm
 from .problem import ProblemSpec, eval_driver
 
 
@@ -68,13 +68,14 @@ def stability_experiment(
     (common random numbers), so the reported differences isolate the
     perturbation; every run shares the cloud's cached Gram matrices. The
     base pass and every perturbed pass step backward in lockstep, the base
-    pass first at each step. Each holds only its latest two Y rows and its
+    pass first at each step. Each holds only its latest Y row and its
     latest Z row, and writes xi + epsilon into its own terminal row. The
     passes take turns in one step scratch, whose targets, fitted values,
     g * dkappa row and node design serve them all, so each node's design
     is built once. The per-node moments of the differences are taken as the
     rows appear, in one Y and one Z difference row, so no full solution is
-    ever held. Rows are sorted by epsilon.
+    ever held, and no pass reduces moments of its own. Rows are sorted by
+    epsilon.
     """
     eps_list = sorted(float(e) for e in perturbations)
     if not eps_list or not np.all(np.isfinite(eps_list)):
@@ -83,16 +84,14 @@ def stability_experiment(
         raise ValueError("perturbation values must be distinct")
 
     N, M = cloud.grid.N, cloud.M
-    scratch = _StepScratch(M, cloud.d)
     # The base pass (no shift), then each perturbed one.
-    passes = [_backward_steps(spec, u_k, n, cloud, basis, eps, scratch) for eps in [None, *eps_list]]
+    sweep = _lockstep(spec, u_k, cloud, basis, [(n, eps) for eps in [None, *eps_list]], moments=False)
 
     # Stored by node, so the max and the sum run in forward node order.
     mean_sq_dy = np.empty((len(eps_list), N + 1))
     mean_sq_dz = np.empty((len(eps_list), N))
     dy, dz = np.empty(M), np.empty((M, cloud.d))
-    for j in range(N, -1, -1):
-        (base_y, base_z), *perturbed = [next(steps) for steps in passes]
+    for j, ((base_y, base_z), *perturbed) in sweep:
         for i, (pert_y, pert_z) in enumerate(perturbed):
             np.subtract(pert_y, base_y, out=dy)
             mean_sq_dy[i, j] = np.add.reduce(np.square(dy, out=dy)) / M

@@ -11,7 +11,8 @@ grow without bound at a fixed grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -125,11 +126,16 @@ class _StepScratch:
     """
 
     def __init__(self, M: int, d: int):
-        self.targets = np.empty((M, d + 1))
-        self.fitted = np.empty((M, d + 1))
-        self.g_dkap = np.empty(M)
+        self._shape, self._rows = (M, d), None
         self._design = None
         self._node = None  # node of the design held, None when none is
+
+    def rows(self):
+        """The targets, fitted values and g * dkappa row, allocated at the first request."""
+        if self._rows is None:
+            M, d = self._shape
+            self._rows = np.empty((M, d + 1)), np.empty((M, d + 1)), np.empty(M)
+        return self._rows
 
     def design(self, cloud: ForwardCloud, basis: RegressionBasis, j: int) -> np.ndarray:
         """Step j's design, built at the first request for node j."""
@@ -163,25 +169,26 @@ def implicit_mean_penalty(p_val: float, u_val: float, n: float, delta: float) ->
 class PenalizedSolution:
     """Output of one penalized backward pass at levels (n, k).
 
-    The pass holds two Y rows and one Z row at a time, so the solution
-    keeps node moments rather than particles: ``Y`` is the pass's own row
-    pair, with row j the particles of node j for j = 0, 1. ``mean_z``
-    carries the terminal row copied from the last regression step (no
-    increment exists beyond T). ``mean_f_dt`` and ``mean_g_dkappa`` keep
-    the per-step sample means of the driver and boundary contributions
-    exactly as the scheme evaluated them, which is what makes the
-    compensator recoverable to round-off from the mean path.
+    The pass holds one Y row and one Z row at a time, so the solution
+    keeps node moments rather than particles: ``Y`` is the pass's own
+    (1, M) row, the particles of node 0. ``mean_z`` carries the terminal
+    row copied from the last regression step (no increment exists beyond
+    T). ``mean_f_dt`` and ``mean_g_dkappa`` keep the per-step sample means
+    of the driver and boundary contributions exactly as the scheme
+    evaluated them, which is what makes the compensator recoverable to
+    round-off from the mean path. ``mean_y2`` and ``mean_z2`` are None
+    for a pass of a lockstep sweep that reduced them for another pass.
     """
 
     grid: TimeGrid
-    Y: np.ndarray  # (2, M): nodes 0 and 1
+    Y: np.ndarray  # (1, M): node 0
     mean_path: np.ndarray  # (N+1,)
     K: np.ndarray  # (N+1,)
     mean_f_dt: np.ndarray  # (N,)
     mean_g_dkappa: np.ndarray  # (N,)
     mean_z: np.ndarray  # (N+1, d)
-    mean_y2: np.ndarray  # (N+1,): E[Y_j^2]
-    mean_z2: np.ndarray  # (N,): E|Z_j|^2
+    mean_y2: np.ndarray | None  # (N+1,): E[Y_j^2]
+    mean_z2: np.ndarray | None  # (N,): E|Z_j|^2
 
 
 def solve_penalized(
@@ -197,32 +204,52 @@ def solve_penalized(
     cannot be fitted on the cloud (a forward basis without a forward state,
     or no more particles than basis functions) fails before the first step.
 
-    The pass steps on two Y rows and one Z row, and E[Y_j^2] and E|Z_j|^2
-    are reduced as each row appears, so no pass holds a full solution.
+    This is a lockstep sweep of one pass: it steps on one Y row and one Z
+    row, and E[Y_j^2] and E|Z_j|^2 are reduced as each row appears, so no
+    pass holds a full solution.
     """
-    N = cloud.grid.N
-    steps = _backward_steps(spec, u_k, n, cloud, basis)
-    mean_y2, mean_z2, sq = np.empty(N + 1), np.empty(N), np.empty(cloud.M)
+    return _result(_lockstep(spec, u_k, cloud, basis, [(n, None)]))[0][0]
+
+
+def _result(steps):
+    """What a generator returns once it is run to its end."""
+    while True:
+        try:
+            next(steps)
+        except StopIteration as done:
+            return done.value
+
+
+def _lockstep(spec, u_k, cloud, basis, passes, moments=True):
+    """Step ``passes``, each a (level n, terminal shift or None), backward in lockstep in one step scratch.
+
+    At each node j = N, ..., 0 every pass in turn runs its step, and the
+    generator yields (j, rows), rows[i] being pass i's (Y_j, Z_j). The first
+    pass to reach a node builds its design, and reads its positions segment,
+    for all of them. With ``moments`` the last pass's E[Y_j^2] and E|Z_j|^2
+    are reduced as its rows appear. When exhausted it returns each pass's
+    PenalizedSolution, moments on the last alone, and own step time in ms.
+    """
+    N, M = cloud.grid.N, cloud.M
+    mean_y2, mean_z2, sq = (np.empty(N + 1), np.empty(N), np.empty(M)) if moments else (None,) * 3
+    scratch = _StepScratch(M, cloud.d)
+    steps = [_backward_steps(spec, u_k, n, cloud, basis, shift, scratch) for n, shift in passes]
+    step_ms = [0.0] * len(steps)
     for j in range(N, -1, -1):
-        y, z = next(steps)
-        mean_y2[j] = np.add.reduce(np.square(y, out=sq)) / cloud.M
-        if j < N:
-            mean_z2[j] = _mean_sq_norm(z, sq)
-    try:
-        next(steps)
-    except StopIteration as done:
-        y_pair, mean_path, K, mean_f_dt, mean_g_dkappa, z_mean = done.value
-    return PenalizedSolution(
-        grid=cloud.grid,
-        Y=y_pair,
-        mean_path=mean_path,
-        K=K,
-        mean_f_dt=mean_f_dt,
-        mean_g_dkappa=mean_g_dkappa,
-        mean_z=np.concatenate([z_mean, z_mean[-1:]]),
-        mean_y2=mean_y2,
-        mean_z2=mean_z2,
-    )
+        rows = []
+        for i, pass_steps in enumerate(steps):
+            t0 = time.perf_counter()
+            rows.append(next(pass_steps))
+            step_ms[i] += (time.perf_counter() - t0) * 1000.0
+        if moments:
+            y, z = rows[-1]
+            mean_y2[j] = np.add.reduce(np.square(y, out=sq)) / M
+            if j < N:
+                mean_z2[j] = _mean_sq_norm(z, sq)
+        yield j, rows
+    solutions = [PenalizedSolution(cloud.grid, *_result(pass_steps), None, None) for pass_steps in steps]
+    solutions[-1] = replace(solutions[-1], mean_y2=mean_y2, mean_z2=mean_z2)
+    return solutions, step_ms
 
 
 def _mean_sq_norm(z: np.ndarray, out: np.ndarray | None = None) -> np.floating:
@@ -243,21 +270,22 @@ def _mean_sq_norm(z: np.ndarray, out: np.ndarray | None = None) -> np.floating:
     return np.add.reduce(acc) / acc.shape[0]  # np.mean's bits, without its Python overhead
 
 
-def _backward_steps(spec, u_k, n, cloud, basis, shift=None, scratch=None):
+def _backward_steps(spec, u_k, n, cloud, basis, shift, scratch):
     """One backward pass as a generator that advances one node per ``next()``.
 
-    The pass holds two Y rows and one Z row: node j's Y lives in row
-    j % 2 of its (2, M) row pair and step j's Z in its (M, d) row. The
-    first ``next()`` yields (Y_N, None), with Y_N = xi + ``shift`` (xi
-    itself, sign bits included, with no shift) and no Z beyond the last
-    step; each later one runs step j = N-1, ..., 0 and yields (Y_j, Z_j).
-    A yielded row stays valid until the pass overwrites it, two nodes (Y)
-    or one step (Z) later. A step works in a ``_StepScratch``, which holds
-    the design of the node it last built: the pass allocates its own
-    unless passes stepped in lockstep on the cloud and basis share one
-    ``scratch`` and with it each node's design. When exhausted the
-    generator returns (row pair, mean_path, K, mean_f_dt, mean_g_dkappa,
-    z_mean), with z_mean the (N, d) per-step mean of Z.
+    The pass holds one Y row and one Z row: Y_{j+1} is dead once step j
+    has copied it into its targets, so Y_j overwrites it in the pass's
+    (1, M) row, and step j's Z fills its (M, d) row. The first ``next()``
+    yields (Y_N, None), with Y_N = xi + ``shift`` (xi itself, sign bits
+    included, with no shift) and no Z beyond the last step; each later one
+    runs step j = N-1, ..., 0 and yields (Y_j, Z_j). A yielded Y or Z row
+    is valid until the pass's next step. A step works in ``scratch``, a
+    ``_StepScratch`` that holds the design of the node it last built, so
+    passes stepped in lockstep on the cloud and basis share one scratch
+    and with it each node's design.
+    When exhausted the generator returns (Y row, mean_path, K, mean_f_dt,
+    mean_g_dkappa, mean_z), with mean_z the (N+1, d) per-step mean of Z,
+    its terminal row copied from step N-1 (no increment exists beyond T).
     """
     if u_k.grid != cloud.grid:
         raise LengthMismatch("smooth obstacle grid does not match the cloud grid")
@@ -268,35 +296,36 @@ def _backward_steps(spec, u_k, n, cloud, basis, shift=None, scratch=None):
     N, M, d, dt = cloud.grid.N, cloud.M, cloud.d, cloud.grid.dt
     times = cloud.grid.times
 
-    y_pair, z = np.empty((2, M)), np.empty((M, d))
+    y_row, z = np.empty((1, M)), np.empty((M, d))
     # Each step works in the scratch's C-ordered (M, d+1) targets and fitted
     # values and its g * dkappa row, so no step allocates particle arrays of
     # its own. Every mean is numpy's own: np.add.reduce over the row,
     # divided by the count, which is what .mean() computes.
     mean_path = np.empty(N + 1)
-    z_mean = np.empty((N, d))
-    if scratch is None:
-        scratch = _StepScratch(M, d)
-    targets, fitted, g_dkap = scratch.targets, scratch.fitted, scratch.g_dkap
-    z_targets, cond_mean = targets[:, :d], fitted[:, d]
-    y0 = y_pair[N % 2]
-    y0[...] = cloud.xi
+    z_mean = np.empty((N + 1, d))
+    y = y_row[0]
+    y[...] = cloud.xi
     if shift is not None:
-        y0 += shift
-    mean_path[N] = np.add.reduce(y0) / M
+        y += shift
+    mean_path[N] = np.add.reduce(y) / M
     dK = np.zeros(N)
     mean_f_dt = np.zeros(N)
     mean_g_dkappa = np.zeros(N)  # stays 0.0 for the zero boundary, whose g * dkappa row is never formed
     has_boundary = spec.boundary.family != "zero"
-    yield y0, None
+    common_clock = cloud.kappa.strides[1] == 0  # a deterministic clock: one dkappa per step
+    yield y, None
 
+    targets, fitted, g_dkap = scratch.rows()
+    z_targets, cond_mean = targets[:, :d], fitted[:, d]
     for j in range(N - 1, -1, -1):
-        y_next, y0 = y0, y_pair[j % 2]
-        # Y dB / dt in the contiguous Z row, then into the targets' strided columns.
-        np.multiply(y_next[:, None], cloud.dB[j], out=z)
+        # Y dB / dt in the contiguous Z row, one column at a time (a broadcast
+        # Y would make numpy buffer an (M, d) temporary), then into the
+        # targets' strided columns. Y_{j+1} is dead after that: Y_j takes its row.
+        for c in range(d):
+            np.multiply(y, cloud.dB[j, :, c], out=z[:, c])
         np.divide(z, dt, out=z)
         z_targets[...] = z
-        targets[:, d] = y_next
+        targets[:, d] = y
         _fit(cloud, basis, j, targets, fitted, scratch.design(cloud, basis, j))
         z[...] = fitted[:, :d]
         z_mean[j] = np.add.reduce(z) / M
@@ -306,28 +335,31 @@ def _backward_steps(spec, u_k, n, cloud, basis, shift=None, scratch=None):
         m_y = float(mean_path[j + 1])
         m_z = z_mean[min(j + 1, N - 1)]
 
-        # y0 = (cond_mean + f dt) + g dkappa, built in place in row j. A
+        # Y_j = (cond_mean + f dt) + g dkappa, built in place in the row. A
         # driver with one value for every particle comes back as a read-only
-        # broadcast, and its f dt is a single float.
+        # broadcast, and its f dt is a single float, as is a deterministic dkappa.
         f_vals = eval_driver(spec.driver, times[j], cond_mean, z, m_y, m_z)
         if f_vals.strides[0] == 0:
-            np.add(cond_mean, float(f_vals[0]) * dt, out=y0)
+            np.add(cond_mean, float(f_vals[0]) * dt, out=y)
         else:
-            np.multiply(f_vals, dt, out=y0)
-            np.add(cond_mean, y0, out=y0)
+            np.multiply(f_vals, dt, out=y)
+            np.add(cond_mean, y, out=y)
         if has_boundary:
             g_vals = eval_boundary(spec.boundary, times[j], cond_mean)
-            np.subtract(cloud.kappa[j + 1], cloud.kappa[j], out=g_dkap)
-            np.multiply(g_vals, g_dkap, out=g_dkap)
-            y0 += g_dkap
+            if common_clock:
+                np.multiply(g_vals, float(cloud.kappa[j + 1, 0] - cloud.kappa[j, 0]), out=g_dkap)
+            else:
+                np.subtract(cloud.kappa[j + 1], cloud.kappa[j], out=g_dkap)
+                np.multiply(g_vals, g_dkap, out=g_dkap)
+            y += g_dkap
             mean_g_dkappa[j] = float(np.add.reduce(g_dkap) / M)
 
-        p_val = float(np.add.reduce(y0) / M)
+        p_val = float(np.add.reduce(y) / M)
         delta = dt + float(cloud.mean_kappa[j + 1] - cloud.mean_kappa[j])
         shifted = implicit_mean_penalty(p_val, float(u_k.values[j]), n, delta)
         dK[j] = shifted - p_val
-        y0 += dK[j]
-        mean_path[j] = np.add.reduce(y0) / M
+        y += dK[j]
+        mean_path[j] = np.add.reduce(y) / M
 
         # A non-finite value anywhere in a row makes its mean non-finite.
         if not (math.isfinite(mean_path[j]) and np.isfinite(z_mean[j]).all()):
@@ -336,6 +368,7 @@ def _backward_steps(spec, u_k, n, cloud, basis, shift=None, scratch=None):
         # The mean over all M copies even for a common value: it can differ
         # from that value in the last bit.
         mean_f_dt[j] = float(np.add.reduce(f_vals) / M) * dt
-        yield y0, z
+        yield y, z
 
-    return y_pair, mean_path, np.concatenate([[0.0], np.cumsum(dK)]), mean_f_dt, mean_g_dkappa, z_mean
+    z_mean[N] = z_mean[N - 1]
+    return y_row, mean_path, np.concatenate([[0.0], np.cumsum(dK)]), mean_f_dt, mean_g_dkappa, z_mean

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import LengthMismatch, NotConverged
 from .mollify import SmoothObstacle, mollify_obstacle
 from .paths import ForwardCloud
-from .penalized import PenalizedSolution, RegressionBasis, solve_penalized
+from .penalized import PenalizedSolution, RegressionBasis, _lockstep, _result, solve_penalized
 from .problem import ProblemSpec
 
 
@@ -135,6 +135,21 @@ def recover_compensator(solution: PenalizedSolution) -> tuple[np.ndarray, tuple]
     return K, tuple(warnings)
 
 
+def _level_record(u_k, n, sol, prev_mean, wall_ms, mean_kappa) -> LevelRecord:
+    """The record of a pass at level n; its Cauchy distance is to ``prev_mean``, None for the first level."""
+    sup_sq, integral_sq = deficit_metrics(sol.mean_path, u_k, mean_kappa)
+    return LevelRecord(
+        k=u_k.level,
+        n=n,
+        sup_deficit=math.sqrt(sup_sq),
+        sup_neg_sq=sup_sq,
+        integral_neg_sq=integral_sq,
+        cauchy_mean_dist=None if prev_mean is None else float(np.max(np.abs(sol.mean_path - prev_mean))),
+        flatness_residual=flatness_residual(sol.mean_path, u_k.values, sol.K),
+        wall_ms=wall_ms,
+    )
+
+
 def penalty_ladder(spec: ProblemSpec, u_k: SmoothObstacle, n_levels, cloud: ForwardCloud, basis: RegressionBasis):
     """Yield (record, solution) of a pass at each level n against u_k, one level per ``next()``.
 
@@ -147,22 +162,30 @@ def penalty_ladder(spec: ProblemSpec, u_k: SmoothObstacle, n_levels, cloud: Forw
     for n in n_levels:
         t0 = time.perf_counter()
         sol = solve_penalized(spec, u_k, n, cloud, basis)
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-        sup_sq, integral_sq = deficit_metrics(sol.mean_path, u_k, cloud.mean_kappa)
-        record = LevelRecord(
-            k=u_k.level,
-            n=n,
-            sup_deficit=math.sqrt(sup_sq),
-            sup_neg_sq=sup_sq,
-            integral_neg_sq=integral_sq,
-            cauchy_mean_dist=None if prev_mean is None else float(np.max(np.abs(sol.mean_path - prev_mean))),
-            flatness_residual=flatness_residual(sol.mean_path, u_k.values, sol.K),
-            wall_ms=wall_ms,
-        )
+        yield _level_record(u_k, n, sol, prev_mean, (time.perf_counter() - t0) * 1000.0, cloud.mean_kappa), sol
         prev_mean = sol.mean_path
-        yield record, sol
     if prev_mean is None:
         raise ValueError("the penalty ladder needs at least one level")
+
+
+def penalty_sweep(spec: ProblemSpec, u_k: SmoothObstacle, n_levels, cloud: ForwardCloud, basis: RegressionBasis):
+    """Run a pass at every level n against u_k in lockstep; return (records, last level's solution).
+
+    The records are ``penalty_ladder``'s to the bit, but each node's design
+    is built and each positions segment rebuilt once for all levels. A
+    record's ``wall_ms`` is its pass's own step time, the first pass to
+    reach a node paying for its design. Only the last level's solution has
+    node moments. An empty ``n_levels`` raises ValueError before any pass.
+    """
+    passes = [(n, None) for n in n_levels]
+    if not passes:
+        raise ValueError("the penalty ladder needs at least one level")
+    solutions, step_ms = _result(_lockstep(spec, u_k, cloud, basis, passes))
+    records, prev_mean = [], None
+    for (n, _), sol, wall_ms in zip(passes, solutions, step_ms):
+        records.append(_level_record(u_k, n, sol, prev_mean, wall_ms, cloud.mean_kappa))
+        prev_mean = sol.mean_path
+    return tuple(records), solutions[-1]
 
 
 def solve_reflected(

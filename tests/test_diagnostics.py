@@ -21,12 +21,13 @@ from mrbsde import (
     flatness_residual,
     mollify_obstacle,
     penalty_ladder,
+    penalty_sweep,
     rate_fit,
     simulate_forward,
     solve_penalized,
     stability_experiment,
 )
-from mrbsde import diagnostics, penalized, reflect
+from mrbsde import paths, penalized, reflect
 from mrbsde.cli import build_config
 from tests.util import full_pass, zero_problem
 
@@ -194,8 +195,8 @@ class TestStabilityExperiment:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_lockstep_passes_on_a_fresh_cloud_share_its_positions(self, d):
-        # Each pass holds its two Y rows, Z row, targets, fitted values and
-        # g * dkappa row, (2d + 5) M floats, and each perturbation one
+        # Each pass holds its Y row, Z row, targets, fitted values and
+        # g * dkappa row, (2d + 4) M floats, and each perturbation one
         # terminal; 2 ceil(sqrt N) position rows cover a step's transients.
         # A segment and checkpoints per copy, or a full path, exceed that.
         spec = zero_problem(obstacle=SINE, brownian_dim=d)
@@ -204,7 +205,7 @@ class TestStabilityExperiment:
         u_k = mollify_obstacle(SINE, 20, grid)
         eps = (0.1, 0.05, 0.025)
         row = cloud.M * 8
-        bound = ((len(eps) + 1) * (2 * d + 5) + len(eps)) * row + 2 * math.ceil(math.sqrt(grid.N)) * d * row
+        bound = ((len(eps) + 1) * (2 * d + 4) + len(eps)) * row + 2 * math.ceil(math.sqrt(grid.N)) * d * row
         tracemalloc.start()
         try:
             stability_experiment(spec, cloud, eps, u_k, 200, BASIS)
@@ -215,19 +216,19 @@ class TestStabilityExperiment:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_lockstep_passes_hold_their_rows_and_one_scratch(self, d):
-        # Each pass holds its two Y rows and its Z row, (d + 2) M floats; all
-        # of them share one step scratch: targets and fitted values, a
+        # Each pass holds its Y row and its Z row, (d + 1) M floats; all of
+        # them share one step scratch: targets and fitted values, a
         # g * dkappa row and one node design, (2d + 3 + p) M floats; the
         # differences take (d + 1) M more. 2 ceil(sqrt N) position rows cover
-        # the node arrays and a step's transients. A scratch or a terminal
-        # per pass exceeds that.
+        # the node arrays and a step's transients. A scratch, a terminal or a
+        # second Y row per pass exceeds that.
         spec = zero_problem(obstacle=SINE, brownian_dim=d)
         grid = TimeGrid(1.0, 100)
         cloud = simulate_forward(spec, grid, 4000, seed=3)
         u_k = mollify_obstacle(SINE, 20, grid)
         eps = (0.2, 0.1, 0.05, 0.025, -0.05, -0.1)
         p = BASIS.size(d)
-        own, scratch, diffs = (len(eps) + 1) * (d + 2), 2 * d + 3 + p, d + 1
+        own, scratch, diffs = (len(eps) + 1) * (d + 1), 2 * d + 3 + p, d + 1
         bound = (own + scratch + diffs + 2 * math.ceil(math.sqrt(grid.N)) * d) * cloud.M * 8
         tracemalloc.start()
         try:
@@ -275,7 +276,7 @@ class TestStabilityExperiment:
         def no_pass(*args):
             raise AssertionError("a pass ran")
 
-        monkeypatch.setattr(diagnostics, "_backward_steps", no_pass)
+        monkeypatch.setattr(penalized, "_backward_steps", no_pass)
         with pytest.raises(ValueError):
             stability_experiment(spec, cloud, perturbations, u_k, 200, BASIS)
 
@@ -340,11 +341,16 @@ class TestRatesLadder:
             dataclasses.replace(rec, wall_ms=0.0) for rec, _ in expected
         ]
         assert apriori_report(got[-1][1], spec, cloud) == apriori_report(expected[-1][1], spec, cloud)
+        records, last = penalty_sweep(spec, u_k, (n for n in levels), cloud, BASIS)
+        assert [rec.n for rec in records] == list(levels)
+        assert apriori_report(last, spec, cloud) == apriori_report(expected[-1][1], spec, cloud)
 
     def test_nan_level_rejected(self):
         spec, u_k, cloud = self.ladder_setup()
         with pytest.raises(ValueError, match="must be >= 0"):
             list(penalty_ladder(spec, u_k, (25, math.nan), cloud, BASIS))
+        with pytest.raises(ValueError, match="must be >= 0"):
+            penalty_sweep(spec, u_k, (25, math.nan), cloud, BASIS)
 
     def test_no_levels_is_rejected_before_any_pass(self, monkeypatch):
         spec, u_k, cloud = self.ladder_setup()
@@ -353,8 +359,81 @@ class TestRatesLadder:
             raise AssertionError("a pass ran")
 
         monkeypatch.setattr(reflect, "solve_penalized", no_pass)
+        monkeypatch.setattr(penalized, "_backward_steps", no_pass)
         with pytest.raises(ValueError, match="at least one level"):
             list(penalty_ladder(spec, u_k, (), cloud, BASIS))
+        with pytest.raises(ValueError, match="at least one level"):
+            penalty_sweep(spec, u_k, (), cloud, BASIS)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize(
+        "boundary",
+        [None, BoundarySpec("linear-monotone", beta=-1.0)],
+        ids=["zero-boundary", "linear-monotone"],
+    )
+    def test_lockstep_sweep_equals_the_sequential_ladder_to_the_bit(self, boundary, d):
+        # the sweep steps every level in one scratch and reduces the moments
+        # of its last pass alone; the ladder runs one whole pass per level
+        spec = zero_problem(
+            obstacle=SINE,
+            boundary=boundary,
+            kappa=KappaSpec("linear", rate=1.0),
+            driver=DriverSpec("affine", {"const": 0.2, "y": -0.5, "z": 0.3, "mean_y": 0.5}),
+            brownian_dim=d,
+        )
+        cloud = simulate_forward(spec, GRID, 4000, seed=5)
+        u_k = mollify_obstacle(SINE, 20, GRID)
+        levels = (25, 50, 100, 200, 400, 800)
+        ladder = list(penalty_ladder(spec, u_k, levels, cloud, BASIS))
+        records, last = penalty_sweep(spec, u_k, levels, cloud, BASIS)
+        # repr tells every float apart, signed zeros included
+        assert [repr(dataclasses.replace(rec, wall_ms=0.0)) for rec in records] == [
+            repr(dataclasses.replace(rec, wall_ms=0.0)) for rec, _ in ladder
+        ]
+        assert all(rec.wall_ms > 0.0 for rec in records)
+        assert last.K[-1] > 0.0  # the penalty fires
+        for field in dataclasses.fields(last):
+            got, want = getattr(last, field.name), getattr(ladder[-1][1], field.name)
+            assert got == want if field.name == "grid" else np.array_equal(got, want), field.name
+        assert last.Y.shape == (1, cloud.M)
+        assert repr(apriori_report(last, spec, cloud)) == repr(apriori_report(ladder[-1][1], spec, cloud))
+
+    def test_a_sweep_builds_each_node_design_once(self, monkeypatch):
+        builds, build_design = [], penalized.build_design
+
+        def counted(*args):
+            builds.append(1)
+            return build_design(*args)
+
+        monkeypatch.setattr(penalized, "build_design", counted)
+        spec, u_k, cloud = self.ladder_setup()
+        levels = (25, 50, 100, 200, 400, 800)
+        penalty_sweep(spec, u_k, levels, cloud, BASIS)
+        assert len(builds) == GRID.N
+        builds.clear()
+        list(penalty_ladder(spec, u_k, levels, cloud, BASIS))
+        assert len(builds) == len(levels) * GRID.N  # one pass after another
+
+    def test_a_sweep_rebuilds_each_positions_segment_once(self, monkeypatch):
+        rebuilds, running_sum = [], paths._running_sum
+
+        def counted(*args):
+            rebuilds.append(1)
+            return running_sum(*args)
+
+        spec, u_k, cloud = self.ladder_setup()
+        monkeypatch.setattr(paths, "_running_sum", counted)
+        s = math.isqrt(GRID.N)
+        segments = len({j // s for j in range(GRID.N)})  # the segments of nodes N-1, ..., 0
+        assert GRID.N // s == (GRID.N - 1) // s  # node N's segment holds node N-1
+        levels = (25, 50, 100, 200, 400, 800)
+        # each later pass of the ladder starts over at node N-1
+        for run, expected in [(penalty_sweep, segments - 1), (penalty_ladder, len(levels) * segments - 1)]:
+            cloud.brownian[GRID.N]  # a pass starts in node N's segment
+            rebuilds.clear()
+            for _ in run(spec, u_k, levels, cloud, BASIS):
+                pass
+            assert len(rebuilds) == expected, run.__name__
 
     def test_ladder_holds_less_than_one_solution_array(self):
         cfg = build_config({"preset": "BOUNDARY", "numerics": {"M": 4000, "N": 50}})

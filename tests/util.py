@@ -52,7 +52,7 @@ def full_pass(spec, u_k, n, cloud, basis) -> FullPass:
     """
     N, M, d = cloud.grid.N, cloud.M, cloud.d
     Y, Z = np.empty((N + 1, M)), np.empty((N + 1, M, d))
-    steps = penalized._backward_steps(spec, u_k, n, cloud, basis)
+    steps = penalized._backward_steps(spec, u_k, n, cloud, basis, None, penalized._StepScratch(M, d))
     Y[N] = next(steps)[0]
     for j in range(N - 1, -1, -1):
         Y[j], Z[j] = next(steps)
