@@ -67,7 +67,6 @@ from .reflect import (
     ReflectedSolution,
     deficit_metrics,
     flatness_residual,
-    penalty_ladder,
     penalty_sweep,
     recover_compensator,
     solve_reflected,

@@ -70,9 +70,9 @@ def stability_experiment(
     base pass and every perturbed pass step backward in lockstep, the base
     pass first at each step. Each holds only its latest Y row and its
     latest Z row, and writes xi + epsilon into its own terminal row. The
-    passes take turns in one step scratch, whose targets, fitted values,
-    g * dkappa row and node design serve them all, so each node's design
-    is built once. The per-node moments of the differences are taken as the
+    passes take turns in one set of working rows (targets, fitted values,
+    g * dkappa row) and on one node design, so each node's design is built
+    once. The per-node moments of the differences are taken as the
     rows appear, in one Y and one Z difference row, so no full solution is
     ever held, and no pass reduces moments of its own. Rows are sorted by
     epsilon.

@@ -92,17 +92,15 @@ def _fit(
     basis: RegressionBasis,
     j: int,
     targets: np.ndarray,
-    fitted: np.ndarray | None = None,
-    design: np.ndarray | None = None,
+    fitted: np.ndarray,
+    design: np.ndarray,
 ):
-    """Fitted values and coefficients of ``targets`` on step j's design of ``basis`` on ``cloud``.
+    """Fit ``targets`` on step j's ``design`` of ``basis`` on ``cloud``; fitted values into ``fitted``.
 
-    The design is built here unless it is given; its checked Gram is formed
-    once per cloud and step and kept in ``cloud.grams`` for every later
-    pass. The fitted values are written into ``fitted`` when it is given.
+    The checked Gram of the design is formed once per cloud and step and
+    kept in ``cloud.grams`` for every later pass. Returns the fitted values
+    and the coefficients.
     """
-    if design is None:
-        design = _build_node_design(cloud, basis, j)
     gram = cloud.grams.get((basis, j))
     if gram is None:
         gram = cloud.grams[basis, j] = _checked_gram(design)
@@ -113,38 +111,6 @@ def _fit(
 def _build_node_design(cloud: ForwardCloud, basis: RegressionBasis, j: int) -> np.ndarray:
     features = cloud.forward_state if basis.kind == "forward" else cloud.brownian
     return build_design(features[j], basis)
-
-
-class _StepScratch:
-    """The working rows of a backward step, shared by every pass stepped in lockstep on one cloud and basis.
-
-    A step's (M, d+1) regression targets, their (M, d+1) fitted values and
-    its g * dkappa row are dead once the step yields, so passes that take
-    turns at each node can all work in one set. The scratch also keeps the
-    design of the node it last built: the first pass to reach node j builds
-    it, and the other passes reuse it.
-    """
-
-    def __init__(self, M: int, d: int):
-        self._shape, self._rows = (M, d), None
-        self._design = None
-        self._node = None  # node of the design held, None when none is
-
-    def rows(self):
-        """The targets, fitted values and g * dkappa row, allocated at the first request."""
-        if self._rows is None:
-            M, d = self._shape
-            self._rows = np.empty((M, d + 1)), np.empty((M, d + 1)), np.empty(M)
-        return self._rows
-
-    def design(self, cloud: ForwardCloud, basis: RegressionBasis, j: int) -> np.ndarray:
-        """Step j's design, built at the first request for node j."""
-        if self._node != j:
-            # Drop the old design before the new one is built, so the two are never held at once.
-            self._design = self._node = None
-            self._design = _build_node_design(cloud, basis, j)
-            self._node = j
-        return self._design
 
 
 def implicit_mean_penalty(p_val: float, u_val: float, n: float, delta: float) -> float:
@@ -221,71 +187,21 @@ def _result(steps):
 
 
 def _lockstep(spec, u_k, cloud, basis, passes, moments=True):
-    """Step ``passes``, each a (level n, terminal shift or None), backward in lockstep in one step scratch.
+    """Step ``passes``, each a (level n, terminal shift or None), backward in lockstep on one cloud.
 
-    At each node j = N, ..., 0 every pass in turn runs its step, and the
-    generator yields (j, rows), rows[i] being pass i's (Y_j, Z_j). The first
-    pass to reach a node builds its design, and reads its positions segment,
-    for all of them. With ``moments`` the last pass's E[Y_j^2] and E|Z_j|^2
-    are reduced as its rows appear. When exhausted it returns each pass's
-    PenalizedSolution, moments on the last alone, and own step time in ms.
-    """
-    N, M = cloud.grid.N, cloud.M
-    mean_y2, mean_z2, sq = (np.empty(N + 1), np.empty(N), np.empty(M)) if moments else (None,) * 3
-    scratch = _StepScratch(M, cloud.d)
-    steps = [_backward_steps(spec, u_k, n, cloud, basis, shift, scratch) for n, shift in passes]
-    step_ms = [0.0] * len(steps)
-    for j in range(N, -1, -1):
-        rows = []
-        for i, pass_steps in enumerate(steps):
-            t0 = time.perf_counter()
-            rows.append(next(pass_steps))
-            step_ms[i] += (time.perf_counter() - t0) * 1000.0
-        if moments:
-            y, z = rows[-1]
-            mean_y2[j] = np.add.reduce(np.square(y, out=sq)) / M
-            if j < N:
-                mean_z2[j] = _mean_sq_norm(z, sq)
-        yield j, rows
-    solutions = [PenalizedSolution(cloud.grid, *_result(pass_steps), None, None) for pass_steps in steps]
-    solutions[-1] = replace(solutions[-1], mean_y2=mean_y2, mean_z2=mean_z2)
-    return solutions, step_ms
-
-
-def _mean_sq_norm(z: np.ndarray, out: np.ndarray | None = None) -> np.floating:
-    """E|z|^2 over the rows of an (M, d) array, with the bits of ``np.mean(np.sum(z ** 2, axis=1))``.
-
-    numpy adds fewer than 8 terms of a row left to right, so for d < 8 the
-    squares of z's columns are added left to right, into the (M,) row
-    ``out`` when it is given, and then averaged, without the reduction over
-    a short last axis, which is slow. From 8 terms on numpy sums pairwise,
-    and the reduction is numpy's own.
-    """
-    d = z.shape[1]
-    if d >= 8:
-        return np.mean(np.sum(z**2, axis=1))
-    acc = np.square(z[:, 0], out=out)
-    for c in range(1, d):
-        acc += np.square(z[:, c])
-    return np.add.reduce(acc) / acc.shape[0]  # np.mean's bits, without its Python overhead
-
-
-def _backward_steps(spec, u_k, n, cloud, basis, shift, scratch):
-    """One backward pass as a generator that advances one node per ``next()``.
-
-    The pass holds one Y row and one Z row: Y_{j+1} is dead once step j
-    has copied it into its targets, so Y_j overwrites it in the pass's
-    (1, M) row, and step j's Z fills its (M, d) row. The first ``next()``
-    yields (Y_N, None), with Y_N = xi + ``shift`` (xi itself, sign bits
-    included, with no shift) and no Z beyond the last step; each later one
-    runs step j = N-1, ..., 0 and yields (Y_j, Z_j). A yielded Y or Z row
-    is valid until the pass's next step. A step works in ``scratch``, a
-    ``_StepScratch`` that holds the design of the node it last built, so
-    passes stepped in lockstep on the cloud and basis share one scratch
-    and with it each node's design.
-    When exhausted the generator returns (Y row, mean_path, K, mean_f_dt,
-    mean_g_dkappa, mean_z), with mean_z the (N+1, d) per-step mean of Z,
-    its terminal row copied from step N-1 (no increment exists beyond T).
+    Each pass holds one Y row and one Z row: Y_{j+1} is dead once step j
+    has copied it into the targets, so Y_j overwrites it in the pass's
+    (1, M) row, and step j's Z fills its (M, d) row. A pass's Y_N is xi
+    plus its shift (xi itself, sign bits included, with no shift). At each
+    node j = N-1, ..., 0 the node's design is built once, and every pass in
+    turn runs its step on it. The generator yields (j, rows) at each node
+    j = N, ..., 0, rows[i] being pass i's (Y_j, Z_j), with no Z at node N;
+    the rows are valid until the next node. With ``moments`` the last
+    pass's E[Y_j^2] and E|Z_j|^2 are reduced as its rows appear, and no
+    caller reads another pass's Z, so every pass steps in one Z row and only
+    the last pass's Z is its own. When exhausted it returns each pass's
+    PenalizedSolution, node moments on the last alone, and each pass's own
+    step time in ms, the first pass paying for the node's design.
     """
     if u_k.grid != cloud.grid:
         raise LengthMismatch("smooth obstacle grid does not match the cloud grid")
@@ -295,80 +211,130 @@ def _backward_steps(spec, u_k, n, cloud, basis, shift, scratch):
         raise ValueError(f"need more particles ({cloud.M}) than basis functions ({basis.size(cloud.d)})")
     N, M, d, dt = cloud.grid.N, cloud.M, cloud.d, cloud.grid.dt
     times = cloud.grid.times
+    mean_y2, mean_z2, sq = (np.empty(N + 1), np.empty(N), np.empty(M)) if moments else (None,) * 3
 
-    y_row, z = np.empty((1, M)), np.empty((M, d))
-    # Each step works in the scratch's C-ordered (M, d+1) targets and fitted
-    # values and its g * dkappa row, so no step allocates particle arrays of
-    # its own. Every mean is numpy's own: np.add.reduce over the row,
-    # divided by the count, which is what .mean() computes.
-    mean_path = np.empty(N + 1)
-    z_mean = np.empty((N + 1, d))
-    y = y_row[0]
-    y[...] = cloud.xi
-    if shift is not None:
-        y += shift
-    mean_path[N] = np.add.reduce(y) / M
-    dK = np.zeros(N)
-    mean_f_dt = np.zeros(N)
-    mean_g_dkappa = np.zeros(N)  # stays 0.0 for the zero boundary, whose g * dkappa row is never formed
+    # Each pass's own rows and node arrays come first, the working rows after
+    # them (peak RSS follows that heap order): (level, Y row, Z row, mean
+    # path, mean Z, dK, mean f dt, mean g dkappa). mean g dkappa stays 0.0
+    # for the zero boundary, whose g * dkappa row is never formed.
+    own = []
+    for n, shift in passes:
+        y_row = np.empty((1, M))
+        z = own[0][2] if moments and own else np.empty((M, d))
+        mean_path, z_mean = np.empty(N + 1), np.empty((N + 1, d))
+        y = y_row[0]
+        y[...] = cloud.xi
+        if shift is not None:
+            y += shift
+        mean_path[N] = np.add.reduce(y) / M
+        own.append((n, y_row, z, mean_path, z_mean, np.zeros(N), np.zeros(N), np.zeros(N)))
+    # Then the working rows the passes take turns in, dead once a step ends:
+    # C-ordered (M, d+1) targets and fitted values and a g * dkappa row, so
+    # no step allocates particle arrays of its own. Every mean is numpy's
+    # own: np.add.reduce over the row, divided by the count, which is what
+    # .mean() computes.
+    targets, fitted, g_dkap = np.empty((M, d + 1)), np.empty((M, d + 1)), np.empty(M)
+    z_targets, cond_mean = targets[:, :d], fitted[:, d]
     has_boundary = spec.boundary.family != "zero"
     common_clock = cloud.kappa.strides[1] == 0  # a deterministic clock: one dkappa per step
-    yield y, None
+    step_ms = [0.0] * len(own)
+    rows = [(y_row[0], None) for _, y_row, *_ in own]
+    for j in range(N, -1, -1):
+        if j < N:
+            rows = [(y_row[0], z) for _, y_row, z, *_ in own]
+            t0 = time.perf_counter()
+            # Drop the old design before the new one is built, so the two are never held at once.
+            design = None
+            design = _build_node_design(cloud, basis, j)
+            for i, (n, y_row, z, mean_path, z_mean, dK, mean_f_dt, mean_g_dkappa) in enumerate(own):
+                y = y_row[0]
+                # Y dB / dt in the contiguous Z row, one column at a time (a
+                # broadcast Y would make numpy buffer an (M, d) temporary),
+                # then into the targets' strided columns. Y_{j+1} is dead
+                # after that: Y_j takes its row.
+                for c in range(d):
+                    np.multiply(y, cloud.dB[j, :, c], out=z[:, c])
+                np.divide(z, dt, out=z)
+                z_targets[...] = z
+                targets[:, d] = y
+                _fit(cloud, basis, j, targets, fitted, design)
+                z[...] = fitted[:, :d]
+                z_mean[j] = np.add.reduce(z) / M
 
-    targets, fitted, g_dkap = scratch.rows()
-    z_targets, cond_mean = targets[:, :d], fitted[:, d]
-    for j in range(N - 1, -1, -1):
-        # Y dB / dt in the contiguous Z row, one column at a time (a broadcast
-        # Y would make numpy buffer an (M, d) temporary), then into the
-        # targets' strided columns. Y_{j+1} is dead after that: Y_j takes its row.
-        for c in range(d):
-            np.multiply(y, cloud.dB[j, :, c], out=z[:, c])
-        np.divide(z, dt, out=z)
-        z_targets[...] = z
-        targets[:, d] = y
-        _fit(cloud, basis, j, targets, fitted, scratch.design(cloud, basis, j))
-        z[...] = fitted[:, :d]
-        z_mean[j] = np.add.reduce(z) / M
+                # Law moments from the step-(j+1) cloud; Z beyond the last
+                # regression step does not exist, so the first backward step
+                # reuses its own Z.
+                m_y = float(mean_path[j + 1])
+                m_z = z_mean[min(j + 1, N - 1)]
 
-        # Law moments from the step-(j+1) cloud; Z beyond the last regression
-        # step does not exist, so the first backward step reuses its own Z.
-        m_y = float(mean_path[j + 1])
-        m_z = z_mean[min(j + 1, N - 1)]
+                # Y_j = (cond_mean + f dt) + g dkappa, built in place in the
+                # row. A driver with one value for every particle comes back
+                # as a read-only broadcast, and its f dt is a single float,
+                # as is a deterministic dkappa.
+                f_vals = eval_driver(spec.driver, times[j], cond_mean, z, m_y, m_z)
+                if f_vals.strides[0] == 0:
+                    np.add(cond_mean, float(f_vals[0]) * dt, out=y)
+                else:
+                    np.multiply(f_vals, dt, out=y)
+                    np.add(cond_mean, y, out=y)
+                if has_boundary:
+                    g_vals = eval_boundary(spec.boundary, times[j], cond_mean)
+                    if common_clock:
+                        np.multiply(g_vals, float(cloud.kappa[j + 1, 0] - cloud.kappa[j, 0]), out=g_dkap)
+                    else:
+                        np.subtract(cloud.kappa[j + 1], cloud.kappa[j], out=g_dkap)
+                        np.multiply(g_vals, g_dkap, out=g_dkap)
+                    y += g_dkap
+                    mean_g_dkappa[j] = float(np.add.reduce(g_dkap) / M)
 
-        # Y_j = (cond_mean + f dt) + g dkappa, built in place in the row. A
-        # driver with one value for every particle comes back as a read-only
-        # broadcast, and its f dt is a single float, as is a deterministic dkappa.
-        f_vals = eval_driver(spec.driver, times[j], cond_mean, z, m_y, m_z)
-        if f_vals.strides[0] == 0:
-            np.add(cond_mean, float(f_vals[0]) * dt, out=y)
-        else:
-            np.multiply(f_vals, dt, out=y)
-            np.add(cond_mean, y, out=y)
-        if has_boundary:
-            g_vals = eval_boundary(spec.boundary, times[j], cond_mean)
-            if common_clock:
-                np.multiply(g_vals, float(cloud.kappa[j + 1, 0] - cloud.kappa[j, 0]), out=g_dkap)
-            else:
-                np.subtract(cloud.kappa[j + 1], cloud.kappa[j], out=g_dkap)
-                np.multiply(g_vals, g_dkap, out=g_dkap)
-            y += g_dkap
-            mean_g_dkappa[j] = float(np.add.reduce(g_dkap) / M)
+                p_val = float(np.add.reduce(y) / M)
+                delta = dt + float(cloud.mean_kappa[j + 1] - cloud.mean_kappa[j])
+                shifted = implicit_mean_penalty(p_val, float(u_k.values[j]), n, delta)
+                dK[j] = shifted - p_val
+                y += dK[j]
+                mean_path[j] = np.add.reduce(y) / M
 
-        p_val = float(np.add.reduce(y) / M)
-        delta = dt + float(cloud.mean_kappa[j + 1] - cloud.mean_kappa[j])
-        shifted = implicit_mean_penalty(p_val, float(u_k.values[j]), n, delta)
-        dK[j] = shifted - p_val
-        y += dK[j]
-        mean_path[j] = np.add.reduce(y) / M
+                # A non-finite value anywhere in a row makes its mean non-finite.
+                if not (math.isfinite(mean_path[j]) and np.isfinite(z_mean[j]).all()):
+                    raise NonFinite(f"non-finite solution values at step {j}")
 
-        # A non-finite value anywhere in a row makes its mean non-finite.
-        if not (math.isfinite(mean_path[j]) and np.isfinite(z_mean[j]).all()):
-            raise NonFinite(f"non-finite solution values at step {j}")
+                # The mean over all M copies even for a common value: it can
+                # differ from that value in the last bit.
+                mean_f_dt[j] = float(np.add.reduce(f_vals) / M) * dt
+                t1 = time.perf_counter()
+                step_ms[i] += (t1 - t0) * 1000.0
+                t0 = t1
+        if moments:
+            y, z = rows[-1]
+            mean_y2[j] = np.add.reduce(np.square(y, out=sq)) / M
+            if j < N:
+                mean_z2[j] = _mean_sq_norm(z, sq)
+        yield j, rows
 
-        # The mean over all M copies even for a common value: it can differ
-        # from that value in the last bit.
-        mean_f_dt[j] = float(np.add.reduce(f_vals) / M) * dt
-        yield y, z
+    solutions = []
+    for _, y_row, _, mean_path, z_mean, dK, mean_f_dt, mean_g_dkappa in own:
+        z_mean[N] = z_mean[N - 1]  # the terminal row: no increment exists beyond T
+        K = np.concatenate([[0.0], np.cumsum(dK)])
+        solutions.append(
+            PenalizedSolution(cloud.grid, y_row, mean_path, K, mean_f_dt, mean_g_dkappa, z_mean, None, None)
+        )
+    solutions[-1] = replace(solutions[-1], mean_y2=mean_y2, mean_z2=mean_z2)
+    return solutions, step_ms
 
-    z_mean[N] = z_mean[N - 1]
-    return y_row, mean_path, np.concatenate([[0.0], np.cumsum(dK)]), mean_f_dt, mean_g_dkappa, z_mean
+
+def _mean_sq_norm(z: np.ndarray, out: np.ndarray) -> np.floating:
+    """E|z|^2 over the rows of an (M, d) array, with the bits of ``np.mean(np.sum(z ** 2, axis=1))``.
+
+    numpy adds fewer than 8 terms of a row left to right, so for d < 8 the
+    squares of z's columns are added left to right into the (M,) row
+    ``out`` and then averaged, without the reduction over a short last
+    axis, which is slow. From 8 terms on numpy sums pairwise, and the
+    reduction is numpy's own.
+    """
+    d = z.shape[1]
+    if d >= 8:
+        return np.mean(np.sum(z**2, axis=1))
+    acc = np.square(z[:, 0], out=out)
+    for c in range(1, d):
+        acc += np.square(z[:, c])
+    return np.add.reduce(acc) / acc.shape[0]  # np.mean's bits, without its Python overhead

@@ -150,32 +150,16 @@ def _level_record(u_k, n, sol, prev_mean, wall_ms, mean_kappa) -> LevelRecord:
     )
 
 
-def penalty_ladder(spec: ProblemSpec, u_k: SmoothObstacle, n_levels, cloud: ForwardCloud, basis: RegressionBasis):
-    """Yield (record, solution) of a pass at each level n against u_k, one level per ``next()``.
-
-    ``n_levels`` is any non-empty iterable, read once and lazily; an empty
-    one raises ValueError once the ladder is run. ``wall_ms`` times the
-    pass alone, and the Cauchy distance is to the previous level's mean
-    path. Every level shares the cloud's cached Gram matrices.
-    """
-    prev_mean = None
-    for n in n_levels:
-        t0 = time.perf_counter()
-        sol = solve_penalized(spec, u_k, n, cloud, basis)
-        yield _level_record(u_k, n, sol, prev_mean, (time.perf_counter() - t0) * 1000.0, cloud.mean_kappa), sol
-        prev_mean = sol.mean_path
-    if prev_mean is None:
-        raise ValueError("the penalty ladder needs at least one level")
-
-
 def penalty_sweep(spec: ProblemSpec, u_k: SmoothObstacle, n_levels, cloud: ForwardCloud, basis: RegressionBasis):
     """Run a pass at every level n against u_k in lockstep; return (records, last level's solution).
 
-    The records are ``penalty_ladder``'s to the bit, but each node's design
-    is built and each positions segment rebuilt once for all levels. A
-    record's ``wall_ms`` is its pass's own step time, the first pass to
-    reach a node paying for its design. Only the last level's solution has
-    node moments. An empty ``n_levels`` raises ValueError before any pass.
+    The records are to the bit those of one ``solve_penalized`` pass per
+    level, but each node's design is built and each positions segment
+    rebuilt once for all levels. A record's ``wall_ms`` is its pass's own
+    step time, the first pass to reach a node paying for its design, and
+    its Cauchy distance is to the previous level's mean path. Only the last
+    level's solution has node moments. An empty ``n_levels`` raises
+    ValueError before any pass.
     """
     passes = [(n, None) for n in n_levels]
     if not passes:
@@ -209,8 +193,14 @@ def solve_reflected(
     trace: list[LevelRecord] = []
     for k in schedule.k_levels:
         u_k = mollify_obstacle(spec.obstacle, k, cloud.grid, quad_points)
-        for record, sol in penalty_ladder(spec, u_k, schedule.n_levels, cloud, basis):
+        prev_mean = None
+        for n in schedule.n_levels:
+            t0 = time.perf_counter()
+            sol = solve_penalized(spec, u_k, n, cloud, basis)
+            wall_ms = (time.perf_counter() - t0) * 1000.0
+            record = _level_record(u_k, n, sol, prev_mean, wall_ms, cloud.mean_kappa)
             trace.append(record)
+            prev_mean = sol.mean_path
             if record.cauchy_mean_dist is not None:
                 cauchy_ok = record.cauchy_mean_dist <= schedule.cauchy_tol
             else:

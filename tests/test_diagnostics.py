@@ -20,7 +20,6 @@ from mrbsde import (
     deficit_metrics,
     flatness_residual,
     mollify_obstacle,
-    penalty_ladder,
     penalty_sweep,
     rate_fit,
     simulate_forward,
@@ -162,10 +161,11 @@ class TestStabilityExperiment:
         ],
     )
     def test_node_reductions_equal_full_difference_arrays(self, case):
-        # the lockstep rows are reduced node by node, in one shared step
-        # scratch (targets, fitted values, g * dkappa row, node design); the
-        # reference runs whole passes one after another, each on its own
-        # cloud and workspace, and forms dY and dZ in full
+        # the lockstep rows are reduced node by node, the passes sharing one
+        # set of working rows (targets, fitted values, g * dkappa row) and
+        # one node design; the reference runs whole passes one after
+        # another, each on its own cloud and workspace, and forms dY and dZ
+        # in full
         spec = zero_problem(obstacle=SINE, **case)
         cloud = simulate_forward(spec, GRID, 10_000, seed=3)
         u_k = mollify_obstacle(SINE, 20, GRID)
@@ -217,19 +217,19 @@ class TestStabilityExperiment:
     @pytest.mark.parametrize("d", [1, 2])
     def test_lockstep_passes_hold_their_rows_and_one_scratch(self, d):
         # Each pass holds its Y row and its Z row, (d + 1) M floats; all of
-        # them share one step scratch: targets and fitted values, a
-        # g * dkappa row and one node design, (2d + 3 + p) M floats; the
-        # differences take (d + 1) M more. 2 ceil(sqrt N) position rows cover
-        # the node arrays and a step's transients. A scratch, a terminal or a
-        # second Y row per pass exceeds that.
+        # them share one set of working rows and one node design: targets
+        # and fitted values, a g * dkappa row and the design, (2d + 3 + p) M
+        # floats; the differences take (d + 1) M more. 2 ceil(sqrt N)
+        # position rows cover the node arrays and a step's transients.
+        # Working rows, a terminal or a second Y row per pass exceed that.
         spec = zero_problem(obstacle=SINE, brownian_dim=d)
         grid = TimeGrid(1.0, 100)
         cloud = simulate_forward(spec, grid, 4000, seed=3)
         u_k = mollify_obstacle(SINE, 20, grid)
         eps = (0.2, 0.1, 0.05, 0.025, -0.05, -0.1)
         p = BASIS.size(d)
-        own, scratch, diffs = (len(eps) + 1) * (d + 1), 2 * d + 3 + p, d + 1
-        bound = (own + scratch + diffs + 2 * math.ceil(math.sqrt(grid.N)) * d) * cloud.M * 8
+        own, shared, diffs = (len(eps) + 1) * (d + 1), 2 * d + 3 + p, d + 1
+        bound = (own + shared + diffs + 2 * math.ceil(math.sqrt(grid.N)) * d) * cloud.M * 8
         tracemalloc.start()
         try:
             stability_experiment(spec, cloud, eps, u_k, 200, BASIS)
@@ -276,9 +276,22 @@ class TestStabilityExperiment:
         def no_pass(*args):
             raise AssertionError("a pass ran")
 
-        monkeypatch.setattr(penalized, "_backward_steps", no_pass)
+        monkeypatch.setattr(penalized, "_fit", no_pass)  # every step of every pass fits
         with pytest.raises(ValueError):
             stability_experiment(spec, cloud, perturbations, u_k, 200, BASIS)
+
+
+def sequential_ladder(spec, u_k, levels, cloud):
+    """(record, solution) of one ``solve_penalized`` pass per level, one after another.
+
+    The records are built as ``solve_reflected`` builds its trace.
+    """
+    ladder, prev_mean = [], None
+    for n in levels:
+        sol = solve_penalized(spec, u_k, n, cloud, BASIS)
+        ladder.append((reflect._level_record(u_k, n, sol, prev_mean, 0.0, cloud.mean_kappa), sol))
+        prev_mean = sol.mean_path
+    return ladder
 
 
 class TestRatesLadder:
@@ -302,9 +315,9 @@ class TestRatesLadder:
         cloud = simulate_forward(spec, GRID, 4000, seed=5)
         u_k = mollify_obstacle(SINE, 20, GRID)
         levels = (25, 50, 100, 200)
-        ladder = list(penalty_ladder(spec, u_k, levels, cloud, BASIS))
+        records, last = penalty_sweep(spec, u_k, levels, cloud, BASIS)
         prev_mean = None
-        for (record, _), n in zip(ladder, levels, strict=True):
+        for record, n in zip(records, levels, strict=True):
             full = full_pass(spec, u_k, n, cloud, BASIS)
             sup_sq, integral_sq = deficit_metrics(full.mean_path, u_k, cloud.mean_kappa)
             expected = LevelRecord(
@@ -319,7 +332,7 @@ class TestRatesLadder:
             )
             assert dataclasses.replace(record, wall_ms=0.0) == expected
             prev_mean = full.mean_path
-        report = apriori_report(ladder[-1][1], spec, cloud)
+        report = apriori_report(last, spec, cloud)
         assert full.K[-1] > 0.0  # the penalty fires
         assert report.compensator_terminal_sq == float(full.K[-1] ** 2)
         assert report.sup_mean_sq_y == float(np.max(np.mean(full.Y**2, axis=1)))
@@ -334,21 +347,16 @@ class TestRatesLadder:
     def test_levels_may_come_from_a_generator(self):
         spec, u_k, cloud = self.ladder_setup()
         levels = (25, 50, 100)
-        got = list(penalty_ladder(spec, u_k, (n for n in levels), cloud, BASIS))
-        expected = list(penalty_ladder(spec, u_k, levels, cloud, BASIS))
-        assert [rec.n for rec, _ in got] == list(levels)
-        assert [dataclasses.replace(rec, wall_ms=0.0) for rec, _ in got] == [
-            dataclasses.replace(rec, wall_ms=0.0) for rec, _ in expected
-        ]
-        assert apriori_report(got[-1][1], spec, cloud) == apriori_report(expected[-1][1], spec, cloud)
         records, last = penalty_sweep(spec, u_k, (n for n in levels), cloud, BASIS)
+        expected, expected_last = penalty_sweep(spec, u_k, levels, cloud, BASIS)
         assert [rec.n for rec in records] == list(levels)
-        assert apriori_report(last, spec, cloud) == apriori_report(expected[-1][1], spec, cloud)
+        assert [dataclasses.replace(rec, wall_ms=0.0) for rec in records] == [
+            dataclasses.replace(rec, wall_ms=0.0) for rec in expected
+        ]
+        assert apriori_report(last, spec, cloud) == apriori_report(expected_last, spec, cloud)
 
     def test_nan_level_rejected(self):
         spec, u_k, cloud = self.ladder_setup()
-        with pytest.raises(ValueError, match="must be >= 0"):
-            list(penalty_ladder(spec, u_k, (25, math.nan), cloud, BASIS))
         with pytest.raises(ValueError, match="must be >= 0"):
             penalty_sweep(spec, u_k, (25, math.nan), cloud, BASIS)
 
@@ -358,10 +366,7 @@ class TestRatesLadder:
         def no_pass(*args):
             raise AssertionError("a pass ran")
 
-        monkeypatch.setattr(reflect, "solve_penalized", no_pass)
-        monkeypatch.setattr(penalized, "_backward_steps", no_pass)
-        with pytest.raises(ValueError, match="at least one level"):
-            list(penalty_ladder(spec, u_k, (), cloud, BASIS))
+        monkeypatch.setattr(penalized, "_fit", no_pass)  # every step of every pass fits
         with pytest.raises(ValueError, match="at least one level"):
             penalty_sweep(spec, u_k, (), cloud, BASIS)
 
@@ -372,8 +377,9 @@ class TestRatesLadder:
         ids=["zero-boundary", "linear-monotone"],
     )
     def test_lockstep_sweep_equals_the_sequential_ladder_to_the_bit(self, boundary, d):
-        # the sweep steps every level in one scratch and reduces the moments
-        # of its last pass alone; the ladder runs one whole pass per level
+        # the sweep steps every level on one set of working rows and reduces
+        # the moments of its last pass alone; the reference runs one whole
+        # pass per level
         spec = zero_problem(
             obstacle=SINE,
             boundary=boundary,
@@ -384,7 +390,7 @@ class TestRatesLadder:
         cloud = simulate_forward(spec, GRID, 4000, seed=5)
         u_k = mollify_obstacle(SINE, 20, GRID)
         levels = (25, 50, 100, 200, 400, 800)
-        ladder = list(penalty_ladder(spec, u_k, levels, cloud, BASIS))
+        ladder = sequential_ladder(spec, u_k, levels, cloud)
         records, last = penalty_sweep(spec, u_k, levels, cloud, BASIS)
         # repr tells every float apart, signed zeros included
         assert [repr(dataclasses.replace(rec, wall_ms=0.0)) for rec in records] == [
@@ -411,7 +417,7 @@ class TestRatesLadder:
         penalty_sweep(spec, u_k, levels, cloud, BASIS)
         assert len(builds) == GRID.N
         builds.clear()
-        list(penalty_ladder(spec, u_k, levels, cloud, BASIS))
+        sequential_ladder(spec, u_k, levels, cloud)
         assert len(builds) == len(levels) * GRID.N  # one pass after another
 
     def test_a_sweep_rebuilds_each_positions_segment_once(self, monkeypatch):
@@ -427,13 +433,36 @@ class TestRatesLadder:
         segments = len({j // s for j in range(GRID.N)})  # the segments of nodes N-1, ..., 0
         assert GRID.N // s == (GRID.N - 1) // s  # node N's segment holds node N-1
         levels = (25, 50, 100, 200, 400, 800)
-        # each later pass of the ladder starts over at node N-1
-        for run, expected in [(penalty_sweep, segments - 1), (penalty_ladder, len(levels) * segments - 1)]:
+        # each later pass of the sequential ladder starts over at node N-1
+        runs = [
+            (lambda: penalty_sweep(spec, u_k, levels, cloud, BASIS), segments - 1, "sweep"),
+            (lambda: sequential_ladder(spec, u_k, levels, cloud), len(levels) * segments - 1, "sequential"),
+        ]
+        for run, expected, name in runs:
             cloud.brownian[GRID.N]  # a pass starts in node N's segment
             rebuilds.clear()
-            for _ in run(spec, u_k, levels, cloud, BASIS):
-                pass
-            assert len(rebuilds) == expected, run.__name__
+            run()
+            assert len(rebuilds) == expected, name
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_each_more_level_holds_one_y_row(self, d):
+        # only the last level's Z is read, for E|Z_j|^2, so the levels step
+        # in one shared Z row: six more levels hold their six Y rows and
+        # their node arrays, less than one row more; a Z row per level would
+        # add 6 d rows
+        spec = zero_problem(obstacle=SINE, brownian_dim=d)
+        grid = TimeGrid(1.0, 100)
+        cloud = simulate_forward(spec, grid, 4000, seed=3)
+        u_k = mollify_obstacle(SINE, 20, grid)
+        peaks = []
+        for levels in [(25, 50, 100), (25, 50, 100, 200, 400, 800, 1600, 3200, 6400)]:
+            tracemalloc.start()
+            try:
+                penalty_sweep(spec, u_k, levels, cloud, BASIS)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < (6 + 1) * cloud.M * 8
 
     def test_ladder_holds_less_than_one_solution_array(self):
         cfg = build_config({"preset": "BOUNDARY", "numerics": {"M": 4000, "N": 50}})
@@ -441,12 +470,10 @@ class TestRatesLadder:
         cloud = simulate_forward(cfg.spec, grid, cfg.M, seed=3)
         u_k = mollify_obstacle(cfg.spec.obstacle, 20, grid)
         levels = cfg.schedule.n_levels
-        for _ in penalty_ladder(cfg.spec, u_k, levels, cloud, cfg.basis):  # fills the Gram cache
-            pass
+        penalty_sweep(cfg.spec, u_k, levels, cloud, cfg.basis)  # fills the Gram cache
         tracemalloc.start()
         try:
-            for _ in penalty_ladder(cfg.spec, u_k, levels, cloud, cfg.basis):
-                pass
+            penalty_sweep(cfg.spec, u_k, levels, cloud, cfg.basis)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

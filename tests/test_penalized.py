@@ -30,9 +30,10 @@ from mrbsde import (
     solve_reflected,
     stability_experiment,
 )
-from mrbsde import penalized
+from mrbsde import PRESETS, penalized
+from mrbsde.cli import build_config
 from mrbsde.problem import eval_boundary, eval_driver
-from tests.util import FullPass, full_pass, regression_statistics, zero_problem
+from tests.util import FullPass, drive, full_pass, refit, regression_statistics, zero_problem
 
 GRID = TimeGrid(1.0, 50)
 SINE = ObstacleCurve("sine", amplitude=0.5)
@@ -66,7 +67,7 @@ def fit_on_positions(targets, positions, degree):
         xi=np.zeros(m),
         mean_kappa=np.zeros(2),
     )
-    return penalized._fit(cloud, RegressionBasis("brownian", degree), 0, targets)
+    return refit(cloud, RegressionBasis("brownian", degree), 0, targets)
 
 
 class TestRegression:
@@ -386,7 +387,7 @@ def reference_pass(spec, u_k, n, cloud, basis):
     mean_path[N] = Y[N].mean()
     for j in range(N - 1, -1, -1):
         targets = np.column_stack([Y[j + 1][:, None] * cloud.dB[j] / dt, Y[j + 1]])
-        fitted = penalized._fit(cloud, basis, j, targets)[0]
+        fitted = refit(cloud, basis, j, targets)[0]
         Z[j], cond_mean = fitted[:, :d], fitted[:, d]
         z_mean[j] = Z[j].mean(axis=0)
         m_y, m_z = mean_path[j + 1], z_mean[min(j + 1, N - 1)]
@@ -478,7 +479,7 @@ class TestLeanStep:
 
 
 def test_terminal_row_is_xi_plus_the_shift_to_the_bit():
-    # a lockstep pass writes xi + eps into its own Y_N row; the base pass
+    # each lockstep pass writes xi + eps into its own Y_N row; the base pass
     # copies xi and adds nothing, so its signed zeros survive
     cloud = small_cloud(zero_problem(), M=600, grid=LEAN_GRID)
     xi = cloud.xi.copy()
@@ -486,32 +487,33 @@ def test_terminal_row_is_xi_plus_the_shift_to_the_bit():
     cloud = replace(cloud, xi=xi)
     u_k = mollify_obstacle(SINE, 20, LEAN_GRID)
     basis = RegressionBasis("brownian", 2)
-    scratch = penalized._StepScratch(cloud.M, cloud.d)
-    for shift, want in [(None, xi), (0.0, xi + 0.0), (0.1, xi + 0.1), (-0.05, xi - 0.05)]:
-        y_n, z = next(penalized._backward_steps(zero_problem(), u_k, 200, cloud, basis, shift, scratch))
+    shifts = [None, 0.0, 0.1, -0.05]
+    j, rows = next(penalized._lockstep(zero_problem(), u_k, cloud, basis, [(200, eps) for eps in shifts]))
+    assert j == LEAN_GRID.N and len(rows) == len(shifts)
+    for (y_n, z), want in zip(rows, [xi, xi + 0.0, xi + 0.1, xi - 0.05]):
         assert z is None and np.array_equal(y_n, want) and np.array_equal(np.signbit(y_n), np.signbit(want))
 
 
-def test_a_step_at_two_coordinates_allocates_less_than_a_particle_row():
-    # The design is built ahead of each step, as the first pass of a lockstep
-    # sweep builds it, and a zero driver and boundary make no row of values;
-    # what the step itself allocates and frees must stay below one row of M
-    # floats: Y dB / dt taken with a broadcast Y would buffer an (M, 2)
-    # temporary.
+def test_a_step_at_two_coordinates_allocates_less_than_a_particle_row(monkeypatch):
+    # Every node's design is built ahead of the pass and handed to it, so
+    # the node design is not counted, and a zero driver and boundary make no
+    # row of values; the pass's own and working rows are allocated before
+    # node N is yielded. What a step itself allocates and frees must stay
+    # below one row of M floats: Y dB / dt taken with a broadcast Y would
+    # buffer an (M, 2) temporary.
     spec = zero_problem(obstacle=SINE, brownian_dim=2)
     cloud = small_cloud(spec, M=4000)
     u_k = mollify_obstacle(SINE, 20, GRID)
     basis = RegressionBasis("brownian", 2)
     penalized.solve_penalized(spec, u_k, 200, cloud, basis)  # fills the Gram cache
-    scratch = penalized._StepScratch(cloud.M, cloud.d)
-    steps = penalized._backward_steps(spec, u_k, 200, cloud, basis, None, scratch)
+    designs = [penalized._build_node_design(cloud, basis, j) for j in range(GRID.N)]
+    monkeypatch.setattr(penalized, "_build_node_design", lambda cloud, basis, j: designs[j])
+    steps = penalized._lockstep(spec, u_k, cloud, basis, [(200, None)], moments=False)
     next(steps)
-    scratch.rows()  # the working rows the first step would allocate, held for the whole pass
     worst = 0
     tracemalloc.start()
     try:
-        for j in range(GRID.N - 1, -1, -1):
-            scratch.design(cloud, basis, j)
+        for _ in range(GRID.N):
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             next(steps)
@@ -530,8 +532,8 @@ def test_mean_sq_norm_has_the_bits_of_the_row_sum_form(d):
         z[rng.random((m, d)) < 0.1] = -0.0
         for rows in (z, -z, np.full((m, d), -0.0)):
             want = np.mean(np.sum(rows**2, axis=1))
-            for got in (penalized._mean_sq_norm(rows), penalized._mean_sq_norm(rows, np.empty(m))):
-                assert got == want and np.signbit(got) == np.signbit(want)
+            got = penalized._mean_sq_norm(rows, np.empty(m))
+            assert got == want and np.signbit(got) == np.signbit(want)
 
 
 class TestRegressionOperator:
@@ -575,7 +577,7 @@ class TestRegressionOperator:
         spec = zero_problem(forward=ForwardSDESpec(x0=1.0, sigma=0.3))
         cloud = small_cloud(spec, M=500)
         seen = recording_build_design(monkeypatch)
-        penalized._fit(cloud, RegressionBasis("forward", 2), 7, np.zeros(500))
+        penalized._build_node_design(cloud, RegressionBasis("forward", 2), 7)
         assert np.shares_memory(seen[0], cloud.forward_state)
         assert np.array_equal(seen[0], cloud.forward_state[7])
 
@@ -603,3 +605,137 @@ class TestRegressionOperator:
         assert checks == []  # base and perturbed passes reuse the cloud's Grams
         stability_experiment(spec, replace(cloud, grams={}), (0.1, 0.05), u_k, 100, basis)
         assert len(checks) == GRID.N  # base and two perturbed passes on a fresh cache
+
+
+EQUIVARIANT_LEVELS = (50.0, 800.0, math.inf)
+
+
+def mean_level_recursion(spec, u_k, n, cloud, base):
+    """Level n's mean path, K and mean Z from the n = 0 pass ``base``, for a shift-equivariant step.
+
+    On such a step Y^n_j = Y^0_j + c_j for every particle, so
+    zbar^n_j = zbar^0_j + c_{j+1} E_M[dB_j] / dt, and the mean of every
+    fit is the mean of its targets (every basis has an intercept). The
+    driver and boundary are evaluated at the means, and the penalty is the
+    pass's own implicit root.
+    """
+    grid = cloud.grid
+    N, dt = grid.N, grid.dt
+    ybar, zbar, dK = np.empty(N + 1), np.empty((N + 1, cloud.d)), np.zeros(N)
+    ybar[N] = np.add.reduce(cloud.xi) / cloud.M
+    for j in range(N - 1, -1, -1):
+        zbar[j] = base.mean_z[j] + (ybar[j + 1] - base.mean_path[j + 1]) * cloud.dB[j].mean(axis=0) / dt
+        m_z = zbar[min(j + 1, N - 1)]
+        f = float(eval_driver(spec.driver, grid.times[j], ybar[j + 1], zbar[j], ybar[j + 1], m_z))
+        dkappa = cloud.kappa[j + 1, 0] - cloud.kappa[j, 0]  # a deterministic clock
+        g = float(eval_boundary(spec.boundary, grid.times[j], ybar[j + 1])) * dkappa
+        p_val = ybar[j + 1] + f * dt + g
+        delta = dt + float(cloud.mean_kappa[j + 1] - cloud.mean_kappa[j])
+        ybar[j] = implicit_mean_penalty(p_val, float(u_k.values[j]), n, delta)
+        dK[j] = ybar[j] - p_val
+    zbar[N] = zbar[N - 1]
+    return ybar, np.concatenate([[0.0], np.cumsum(dK)]), zbar
+
+
+def intercept_leak(cloud, basis, j):
+    """Bound on |mean P_j(T) - mean T| / max|T| for step j's fit.
+
+    A Gram regularized by lambda I (``_checked_gram``'s fudge) makes the mean
+    of the fitted values the mean of the targets minus (lambda / M) coef_0,
+    and |coef_0| <= ||D (G + lambda I)^-1 e_0||_1 max|T|. An unregularized
+    Gram reproduces the target mean exactly: 0.
+    """
+    design = penalized._build_node_design(cloud, basis, j)
+    gram = cloud.grams[basis, j]
+    lam = float(np.max(np.diag(gram) - np.diag(design.T @ design)))
+    if lam == 0.0:
+        return 0.0
+    row = np.linalg.solve(gram, np.eye(gram.shape[0])[0])
+    return lam / cloud.M * float(np.sum(np.abs(design @ row)))
+
+
+def run_equivariance_sweep(spec, cloud, basis, u_k):
+    """The n = 0 pass and every level of ``EQUIVARIANT_LEVELS`` in one lockstep sweep.
+
+    Returns the solutions, per node and pass the largest |Y_j|, and per
+    node the largest spread across particles of Y^n_j - Y^0_j over levels.
+    """
+    N = cloud.grid.N
+    passes = [(0.0, None)] + [(n, None) for n in EQUIVARIANT_LEVELS]
+    max_y, spread = np.empty((len(passes), N + 1)), np.empty(N + 1)
+
+    def record(j, rows):
+        base = rows[0][0]
+        max_y[:, j] = [np.max(np.abs(y)) for y, _ in rows]
+        spread[j] = max(np.ptp(y - base) for y, _ in rows[1:])
+
+    solutions, _ = drive(penalized._lockstep(spec, u_k, cloud, basis, passes, moments=False), record)
+    return solutions, max_y, spread
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_shift_equivariant_levels_follow_the_mean_level_recursion(preset):
+    """Every preset's step is shift-equivariant, so each level is the n = 0 pass shifted by one constant per node.
+
+    The bound is fixed by a round-off argument before the run (u = 2^-53):
+    - Local error of node j, in the mean path: each node mean the pass forms
+      (the fit's Gram row and right-hand side, the penalty's argument, the
+      new mean) is a sum of M terms, worst case M u of the summed
+      magnitudes, and the fit adds p^2 u; eight such sums bound a step:
+      8 (M + p^2) u S_j, with S_j = max |Y_{j+1}| + max |Y_j| over every
+      pass. A regularized Gram adds the intercept leak of its fit times
+      max |Y_{j+1}| (``intercept_leak``).
+    - Propagation: the mean-level step is (1 + L dt)-Lipschitz in the two
+      later means, L = |y| + |mean_y| + |beta| max dkappa / dt
+      + |mean_z| max |E_M[dB]| / dt, and the penalty root is 1-Lipschitz,
+      so the mean path is within E = e^{LT} (sum of local errors).
+    - K telescopes to the mean path: K_j = ybar_0 - ybar_j - sum of the
+      driver and boundary means, so K is within (3 + LT) E.
+    - Mean Z at node j: both fits' round-off on targets of size
+      S^z_j = max |Y_{j+1}| max |dB_j| / dt, the leak on c_{j+1} dB_j / dt,
+      and the recursion's own mean path error times |E_M[dB_j]| / dt.
+    The mean-z coupling of the driver adds |mean_z| dt times the mean-Z
+    local error to the mean path's local error.
+    """
+    cfg = build_config({"preset": preset, "numerics": {"M": 4000, "N": 50}})
+    spec, basis = cfg.spec, cfg.basis
+    grid = TimeGrid(spec.horizon, cfg.N)
+    cloud = simulate_forward(spec, grid, cfg.M, seed=7)
+    u_k = mollify_obstacle(spec.obstacle, 20, grid)
+    (base, *levels), max_y, _ = run_equivariance_sweep(spec, cloud, basis, u_k)
+
+    N, M, dt, u = grid.N, cloud.M, grid.dt, np.finfo(float).eps / 2
+    coef = spec.driver.coefficients
+    beta = spec.boundary.beta if spec.boundary.family == "linear-monotone" else 0.0
+    dkappa = np.diff(cloud.kappa[:, 0])
+    mean_db = np.abs(cloud.dB.mean(axis=1)).max(axis=1) / dt  # (N,)
+    max_db = np.abs(cloud.dB).max(axis=(1, 2)) / dt
+    L = (abs(coef.get("y", 0.0)) + abs(coef.get("mean_y", 0.0)) + abs(beta) * float(np.max(dkappa)) / dt
+         + abs(coef.get("mean_z", 0.0)) * float(np.max(mean_db)))
+    p = basis.size(cloud.d)
+    leak = np.array([intercept_leak(cloud, basis, j) for j in range(N)])
+    rounding = 8 * (M + p * p) * u
+    top = max_y.max(axis=0)  # (N+1,): the largest |Y_j| over the passes
+    for n, sol in zip(EQUIVARIANT_LEVELS, levels):
+        c = np.abs(sol.mean_path - base.mean_path)  # the level's shift per node
+        local_z = 2 * rounding * top[1:] * max_db + leak * c[1:] * max_db
+        local_y = (1 + L * dt) * leak * top[1:] + rounding * (top[1:] + top[:-1])
+        local_y = local_y + abs(coef.get("mean_z", 0.0)) * dt * local_z
+        tol_y = math.exp(L * spec.horizon) * float(np.sum(local_y))
+        tol_z = np.append(local_z + tol_y * mean_db, 0.0)
+        tol_z[N] = tol_z[N - 1]  # the terminal row is node N-1's
+        ybar, K, zbar = mean_level_recursion(spec, u_k, n, cloud, base)
+        assert sol.K[-1] > 0.0, n  # the penalty fires
+        assert np.max(np.abs(sol.mean_path - ybar)) <= tol_y, n
+        assert np.max(np.abs(sol.K - K)) <= (3 + L * spec.horizon) * tol_y, n
+        assert np.all(np.abs(sol.mean_z - zbar).max(axis=1) <= tol_z), n
+
+
+def test_a_driver_of_each_particles_z_is_not_shift_equivariant():
+    # the recursion's premise fails: the levels' shift differs across particles
+    cfg = build_config({"preset": "AFFINE", "numerics": {"M": 4000, "N": 50}})
+    spec = replace(cfg.spec, driver=DriverSpec("affine", {"mean_y": 0.5, "z": 0.5}))
+    grid = TimeGrid(spec.horizon, cfg.N)
+    cloud = simulate_forward(spec, grid, cfg.M, seed=7)
+    _, _, spread = run_equivariance_sweep(spec, cloud, cfg.basis, mollify_obstacle(spec.obstacle, 20, grid))
+    assert np.max(spread) > 1e-6

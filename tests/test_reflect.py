@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -18,7 +17,7 @@ from mrbsde import (
     TimeGrid,
     flatness_residual,
     mollify_obstacle,
-    penalty_ladder,
+    penalty_sweep,
     recover_compensator,
     simulate_forward,
     skorokhod_closed_form,
@@ -158,10 +157,9 @@ class TestSolveLoop:
         ks = [rec.k for rec in trace]
         assert sorted(set(ks)) == list(self.SCHEDULE.k_levels)
         for k in self.SCHEDULE.k_levels:
-            rows = [dataclasses.replace(rec, wall_ms=0.0) for rec in trace if rec.k == k]
-            ladder = penalty_ladder(self.SPEC, mollify_obstacle(SINE, k, GRID), self.SCHEDULE.n_levels, cloud, BASIS)
-            leading = [dataclasses.replace(rec, wall_ms=0.0) for rec, _ in itertools.islice(ladder, len(rows))]
-            assert rows == leading
+            rows = [repr(dataclasses.replace(rec, wall_ms=0.0)) for rec in trace if rec.k == k]
+            sweep = penalty_sweep(self.SPEC, mollify_obstacle(SINE, k, GRID), self.SCHEDULE.n_levels, cloud, BASIS)[0]
+            assert rows == [repr(dataclasses.replace(rec, wall_ms=0.0)) for rec in sweep[: len(rows)]]
 
     def test_a_warm_solve_holds_less_than_one_solution_array(self):
         cfg = build_config({"preset": "BOUNDARY", "numerics": {"M": 4000, "N": 50}})

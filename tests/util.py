@@ -45,23 +45,39 @@ class FullPass(NamedTuple):
 def full_pass(spec, u_k, n, cloud, basis) -> FullPass:
     """The solver's backward pass at level n with every row kept.
 
-    Copies each row that ``penalized._backward_steps`` yields into full
-    (N+1, M) Y and (N+1, M, d) Z arrays, so its rows are the rows
+    Copies each row that ``penalized._lockstep`` yields for the pass into
+    full (N+1, M) Y and (N+1, M, d) Z arrays, so its rows are the rows
     ``solve_penalized`` steps through, by construction; only the
     per-particle checks need them.
     """
     N, M, d = cloud.grid.N, cloud.M, cloud.d
     Y, Z = np.empty((N + 1, M)), np.empty((N + 1, M, d))
-    steps = penalized._backward_steps(spec, u_k, n, cloud, basis, None, penalized._StepScratch(M, d))
-    Y[N] = next(steps)[0]
-    for j in range(N - 1, -1, -1):
-        Y[j], Z[j] = next(steps)
-    try:
-        next(steps)
-    except StopIteration as done:
-        _, mean_path, K, mean_f_dt, mean_g_dkappa, _ = done.value
+
+    def keep(j, rows):
+        [(y, z)] = rows
+        Y[j] = y
+        if z is not None:  # no Z at node N
+            Z[j] = z
+
+    [sol], _ = drive(penalized._lockstep(spec, u_k, cloud, basis, [(n, None)], moments=False), keep)
     Z[N] = Z[N - 1]
-    return FullPass(Y, Z, mean_path, K, mean_f_dt, mean_g_dkappa)
+    return FullPass(Y, Z, sol.mean_path, sol.K, sol.mean_f_dt, sol.mean_g_dkappa)
+
+
+def drive(sweep, each):
+    """Run a ``penalized._lockstep`` sweep, calling ``each(j, rows)`` at every node; return what the sweep returns."""
+    while True:
+        try:
+            j, rows = next(sweep)
+        except StopIteration as done:
+            return done.value
+        each(j, rows)
+
+
+def refit(cloud, basis, j, targets):
+    """Fitted values and coefficients of ``targets`` on step j's design, as a backward step fits them."""
+    design = penalized._build_node_design(cloud, basis, j)
+    return penalized._fit(cloud, basis, j, targets, np.empty_like(targets), design)
 
 
 class MeanPathVerdict(NamedTuple):
@@ -114,7 +130,7 @@ def regression_statistics(sol, cloud, basis):
     for j in range(cloud.grid.N):
         z_targets = sol.Y[j + 1][:, None] * cloud.dB[j] / dt
         stacked = np.column_stack([z_targets, sol.Y[j + 1]])
-        resid = stacked - penalized._fit(cloud, basis, j, stacked)[0]
+        resid = stacked - refit(cloud, basis, j, stacked)[0]
         residual_z.append(np.sqrt(np.mean(resid[:, :d] ** 2)))
         residual_y.append(np.sqrt(np.mean(resid[:, d] ** 2)))
         z_target_std.append(z_targets.std(axis=0))
