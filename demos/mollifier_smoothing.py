@@ -3,18 +3,22 @@
 The obstacle |t - 0.5| has Lipschitz constant 1, so the smoothed version can
 differ from it by at most 1/k inside a kernel window of radius 1/k. The
 table shows the measured gap tracking that bound with a comfortable margin
-and the derivative staying bounded by the Lipschitz constant.
+and the largest grid slope, max_j |u^k(t_{j+1}) - u^k(t_j)| / dt, staying
+bounded by the Lipschitz constant.
 """
+
+import numpy as np
 
 from mrbsde import ObstacleCurve, TimeGrid, mollify_obstacle
 
 grid = TimeGrid(1.0, 200)
 kink = ObstacleCurve("abs", center=0.5)
 
-print(f"{'k':>4s} {'sup gap':>10s} {'1/k bound':>10s} {'max |du/dt|':>12s} {'u^k(0.5)':>10s}")
+print(f"{'k':>4s} {'sup gap':>10s} {'1/k bound':>10s} {'max slope':>12s} {'u^k(0.5)':>10s}")
 for k in (5, 10, 20, 40, 80, 160):
     sm = mollify_obstacle(kink, k, grid)
-    print(f"{k:4d} {sm.sup_gap:10.5f} {1.0 / k:10.5f} {sm.derivative_bound:12.5f} "
+    slope = np.max(np.abs(np.diff(sm.values))) / grid.dt
+    print(f"{k:4d} {sm.sup_gap:10.5f} {1.0 / k:10.5f} {slope:12.5f} "
           f"{sm.values[100]:10.5f}")
 
 smooth = ObstacleCurve("sine", amplitude=0.5)

@@ -4,6 +4,9 @@ The kernel is the standard normalized bump exp(-1/(1-x^2)) on (-1, 1),
 scaled to the window [-1/k, 1/k]. Normalization uses the quadrature mass of
 the kernel rather than its analytic mass, so constant obstacles are
 reproduced exactly at any node count.
+
+Only what the solver reads is computed: the smoothed values on the solver
+grid, their level and their sup-gap to the obstacle.
 """
 
 from __future__ import annotations
@@ -29,32 +32,18 @@ def bump(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def bump_derivative(x: np.ndarray) -> np.ndarray:
-    """Derivative of the unnormalized bump; odd, zero outside (-1, 1)."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    inside = np.abs(x) < 1.0
-    xi = x[inside]
-    one_minus = 1.0 - xi * xi
-    out[inside] = np.exp(-1.0 / one_minus) * (-2.0 * xi / (one_minus * one_minus))
-    return out
-
-
 @dataclass(frozen=True)
 class SmoothObstacle:
     """Mollified obstacle sampled on the solver grid.
 
     ``sup_gap`` is max_j |u^k(t_j) - u(t_j)|; for an L-Lipschitz obstacle it
     is bounded by L/k because the kernel window has radius 1/k.
-    ``derivative_bound`` is max_j |du^k/dt(t_j)|.
     """
 
     level: int
     grid: TimeGrid
     values: np.ndarray
-    derivative: np.ndarray
     sup_gap: float
-    derivative_bound: float
 
 
 def _panel_edges(t: float, radius: float, horizon: float, kinks: tuple) -> np.ndarray:
@@ -76,10 +65,8 @@ def mollify_obstacle(
     """Convolve the obstacle with the bump kernel at window radius 1/k.
 
     The obstacle is extended by u(0) left of 0 and u(T) right of T before
-    convolution. Values and the time derivative come from a composite
-    Gauss-Legendre rule with ``quad_points`` nodes per panel; the
-    derivative uses the kernel's derivative, so no finite differencing of
-    the smoothed values is involved.
+    convolution. Values come from a composite Gauss-Legendre rule with
+    ``quad_points`` nodes per panel, divided by the rule's kernel mass.
     """
     if k < 1:
         raise ValueError(f"mollification level k must be >= 1, got {k}")
@@ -93,11 +80,10 @@ def mollify_obstacle(
     kinks = u.kink_points()
     times = grid.times
     values = np.empty(times.shape[0])
-    derivative = np.empty(times.shape[0])
 
     # The kernel is evaluated for many nodes at once: nodes with the same
     # number of panel edges form one (nodes, panels * quad_points) block, at
-    # most _BLOCK_VALUES values. Each node's sums and dot products are still
+    # most _BLOCK_VALUES values. Each node's sum and dot product are still
     # taken on its own contiguous row, so they keep a one-node loop's bits.
     edges = [_panel_edges(float(t), radius, grid.T, kinks) for t in times]
     for count in sorted({e.size for e in edges}):
@@ -111,17 +97,11 @@ def mollify_obstacle(
             s = (half[:, :, None] * gl_nodes + mid[:, :, None]).reshape(len(nodes), -1)
             w = (half[:, :, None] * gl_weights).reshape(len(nodes), -1)
             kernels = w * bump(k * s)
-            deriv_kernels = w * bump_derivative(k * s) * k
             samples = u.evaluate(np.clip(times[nodes, None] - s, 0.0, grid.T))
-            for j, kernel, deriv_kernel, sample in zip(nodes, kernels, deriv_kernels, samples):
-                mass = kernel.sum()
-                values[j] = sample @ kernel / mass
-                # Center the derivative kernel so it annihilates constants exactly,
-                # as the analytic kernel derivative does by integrating to zero.
-                deriv_kernel -= (deriv_kernel.sum() / mass) * kernel
-                derivative[j] = sample @ deriv_kernel / mass
+            for j, kernel, sample in zip(nodes, kernels, samples):
+                values[j] = sample @ kernel / kernel.sum()
 
-    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(derivative))):
+    if not np.all(np.isfinite(values)):
         raise QuadratureError("mollified obstacle produced non-finite values")
 
     exact = u.evaluate(times)
@@ -129,7 +109,5 @@ def mollify_obstacle(
         level=k,
         grid=grid,
         values=values,
-        derivative=derivative,
         sup_gap=float(np.max(np.abs(values - exact))),
-        derivative_bound=float(np.max(np.abs(derivative))),
     )

@@ -1,10 +1,12 @@
 """Canonical reproducible experiment configurations.
 
-Each preset is a complete config document (same schema as a config file).
-SINE is the drift-free case with a known running-maximum solution; AFFINE
-couples the driver to the solution mean; BOUNDARY exercises the monotone
-clock coefficient; ZDRIFT couples the driver to the mean of the martingale
-integrand.
+Each preset is a complete config document (same schema as a config file),
+built from one base problem: zero driver, zero boundary and clock, a
+standard normal terminal sampled directly and the obstacle 0.25 sin(pi t).
+A preset states only the sections that set it apart. SINE is the drift-free
+case with a known running-maximum solution; AFFINE couples the driver to the
+solution mean; BOUNDARY exercises the monotone clock coefficient; ZDRIFT
+couples the driver to the mean of the martingale integrand.
 """
 
 from __future__ import annotations
@@ -19,11 +21,21 @@ _COMMON_SCHEDULE = {
     "deficit_tol": 0.02,
     "cauchy_tol": 0.004,
 }
+_BASE_PROBLEM = {
+    "driver": {"family": "zero", "lipschitz_L_f": 0.0},
+    "boundary": {"family": "zero", "beta": -1.0, "growth_L_g": 1.0, "psi": 0.0},
+    "terminal": {"mode": "direct-sampler", "mean": 0.0, "std": 1.0, "declared_mean": 0.0},
+    "obstacle": {"family": "sine", "amplitude": 0.25, "omega": math.pi},
+    "kappa": {"family": "zero"},
+    "brownian_dim": 1,
+    "horizon": 1.0,
+}
 
 
-def _doc(name: str, problem: dict) -> dict:
+def _doc(name: str, **sections: dict) -> dict:
+    """A preset's config document: the base problem with ``sections`` replaced."""
     return {
-        "problem": problem,
+        "problem": copy.deepcopy({**_BASE_PROBLEM, **sections}),
         "numerics": copy.deepcopy(_COMMON_NUMERICS),
         "schedule": copy.deepcopy(_COMMON_SCHEDULE),
         "seed": 7,
@@ -33,53 +45,19 @@ def _doc(name: str, problem: dict) -> dict:
 
 
 PRESETS: dict[str, dict] = {
-    "SINE": _doc(
-        "sine",
-        {
-            "driver": {"family": "zero", "lipschitz_L_f": 0.0},
-            "boundary": {"family": "zero", "beta": -1.0, "growth_L_g": 1.0, "psi": 0.0},
-            "terminal": {"mode": "direct-sampler", "mean": 0.0, "std": 1.0, "declared_mean": 0.0},
-            "obstacle": {"family": "sine", "amplitude": 0.5, "omega": math.pi},
-            "kappa": {"family": "zero"},
-            "brownian_dim": 1,
-            "horizon": 1.0,
-        },
-    ),
+    "SINE": _doc("sine", obstacle={"family": "sine", "amplitude": 0.5, "omega": math.pi}),
     "AFFINE": _doc(
         "affine",
-        {
-            "driver": {"family": "affine", "coefficients": {"mean_y": 0.5}, "lipschitz_L_f": 0.5},
-            "boundary": {"family": "zero", "beta": -1.0, "growth_L_g": 1.0, "psi": 0.0},
-            "terminal": {"mode": "direct-sampler", "mean": 0.0, "std": 1.0, "declared_mean": 0.0},
-            "obstacle": {"family": "sine", "amplitude": 0.25, "omega": math.pi},
-            "kappa": {"family": "zero"},
-            "brownian_dim": 1,
-            "horizon": 1.0,
-        },
+        driver={"family": "affine", "coefficients": {"mean_y": 0.5}, "lipschitz_L_f": 0.5},
     ),
     "BOUNDARY": _doc(
         "boundary",
-        {
-            "driver": {"family": "zero", "lipschitz_L_f": 0.0},
-            "boundary": {"family": "linear-monotone", "beta": -1.0, "growth_L_g": 1.0, "psi": 0.0},
-            "terminal": {"mode": "direct-sampler", "mean": 0.0, "std": 1.0, "declared_mean": 0.0},
-            "obstacle": {"family": "sine", "amplitude": 0.25, "omega": math.pi},
-            "kappa": {"family": "linear", "rate": 1.0},
-            "brownian_dim": 1,
-            "horizon": 1.0,
-        },
+        boundary={"family": "linear-monotone", "beta": -1.0, "growth_L_g": 1.0, "psi": 0.0},
+        kappa={"family": "linear", "rate": 1.0},
     ),
     "ZDRIFT": _doc(
         "zdrift",
-        {
-            "driver": {"family": "affine", "coefficients": {"mean_z": 0.5}, "lipschitz_L_f": 0.5},
-            "boundary": {"family": "zero", "beta": -1.0, "growth_L_g": 1.0, "psi": 0.0},
-            "terminal": {"mode": "direct-sampler", "mean": 0.0, "std": 1.0, "declared_mean": 0.0},
-            "obstacle": {"family": "sine", "amplitude": 0.25, "omega": math.pi},
-            "kappa": {"family": "zero"},
-            "brownian_dim": 1,
-            "horizon": 1.0,
-        },
+        driver={"family": "affine", "coefficients": {"mean_z": 0.5}, "lipschitz_L_f": 0.5},
     ),
 }
 

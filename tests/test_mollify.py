@@ -3,7 +3,7 @@ import pytest
 
 from mrbsde import ObstacleCurve, QuadratureError, TimeGrid, mollify_obstacle
 from mrbsde import mollify
-from mrbsde.mollify import _panel_edges, bump, bump_derivative
+from mrbsde.mollify import _panel_edges, bump
 
 GRID = TimeGrid(1.0, 100)
 
@@ -24,7 +24,7 @@ def simpson_kernel_average(u_fn, t: float, k: int, panels: int = 10_000) -> floa
 def per_node_mollify(u, k: int, grid: TimeGrid, quad_points: int = 64):
     """The one-node-at-a-time quadrature: each node's panels, kernel and sums on their own."""
     gl_nodes, gl_weights = np.polynomial.legendre.leggauss(quad_points)
-    values, derivative = np.empty(grid.N + 1), np.empty(grid.N + 1)
+    values = np.empty(grid.N + 1)
     for j, t in enumerate(grid.times):
         edges = _panel_edges(float(t), 1.0 / k, grid.T, u.kink_points())
         half = 0.5 * (edges[1:] - edges[:-1])
@@ -32,13 +32,9 @@ def per_node_mollify(u, k: int, grid: TimeGrid, quad_points: int = 64):
         s = (half[:, None] * gl_nodes[None, :] + mid[:, None]).ravel()
         w = (half[:, None] * gl_weights[None, :]).ravel()
         kernel = w * bump(k * s)
-        mass = kernel.sum()
         samples = u.evaluate(np.clip(t - s, 0.0, grid.T))
-        values[j] = samples @ kernel / mass
-        deriv_kernel = w * bump_derivative(k * s) * k
-        deriv_kernel -= (deriv_kernel.sum() / mass) * kernel
-        derivative[j] = samples @ deriv_kernel / mass
-    return values, derivative
+        values[j] = samples @ kernel / kernel.sum()
+    return values
 
 
 OBSTACLES = {
@@ -53,6 +49,13 @@ OBSTACLES = {
 }
 
 
+def lipschitz_constant(u) -> float:
+    """The obstacle's Lipschitz constant on [0, 1], read off its family's parameters."""
+    if u.family == "tabulated":
+        return float(np.max(np.abs(np.diff(u.knots_u)) / np.diff(u.knots_t)))
+    return {"constant": 0.0, "sine": abs(u.amplitude * u.omega), "abs": 1.0, "linear": abs(u.slope)}[u.family]
+
+
 class TestMollifyBlocks:
     """Nodes are evaluated in blocks of equal panel count, with a one-node loop's bits."""
 
@@ -62,16 +65,13 @@ class TestMollifyBlocks:
         u, grid = OBSTACLES[name], TimeGrid(1.0, N)
         for k in (1, 3, 10, 20, 40, 200):
             sm = mollify_obstacle(u, k, grid)
-            values, derivative = per_node_mollify(u, k, grid)
-            assert np.array_equal(sm.values, values), k
-            assert np.array_equal(sm.derivative, derivative), k
+            assert np.array_equal(sm.values, per_node_mollify(u, k, grid)), k
 
     def test_small_blocks_equal_the_per_node_loop(self, monkeypatch):
         monkeypatch.setattr(mollify, "_BLOCK_VALUES", 1000)  # a few nodes per block, and a partial last one
         u, grid = OBSTACLES["tabulated"], TimeGrid(1.0, 100)
         sm = mollify_obstacle(u, 10, grid)
-        values, derivative = per_node_mollify(u, 10, grid)
-        assert np.array_equal(sm.values, values) and np.array_equal(sm.derivative, derivative)
+        assert np.array_equal(sm.values, per_node_mollify(u, 10, grid))
 
 
 class TestMollifyValues:
@@ -79,7 +79,6 @@ class TestMollifyValues:
         u = ObstacleCurve("constant", value=-1.3)
         sm = mollify_obstacle(u, 7, GRID)
         assert np.max(np.abs(sm.values + 1.3)) <= 1e-12
-        assert np.max(np.abs(sm.derivative)) <= 1e-12
         assert sm.sup_gap <= 1e-12
 
     def test_linear_interior_symmetric_cancellation(self):
@@ -87,7 +86,6 @@ class TestMollifyValues:
         sm = mollify_obstacle(u, 10, GRID)
         j = 50  # t = 0.5, more than 1/k from both ends
         assert abs(sm.values[j] - 0.5) <= 1e-12
-        assert abs(sm.derivative[j] - 1.0) <= 1e-9
 
     def test_kink_value_against_simpson_oracle(self):
         u = ObstacleCurve("abs", center=0.5)
@@ -134,10 +132,16 @@ class TestMollifyProperties:
             vals = u.evaluate(window)
             assert vals.min() - 1e-12 <= sm.values[j] <= vals.max() + 1e-12
 
-    def test_derivative_bounded_by_lipschitz_constant(self):
-        u = ObstacleCurve("sine", amplitude=0.5)
-        sm = mollify_obstacle(u, 25, GRID)
-        assert sm.derivative_bound <= 0.5 * np.pi + 1e-6
+    @pytest.mark.parametrize("name", OBSTACLES)
+    def test_grid_slope_bounded_by_lipschitz_constant(self, name):
+        # Convolution with a unit-mass kernel keeps the obstacle's Lipschitz
+        # constant, and so does the clamp to [0, T]; the slack covers quadrature error.
+        u = OBSTACLES[name]
+        for N in (16, 100, 333):
+            grid = TimeGrid(1.0, N)
+            for k in (1, 3, 10, 25, 40, 200):
+                slope = np.max(np.abs(np.diff(mollify_obstacle(u, k, grid).values))) / grid.dt
+                assert slope <= lipschitz_constant(u) + 1e-9, (N, k, slope)
 
 
 class TestMollifyErrors:

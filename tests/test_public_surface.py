@@ -1,4 +1,4 @@
-"""Every public name the package exports has a reader outside the test suite."""
+"""Every public name the package exports, and every field of its dataclasses, has a reader outside the test suite."""
 
 import ast
 from pathlib import Path
@@ -63,3 +63,56 @@ def test_no_module_imports_a_name_it_never_reads():
         if names
     }
     assert stale == {}
+
+
+# report.json writes these whole with dataclasses.asdict, so each of their
+# fields is read by the artifact even with no attribute load anywhere.
+WRITTEN_WHOLE = {"AprioriReport", "StabilityRow", "ValidationCheck"}
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    """Whether a class is decorated with ``@dataclass`` or ``@dataclass(...)``."""
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def dataclass_fields(path: Path) -> set:
+    """(class, field) for each annotated field of each @dataclass a module defines."""
+    fields = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ClassDef) and is_dataclass(node):
+            fields |= {
+                (node.name, stmt.target.id)
+                for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            }
+    return fields
+
+
+def fields_read(path: Path) -> set:
+    """Attribute names a module loads, and its whole string constants (column and key names)."""
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return read
+
+
+def test_every_dataclass_field_is_read_outside_the_tests():
+    read = set()
+    for folder in ("src", "demos", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            if not path.name.startswith("test_"):
+                read |= fields_read(path)
+    unread = {
+        f"{cls}.{name}"
+        for path in sorted(INIT.parent.rglob("*.py"))
+        for cls, name in dataclass_fields(path)
+        if cls not in WRITTEN_WHOLE and name not in read
+    }
+    assert sorted(unread) == []
