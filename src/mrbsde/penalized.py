@@ -87,15 +87,17 @@ def _checked_gram(design: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _fit(
-    cloud: ForwardCloud,
-    basis: RegressionBasis,
-    j: int,
-    targets: np.ndarray,
-    fitted: np.ndarray,
-    design: np.ndarray,
-):
-    """Fit ``targets`` on step j's ``design`` of ``basis`` on ``cloud``; fitted values into ``fitted``.
+def _working_block(shape, n_basis: int) -> np.ndarray:
+    """An empty block for a step's targets, F-ordered so that each column is contiguous.
+
+    A fit's bits follow the C-ordered design, not an F-ordered block, unless
+    one basis function makes ``design.T @ targets`` a matrix-vector product.
+    """
+    return np.empty(shape, order="C" if n_basis == 1 else "F")
+
+
+def _fit(cloud: ForwardCloud, basis: RegressionBasis, j: int, targets: np.ndarray, design: np.ndarray):
+    """Fit ``targets`` on step j's ``design`` of ``basis`` on ``cloud``, writing the fitted values over them.
 
     The checked Gram of the design is formed once per cloud and step and
     kept in ``cloud.grams`` for every later pass. Returns the fitted values
@@ -105,7 +107,7 @@ def _fit(
     if gram is None:
         gram = cloud.grams[basis, j] = _checked_gram(design)
     coef = np.linalg.solve(gram, design.T @ targets)
-    return np.matmul(design, coef, out=fitted), coef
+    return np.matmul(design, coef, out=targets), coef
 
 
 def _build_node_design(cloud: ForwardCloud, basis: RegressionBasis, j: int) -> np.ndarray:
@@ -189,19 +191,19 @@ def _result(steps):
 def _lockstep(spec, u_k, cloud, basis, passes, moments=True):
     """Step ``passes``, each a (level n, terminal shift or None), backward in lockstep on one cloud.
 
-    Each pass holds one Y row and one Z row: Y_{j+1} is dead once step j
-    has copied it into the targets, so Y_j overwrites it in the pass's
-    (1, M) row, and step j's Z fills its (M, d) row. A pass's Y_N is xi
-    plus its shift (xi itself, sign bits included, with no shift). At each
-    node j = N-1, ..., 0 the node's design is built once, and every pass in
-    turn runs its step on it. The generator yields (j, rows) at each node
-    j = N, ..., 0, rows[i] being pass i's (Y_j, Z_j), with no Z at node N;
-    the rows are valid until the next node. With ``moments`` the last
-    pass's E[Y_j^2] and E|Z_j|^2 are reduced as its rows appear, and no
-    caller reads another pass's Z, so every pass steps in one Z row and only
-    the last pass's Z is its own. When exhausted it returns each pass's
-    PenalizedSolution, node moments on the last alone, and each pass's own
-    step time in ms, the first pass paying for the node's design.
+    Each pass holds one Y row and one Z row: Y_{j+1} is dead once step j has
+    copied it into the targets, so Y_j overwrites it in the pass's (1, M) row,
+    and step j's Z fills its (M, d) row. A pass's Y_N is xi plus its shift (xi
+    itself, sign bits included, with no shift). At each node j = N-1, ..., 0 the
+    node's design is built once, and every pass in turn fits its step on it, in
+    one shared block of targets. The generator yields (j, rows) at each node
+    j = N, ..., 0, rows[i] being pass i's (Y_j, Z_j), with no Z at node N; the
+    rows are valid until the next node. With ``moments`` the last pass's
+    E[Y_j^2] and E|Z_j|^2 are reduced as its rows appear, and no caller reads
+    another pass's Z, so every pass steps in one Z row and only the last pass's
+    Z is its own. When exhausted it returns each pass's PenalizedSolution, node
+    moments on the last alone, and each pass's own step time in ms, the first
+    pass paying for the node's design.
     """
     if u_k.grid != cloud.grid:
         raise LengthMismatch("smooth obstacle grid does not match the cloud grid")
@@ -229,36 +231,33 @@ def _lockstep(spec, u_k, cloud, basis, passes, moments=True):
         mean_path[N] = np.add.reduce(y) / M
         own.append((n, y_row, z, mean_path, z_mean, np.zeros(N), np.zeros(N), np.zeros(N)))
     # Then the working rows the passes take turns in, dead once a step ends:
-    # C-ordered (M, d+1) targets and fitted values and a g * dkappa row, so
-    # no step allocates particle arrays of its own. Every mean is numpy's
-    # own: np.add.reduce over the row, divided by the count, which is what
-    # .mean() computes.
-    targets, fitted, g_dkap = np.empty((M, d + 1)), np.empty((M, d + 1)), np.empty(M)
-    z_targets, cond_mean = targets[:, :d], fitted[:, d]
+    # the (M, d+1) targets, which the fit overwrites, and a g * dkappa row,
+    # so no step allocates particle arrays of its own (the Z rows stay
+    # C-ordered: at d >= 2 an F-ordered Z's mean differs in the last bit).
+    # Every mean is numpy's own: np.add.reduce over the row, by the count.
+    targets, g_dkap = _working_block((M, d + 1), basis.size(d)), np.empty(M)
+    z_targets, cond_mean = targets[:, :d], targets[:, d]
     has_boundary = spec.boundary.family != "zero"
     common_clock = cloud.kappa.strides[1] == 0  # a deterministic clock: one dkappa per step
     step_ms = [0.0] * len(own)
-    rows = [(y_row[0], None) for _, y_row, *_ in own]
     for j in range(N, -1, -1):
+        rows = [(y_row[0], z if j < N else None) for _, y_row, z, *_ in own]
         if j < N:
-            rows = [(y_row[0], z) for _, y_row, z, *_ in own]
             t0 = time.perf_counter()
             # Drop the old design before the new one is built, so the two are never held at once.
             design = None
             design = _build_node_design(cloud, basis, j)
             for i, (n, y_row, z, mean_path, z_mean, dK, mean_f_dt, mean_g_dkappa) in enumerate(own):
                 y = y_row[0]
-                # Y dB / dt in the contiguous Z row, one column at a time (a
-                # broadcast Y would make numpy buffer an (M, d) temporary),
-                # then into the targets' strided columns. Y_{j+1} is dead
-                # after that: Y_j takes its row.
+                # Y dB / dt straight into the targets' Z columns, one at a time
+                # (a broadcast Y would make numpy buffer an (M, d) temporary).
+                # Y_{j+1} is dead once it is the last column: Y_j takes its row.
                 for c in range(d):
-                    np.multiply(y, cloud.dB[j, :, c], out=z[:, c])
-                np.divide(z, dt, out=z)
-                z_targets[...] = z
+                    np.multiply(y, cloud.dB[j, :, c], out=targets[:, c])
+                np.divide(z_targets, dt, out=z_targets)
                 targets[:, d] = y
-                _fit(cloud, basis, j, targets, fitted, design)
-                z[...] = fitted[:, :d]
+                _fit(cloud, basis, j, targets, design)
+                z[...] = z_targets
                 z_mean[j] = np.add.reduce(z) / M
 
                 # Law moments from the step-(j+1) cloud; Z beyond the last

@@ -195,6 +195,7 @@ def solve_reflected(
         u_k = mollify_obstacle(spec.obstacle, k, cloud.grid, quad_points)
         prev_mean = None
         for n in schedule.n_levels:
+            sol = None  # the previous level lives on as prev_mean alone: free its row before this pass
             t0 = time.perf_counter()
             sol = solve_penalized(spec, u_k, n, cloud, basis)
             wall_ms = (time.perf_counter() - t0) * 1000.0

@@ -195,9 +195,11 @@ class TestStabilityExperiment:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_lockstep_passes_on_a_fresh_cloud_share_its_positions(self, d):
-        # Each pass holds its Y row, Z row, targets, fitted values and
-        # g * dkappa row, (2d + 4) M floats, and each perturbation one
-        # terminal; 2 ceil(sqrt N) position rows cover a step's transients.
+        # Each pass holds its Y and Z rows, (d + 1) M floats, and all share
+        # the targets, a g * dkappa row and the design, (d + 2 + p) M floats:
+        # the bound's (2d + 4) M per pass covers both and allows each
+        # perturbation one terminal; 2 ceil(sqrt N) position rows cover a
+        # step's transients.
         # A segment and checkpoints per copy, or a full path, exceed that.
         spec = zero_problem(obstacle=SINE, brownian_dim=d)
         grid = TimeGrid(1.0, 100)
@@ -217,18 +219,19 @@ class TestStabilityExperiment:
     @pytest.mark.parametrize("d", [1, 2])
     def test_lockstep_passes_hold_their_rows_and_one_scratch(self, d):
         # Each pass holds its Y row and its Z row, (d + 1) M floats; all of
-        # them share one set of working rows and one node design: targets
-        # and fitted values, a g * dkappa row and the design, (2d + 3 + p) M
-        # floats; the differences take (d + 1) M more. 2 ceil(sqrt N)
-        # position rows cover the node arrays and a step's transients.
-        # Working rows, a terminal or a second Y row per pass exceed that.
+        # them share one set of working rows and one node design: the
+        # targets their fits overwrite, a g * dkappa row and the design,
+        # (d + 2 + p) M floats; the differences take (d + 1) M more.
+        # 2 ceil(sqrt N) position rows cover the node arrays and a step's
+        # transients. Working rows, a terminal, a block of fitted values or
+        # a second Y row per pass exceed that.
         spec = zero_problem(obstacle=SINE, brownian_dim=d)
         grid = TimeGrid(1.0, 100)
         cloud = simulate_forward(spec, grid, 4000, seed=3)
         u_k = mollify_obstacle(SINE, 20, grid)
         eps = (0.2, 0.1, 0.05, 0.025, -0.05, -0.1)
         p = BASIS.size(d)
-        own, shared, diffs = (len(eps) + 1) * (d + 1), 2 * d + 3 + p, d + 1
+        own, shared, diffs = (len(eps) + 1) * (d + 1), d + 2 + p, d + 1
         bound = (own + shared + diffs + 2 * math.ceil(math.sqrt(grid.N)) * d) * cloud.M * 8
         tracemalloc.start()
         try:

@@ -523,6 +523,58 @@ def test_a_step_at_two_coordinates_allocates_less_than_a_particle_row(monkeypatc
     assert worst < cloud.M * 8
 
 
+def test_a_pass_holds_its_rows_and_one_working_block():
+    # A warm pass holds its Y and Z rows, (d + 1) M floats, a row of squares
+    # for its moments, and the working rows: the (M, d + 1) targets its fit
+    # overwrites, a g * dkappa row and the node design, (d + 2 + p) M
+    # floats. One more row covers the node arrays and a step's transients;
+    # a block of fitted values beside the targets exceeds that.
+    spec = zero_problem(obstacle=SINE)
+    grid = TimeGrid(1.0, 100)
+    cloud = simulate_forward(spec, grid, 4000, seed=3)
+    u_k = mollify_obstacle(SINE, 20, grid)
+    basis = RegressionBasis("brownian", 2)
+    d, p = cloud.d, basis.size(cloud.d)
+    solve_penalized(spec, u_k, 200, cloud, basis)  # fills the Gram cache
+    tracemalloc.start()
+    try:
+        solve_penalized(spec, u_k, 200, cloud, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ((d + 1) + 1 + (d + 2 + p) + 1) * cloud.M * 8
+
+
+FIT_BASES = [RegressionBasis("brownian", 1), RegressionBasis("brownian", 2), RegressionBasis("forward", 2),
+             RegressionBasis("constant")]
+
+
+@pytest.mark.parametrize("basis", FIT_BASES, ids=["brownian-1", "brownian-2", "forward-2", "constant"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_fit_in_the_working_block_has_the_bits_of_the_c_ordered_fit(d, basis):
+    # A step fits in a block that is F-ordered for two or more basis
+    # functions. Its bits must follow the C-ordered design alone: a numpy
+    # or BLAS whose products follow the block's layout fails here.
+    spec = zero_problem(brownian_dim=d, forward=ForwardSDESpec(x0=1.0, sigma=0.3))
+    p = basis.size(d)
+    for M in (101, 4001, 20001):
+        cloud = small_cloud(spec, M=M)
+        for j in (0, 1, GRID.N // 2, GRID.N - 1):
+            targets = np.empty((M, d + 1))  # C-ordered: Y dB / dt and Y, with Y = xi
+            targets[:, :d] = cloud.xi[:, None] * cloud.dB[j] / GRID.dt
+            targets[:, d] = cloud.xi
+            design = penalized._build_node_design(cloud, basis, j)
+            want_coef = np.linalg.solve(penalized._checked_gram(design), design.T @ targets)
+            want = np.matmul(design, want_coef, out=np.empty((M, d + 1)))
+            block = penalized._working_block((M, d + 1), p)
+            assert block.flags.f_contiguous == (p > 1)
+            block[...] = targets
+            got, coef = penalized._fit(cloud, basis, j, block, design)
+            assert got is block
+            assert coef.tobytes() == want_coef.tobytes(), (M, j)
+            assert got.tobytes() == want.tobytes(), (M, j)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 13])
 def test_mean_sq_norm_has_the_bits_of_the_row_sum_form(d):
     rng = np.random.default_rng(d)

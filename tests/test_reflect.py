@@ -161,6 +161,29 @@ class TestSolveLoop:
             sweep = penalty_sweep(self.SPEC, mollify_obstacle(SINE, k, GRID), self.SCHEDULE.n_levels, cloud, BASIS)[0]
             assert rows == [repr(dataclasses.replace(rec, wall_ms=0.0)) for rec in sweep[: len(rows)]]
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_a_ladder_holds_no_level_beside_the_pass_it_runs(self, d):
+        # The previous level lives on only as its mean path, so a ladder's
+        # peak exceeds its first pass's by less than one particle row. At
+        # M = 80000 a row (640 kB) outweighs mollify's 2^16-value blocks.
+        spec = zero_problem(obstacle=SINE, brownian_dim=d)
+        grid = TimeGrid(1.0, 20)
+        cloud = simulate_forward(spec, grid, 80000, seed=3)
+        u_k = mollify_obstacle(SINE, 20, grid)
+        schedule = ConvergenceSchedule(n_levels=(25, 50, 100), k_levels=(20,), cauchy_tol=1e-300)  # every level runs
+        tracemalloc.start()
+        try:
+            solve_penalized(spec, u_k, 25, cloud, BASIS)  # also fills the Gram cache
+            first = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            with pytest.raises(NotConverged) as exc:
+                solve_reflected(spec, cloud, schedule, BASIS)
+            ladder = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(exc.value.trace) == 3
+        assert ladder - first < cloud.M * 8
+
     def test_a_warm_solve_holds_less_than_one_solution_array(self):
         cfg = build_config({"preset": "BOUNDARY", "numerics": {"M": 4000, "N": 50}})
         grid = TimeGrid(cfg.spec.horizon, cfg.N)

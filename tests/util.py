@@ -75,9 +75,15 @@ def drive(sweep, each):
 
 
 def refit(cloud, basis, j, targets):
-    """Fitted values and coefficients of ``targets`` on step j's design, as a backward step fits them."""
+    """Fitted values and coefficients of ``targets`` on step j's design, as a backward step fits them.
+
+    The fit overwrites a copy of ``targets`` in a working block of the
+    layout a backward step fits in.
+    """
     design = penalized._build_node_design(cloud, basis, j)
-    return penalized._fit(cloud, basis, j, targets, np.empty_like(targets), design)
+    work = penalized._working_block(np.shape(targets), basis.size(cloud.d))
+    work[...] = targets
+    return penalized._fit(cloud, basis, j, work, design)
 
 
 class MeanPathVerdict(NamedTuple):
