@@ -68,14 +68,12 @@ def stability_experiment(
     (common random numbers), so the reported differences isolate the
     perturbation; every run shares the cloud's cached Gram matrices. The
     base pass and every perturbed pass step backward in lockstep, the base
-    pass first at each step. Each holds only its latest Y row and its
-    latest Z row, and writes xi + epsilon into its own terminal row. The
-    passes take turns in one set of working rows (targets, fitted values,
-    g * dkappa row) and on one node design, so each node's design is built
-    once. The per-node moments of the differences are taken as the
-    rows appear, in one Y and one Z difference row, so no full solution is
-    ever held, and no pass reduces moments of its own. Rows are sorted by
-    epsilon.
+    pass first at each step, each in its own Y row from its own terminal row
+    xi + epsilon, taking turns in one working block and on one node design
+    built once per node. The base pass's Z is copied from the block once per
+    node; the per-node moments of the differences are taken as each perturbed
+    pass yields its step, in one Y and one Z difference row, so no full
+    solution is held; no pass reduces its own moments. Rows sort by epsilon.
     """
     eps_list = sorted(float(e) for e in perturbations)
     if not eps_list or not np.all(np.isfinite(eps_list)):
@@ -83,20 +81,24 @@ def stability_experiment(
     if len(set(eps_list)) != len(eps_list):
         raise ValueError("perturbation values must be distinct")
 
-    N, M = cloud.grid.N, cloud.M
+    N, M, d = cloud.grid.N, cloud.M, cloud.d
     # The base pass (no shift), then each perturbed one.
-    sweep = _lockstep(spec, u_k, cloud, basis, [(n, eps) for eps in [None, *eps_list]], moments=False)
+    sweep = _lockstep(spec, u_k, cloud, basis, [(n, eps) for eps in [None, *eps_list]])
 
     # Stored by node, so the max and the sum run in forward node order.
     mean_sq_dy = np.empty((len(eps_list), N + 1))
     mean_sq_dz = np.empty((len(eps_list), N))
-    dy, dz = np.empty(M), np.empty((M, cloud.d))
-    for j, ((base_y, base_z), *perturbed) in sweep:
-        for i, (pert_y, pert_z) in enumerate(perturbed):
-            np.subtract(pert_y, base_y, out=dy)
-            mean_sq_dy[i, j] = np.add.reduce(np.square(dy, out=dy)) / M
-            if j < N:
-                mean_sq_dz[i, j] = _mean_sq_norm(np.subtract(pert_z, base_z, out=dz), dy)
+    dy, dz, base_z = np.empty(M), np.empty((M, d)), np.empty((M, d))
+    for j, i, y, z in sweep:
+        if i == 0:
+            base_y = y  # the base pass's row holds Y_j until its next step
+            if z is not None:
+                base_z[...] = z
+            continue
+        np.subtract(y, base_y, out=dy)
+        mean_sq_dy[i - 1, j] = np.add.reduce(np.square(dy, out=dy)) / M
+        if z is not None:
+            mean_sq_dz[i - 1, j] = _mean_sq_norm(np.subtract(z, base_z, out=dz), dy)
     dt = cloud.grid.dt
     return tuple(
         StabilityRow(

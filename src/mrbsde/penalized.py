@@ -137,15 +137,15 @@ def implicit_mean_penalty(p_val: float, u_val: float, n: float, delta: float) ->
 class PenalizedSolution:
     """Output of one penalized backward pass at levels (n, k).
 
-    The pass holds one Y row and one Z row at a time, so the solution
-    keeps node moments rather than particles: ``Y`` is the pass's own
-    (1, M) row, the particles of node 0. ``mean_z`` carries the terminal
-    row copied from the last regression step (no increment exists beyond
-    T). ``mean_f_dt`` and ``mean_g_dkappa`` keep the per-step sample means
-    of the driver and boundary contributions exactly as the scheme
-    evaluated them, which is what makes the compensator recoverable to
-    round-off from the mean path. ``mean_y2`` and ``mean_z2`` are None
-    for a pass of a lockstep sweep that reduced them for another pass.
+    The pass steps in one Y row and takes each step's Z from the shared
+    working block, so the solution keeps node moments, not particles: ``Y``
+    is the pass's (1, M) row, the particles of node 0. ``mean_z`` carries the
+    terminal row copied from the last regression step (no increment exists
+    beyond T). ``mean_f_dt`` and ``mean_g_dkappa`` keep the per-step sample
+    means of the driver and boundary contributions exactly as the scheme
+    evaluated them, which makes the compensator recoverable to round-off
+    from the mean path. ``mean_y2`` and ``mean_z2`` are None for a pass of a
+    lockstep sweep that reduced them for another pass.
     """
 
     grid: TimeGrid
@@ -172,38 +172,47 @@ def solve_penalized(
     cannot be fitted on the cloud (a forward basis without a forward state,
     or no more particles than basis functions) fails before the first step.
 
-    This is a lockstep sweep of one pass: it steps on one Y row and one Z
-    row, and E[Y_j^2] and E|Z_j|^2 are reduced as each row appears, so no
-    pass holds a full solution.
+    This is a lockstep sweep of one pass, whose node moments are reduced as
+    each step yields its rows, so no pass holds a full solution.
     """
-    return _result(_lockstep(spec, u_k, cloud, basis, [(n, None)]))[0][0]
+    return _drain(spec, u_k, cloud, basis, [(n, None)])[0][0]
 
 
-def _result(steps):
-    """What a generator returns once it is run to its end."""
+def _drain(spec, u_k, cloud, basis, passes):
+    """Run a lockstep sweep of ``passes`` to its end; return each pass's solution and step time in ms.
+
+    The last pass's E[Y_j^2] and E|Z_j|^2 are reduced from its yields, in a
+    row of squares allocated before the sweep's rows (peak RSS follows that heap order).
+    """
+    N, M, last = cloud.grid.N, cloud.M, len(passes) - 1
+    mean_y2, mean_z2, sq = np.empty(N + 1), np.empty(N), np.empty(M)
+    sweep = _lockstep(spec, u_k, cloud, basis, passes)
     while True:
         try:
-            next(steps)
+            j, i, y, z = next(sweep)
         except StopIteration as done:
-            return done.value
+            solutions, step_ms = done.value
+            solutions[-1] = replace(solutions[-1], mean_y2=mean_y2, mean_z2=mean_z2)
+            return solutions, step_ms
+        if i == last:
+            mean_y2[j] = np.add.reduce(np.square(y, out=sq)) / M
+            if z is not None:
+                mean_z2[j] = _mean_sq_norm(z, sq)
 
 
-def _lockstep(spec, u_k, cloud, basis, passes, moments=True):
+def _lockstep(spec, u_k, cloud, basis, passes):
     """Step ``passes``, each a (level n, terminal shift or None), backward in lockstep on one cloud.
 
-    Each pass holds one Y row and one Z row: Y_{j+1} is dead once step j has
-    copied it into the targets, so Y_j overwrites it in the pass's (1, M) row,
-    and step j's Z fills its (M, d) row. A pass's Y_N is xi plus its shift (xi
-    itself, sign bits included, with no shift). At each node j = N-1, ..., 0 the
-    node's design is built once, and every pass in turn fits its step on it, in
-    one shared block of targets. The generator yields (j, rows) at each node
-    j = N, ..., 0, rows[i] being pass i's (Y_j, Z_j), with no Z at node N; the
-    rows are valid until the next node. With ``moments`` the last pass's
-    E[Y_j^2] and E|Z_j|^2 are reduced as its rows appear, and no caller reads
-    another pass's Z, so every pass steps in one Z row and only the last pass's
-    Z is its own. When exhausted it returns each pass's PenalizedSolution, node
-    moments on the last alone, and each pass's own step time in ms, the first
-    pass paying for the node's design.
+    Each pass holds one (1, M) Y row, its Y_N being xi plus its shift (xi
+    itself, sign bits included, with no shift); Y_j overwrites Y_{j+1} once
+    step j has copied it into the targets. At each node j = N-1, ..., 0 the
+    node's design is built once, and every pass in turn fits on it in one
+    shared working block, whose first d columns the fit leaves as the step's
+    Z. Yields (N, i, Y_N, None) for each pass i, then (j, i, Y_j, Z_j) after
+    pass i's step: the Y row stays valid until pass i steps again, the Z view
+    until the next pass fits. Returns each pass's PenalizedSolution, without
+    node moments, and its own step time in ms, the first pass paying for the
+    node's design.
     """
     if u_k.grid != cloud.grid:
         raise LengthMismatch("smooth obstacle grid does not match the cloud grid")
@@ -211,113 +220,102 @@ def _lockstep(spec, u_k, cloud, basis, passes, moments=True):
         raise ValueError("forward basis requested but the cloud has no forward state")
     if cloud.M <= basis.size(cloud.d):
         raise ValueError(f"need more particles ({cloud.M}) than basis functions ({basis.size(cloud.d)})")
-    N, M, d, dt = cloud.grid.N, cloud.M, cloud.d, cloud.grid.dt
-    times = cloud.grid.times
-    mean_y2, mean_z2, sq = (np.empty(N + 1), np.empty(N), np.empty(M)) if moments else (None,) * 3
+    N, M, d, dt, times = cloud.grid.N, cloud.M, cloud.d, cloud.grid.dt, cloud.grid.times
 
-    # Each pass's own rows and node arrays come first, the working rows after
-    # them (peak RSS follows that heap order): (level, Y row, Z row, mean
-    # path, mean Z, dK, mean f dt, mean g dkappa). mean g dkappa stays 0.0
-    # for the zero boundary, whose g * dkappa row is never formed.
+    # Each pass's own row and node arrays come first, the working rows after
+    # them (peak RSS follows that heap order): (level, Y row, mean path,
+    # mean Z, dK, mean f dt, mean g dkappa, 0.0 for the zero boundary).
     own = []
     for n, shift in passes:
         y_row = np.empty((1, M))
-        z = own[0][2] if moments and own else np.empty((M, d))
         mean_path, z_mean = np.empty(N + 1), np.empty((N + 1, d))
         y = y_row[0]
         y[...] = cloud.xi
         if shift is not None:
             y += shift
         mean_path[N] = np.add.reduce(y) / M
-        own.append((n, y_row, z, mean_path, z_mean, np.zeros(N), np.zeros(N), np.zeros(N)))
+        own.append((n, y_row, mean_path, z_mean, np.zeros(N), np.zeros(N), np.zeros(N)))
     # Then the working rows the passes take turns in, dead once a step ends:
-    # the (M, d+1) targets, which the fit overwrites, and a g * dkappa row,
-    # so no step allocates particle arrays of its own (the Z rows stay
-    # C-ordered: at d >= 2 an F-ordered Z's mean differs in the last bit).
-    # Every mean is numpy's own: np.add.reduce over the row, by the count.
-    targets, g_dkap = _working_block((M, d + 1), basis.size(d)), np.empty(M)
-    z_targets, cond_mean = targets[:, :d], targets[:, d]
+    # the (M, d+1) targets, which the fit overwrites with the step's Z and
+    # conditional mean, and a g * dkappa row for a non-zero boundary, so no
+    # step allocates particle arrays of its own. Every mean is numpy's own:
+    # np.add.reduce over a row or a Z column, by the count.
+    targets = _working_block((M, d + 1), basis.size(d))
+    z, cond_mean = targets[:, :d], targets[:, d]
     has_boundary = spec.boundary.family != "zero"
+    g_dkap = np.empty(M) if has_boundary else None
     common_clock = cloud.kappa.strides[1] == 0  # a deterministic clock: one dkappa per step
     step_ms = [0.0] * len(own)
-    for j in range(N, -1, -1):
-        rows = [(y_row[0], z if j < N else None) for _, y_row, z, *_ in own]
-        if j < N:
-            t0 = time.perf_counter()
-            # Drop the old design before the new one is built, so the two are never held at once.
-            design = None
-            design = _build_node_design(cloud, basis, j)
-            for i, (n, y_row, z, mean_path, z_mean, dK, mean_f_dt, mean_g_dkappa) in enumerate(own):
-                y = y_row[0]
-                # Y dB / dt straight into the targets' Z columns, one at a time
-                # (a broadcast Y would make numpy buffer an (M, d) temporary).
-                # Y_{j+1} is dead once it is the last column: Y_j takes its row.
-                for c in range(d):
-                    np.multiply(y, cloud.dB[j, :, c], out=targets[:, c])
-                np.divide(z_targets, dt, out=z_targets)
-                targets[:, d] = y
-                _fit(cloud, basis, j, targets, design)
-                z[...] = z_targets
-                z_mean[j] = np.add.reduce(z) / M
+    for i, (_, y_row, *_) in enumerate(own):
+        yield N, i, y_row[0], None
+    for j in range(N - 1, -1, -1):
+        t0 = time.perf_counter()
+        # Drop the old design before the new one is built, so the two are never held at once.
+        design = None
+        design = _build_node_design(cloud, basis, j)
+        for i, (n, y_row, mean_path, z_mean, dK, mean_f_dt, mean_g_dkappa) in enumerate(own):
+            y = y_row[0]
+            # Y dB / dt straight into the targets' Z columns, one at a time
+            # (a broadcast Y would make numpy buffer an (M, d) temporary).
+            # Y_{j+1} is dead once it is the last column: Y_j takes its row.
+            for c in range(d):
+                np.multiply(y, cloud.dB[j, :, c], out=targets[:, c])
+            np.divide(z, dt, out=z)
+            targets[:, d] = y
+            _fit(cloud, basis, j, targets, design)
+            z_mean[j] = np.add.reduce(z) / M
 
-                # Law moments from the step-(j+1) cloud; Z beyond the last
-                # regression step does not exist, so the first backward step
-                # reuses its own Z.
-                m_y = float(mean_path[j + 1])
-                m_z = z_mean[min(j + 1, N - 1)]
+            # Law moments from the step-(j+1) cloud; Z beyond the last
+            # regression step does not exist, so the first backward step
+            # reuses its own Z.
+            m_y = float(mean_path[j + 1])
+            m_z = z_mean[min(j + 1, N - 1)]
 
-                # Y_j = (cond_mean + f dt) + g dkappa, built in place in the
-                # row. A driver with one value for every particle comes back
-                # as a read-only broadcast, and its f dt is a single float,
-                # as is a deterministic dkappa.
-                f_vals = eval_driver(spec.driver, times[j], cond_mean, z, m_y, m_z)
-                if f_vals.strides[0] == 0:
-                    np.add(cond_mean, float(f_vals[0]) * dt, out=y)
+            # Y_j = (cond_mean + f dt) + g dkappa, built in place in the
+            # row. A driver with one value for every particle comes back
+            # as a read-only broadcast, and its f dt is a single float,
+            # as is a deterministic dkappa.
+            f_vals = eval_driver(spec.driver, times[j], cond_mean, z, m_y, m_z)
+            if f_vals.strides[0] == 0:
+                np.add(cond_mean, float(f_vals[0]) * dt, out=y)
+            else:
+                np.multiply(f_vals, dt, out=y)
+                np.add(cond_mean, y, out=y)
+            if has_boundary:
+                g_vals = eval_boundary(spec.boundary, times[j], cond_mean)
+                if common_clock:
+                    np.multiply(g_vals, float(cloud.kappa[j + 1, 0] - cloud.kappa[j, 0]), out=g_dkap)
                 else:
-                    np.multiply(f_vals, dt, out=y)
-                    np.add(cond_mean, y, out=y)
-                if has_boundary:
-                    g_vals = eval_boundary(spec.boundary, times[j], cond_mean)
-                    if common_clock:
-                        np.multiply(g_vals, float(cloud.kappa[j + 1, 0] - cloud.kappa[j, 0]), out=g_dkap)
-                    else:
-                        np.subtract(cloud.kappa[j + 1], cloud.kappa[j], out=g_dkap)
-                        np.multiply(g_vals, g_dkap, out=g_dkap)
-                    y += g_dkap
-                    mean_g_dkappa[j] = float(np.add.reduce(g_dkap) / M)
+                    np.subtract(cloud.kappa[j + 1], cloud.kappa[j], out=g_dkap)
+                    np.multiply(g_vals, g_dkap, out=g_dkap)
+                y += g_dkap
+                mean_g_dkappa[j] = float(np.add.reduce(g_dkap) / M)
 
-                p_val = float(np.add.reduce(y) / M)
-                delta = dt + float(cloud.mean_kappa[j + 1] - cloud.mean_kappa[j])
-                shifted = implicit_mean_penalty(p_val, float(u_k.values[j]), n, delta)
-                dK[j] = shifted - p_val
-                y += dK[j]
-                mean_path[j] = np.add.reduce(y) / M
+            p_val = float(np.add.reduce(y) / M)
+            delta = dt + float(cloud.mean_kappa[j + 1] - cloud.mean_kappa[j])
+            shifted = implicit_mean_penalty(p_val, float(u_k.values[j]), n, delta)
+            dK[j] = shifted - p_val
+            y += dK[j]
+            mean_path[j] = np.add.reduce(y) / M
 
-                # A non-finite value anywhere in a row makes its mean non-finite.
-                if not (math.isfinite(mean_path[j]) and np.isfinite(z_mean[j]).all()):
-                    raise NonFinite(f"non-finite solution values at step {j}")
+            # A non-finite value anywhere in a row makes its mean non-finite.
+            if not (math.isfinite(mean_path[j]) and np.isfinite(z_mean[j]).all()):
+                raise NonFinite(f"non-finite solution values at step {j}")
 
-                # The mean over all M copies even for a common value: it can
-                # differ from that value in the last bit.
-                mean_f_dt[j] = float(np.add.reduce(f_vals) / M) * dt
-                t1 = time.perf_counter()
-                step_ms[i] += (t1 - t0) * 1000.0
-                t0 = t1
-        if moments:
-            y, z = rows[-1]
-            mean_y2[j] = np.add.reduce(np.square(y, out=sq)) / M
-            if j < N:
-                mean_z2[j] = _mean_sq_norm(z, sq)
-        yield j, rows
+            # The mean over all M copies even for a common value: it can
+            # differ from that value in the last bit.
+            mean_f_dt[j] = float(np.add.reduce(f_vals) / M) * dt
+            step_ms[i] += (time.perf_counter() - t0) * 1000.0
+            yield j, i, y, z
+            t0 = time.perf_counter()
 
     solutions = []
-    for _, y_row, _, mean_path, z_mean, dK, mean_f_dt, mean_g_dkappa in own:
+    for _, y_row, mean_path, z_mean, dK, mean_f_dt, mean_g_dkappa in own:
         z_mean[N] = z_mean[N - 1]  # the terminal row: no increment exists beyond T
         K = np.concatenate([[0.0], np.cumsum(dK)])
         solutions.append(
             PenalizedSolution(cloud.grid, y_row, mean_path, K, mean_f_dt, mean_g_dkappa, z_mean, None, None)
         )
-    solutions[-1] = replace(solutions[-1], mean_y2=mean_y2, mean_z2=mean_z2)
     return solutions, step_ms
 
 

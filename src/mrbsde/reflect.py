@@ -18,7 +18,7 @@ import numpy as np
 from .errors import LengthMismatch, NotConverged
 from .mollify import SmoothObstacle, mollify_obstacle
 from .paths import ForwardCloud
-from .penalized import PenalizedSolution, RegressionBasis, _lockstep, _result, solve_penalized
+from .penalized import PenalizedSolution, RegressionBasis, _drain, solve_penalized
 from .problem import ProblemSpec
 
 
@@ -164,7 +164,7 @@ def penalty_sweep(spec: ProblemSpec, u_k: SmoothObstacle, n_levels, cloud: Forwa
     passes = [(n, None) for n in n_levels]
     if not passes:
         raise ValueError("the penalty ladder needs at least one level")
-    solutions, step_ms = _result(_lockstep(spec, u_k, cloud, basis, passes))
+    solutions, step_ms = _drain(spec, u_k, cloud, basis, passes)
     records, prev_mean = [], None
     for (n, _), sol, wall_ms in zip(passes, solutions, step_ms):
         records.append(_level_record(u_k, n, sol, prev_mean, wall_ms, cloud.mean_kappa))

@@ -161,11 +161,11 @@ class TestStabilityExperiment:
         ],
     )
     def test_node_reductions_equal_full_difference_arrays(self, case):
-        # the lockstep rows are reduced node by node, the passes sharing one
-        # set of working rows (targets, fitted values, g * dkappa row) and
-        # one node design; the reference runs whole passes one after
-        # another, each on its own cloud and workspace, and forms dY and dZ
-        # in full
+        # the lockstep rows are reduced as each perturbed pass yields its
+        # step, the passes sharing one working block, whose first d columns
+        # are the Z of the pass that last fitted, and one node design; the
+        # reference runs whole passes one after another, each on its own
+        # cloud and workspace, and forms dY and dZ in full
         spec = zero_problem(obstacle=SINE, **case)
         cloud = simulate_forward(spec, GRID, 10_000, seed=3)
         u_k = mollify_obstacle(SINE, 20, GRID)
@@ -195,11 +195,11 @@ class TestStabilityExperiment:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_lockstep_passes_on_a_fresh_cloud_share_its_positions(self, d):
-        # Each pass holds its Y and Z rows, (d + 1) M floats, and all share
-        # the targets, a g * dkappa row and the design, (d + 2 + p) M floats:
-        # the bound's (2d + 4) M per pass covers both and allows each
-        # perturbation one terminal; 2 ceil(sqrt N) position rows cover a
-        # step's transients.
+        # Each pass holds its Y row, M floats, and all share the targets and
+        # the design, (d + 1 + p) M floats, the base pass's Z copy and the
+        # differences: the bound's (2d + 4) M per pass covers them and allows
+        # each perturbation one terminal; 2 ceil(sqrt N) position rows cover
+        # a step's transients.
         # A segment and checkpoints per copy, or a full path, exceed that.
         spec = zero_problem(obstacle=SINE, brownian_dim=d)
         grid = TimeGrid(1.0, 100)
@@ -218,20 +218,22 @@ class TestStabilityExperiment:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_lockstep_passes_hold_their_rows_and_one_scratch(self, d):
-        # Each pass holds its Y row and its Z row, (d + 1) M floats; all of
-        # them share one set of working rows and one node design: the
-        # targets their fits overwrite, a g * dkappa row and the design,
-        # (d + 2 + p) M floats; the differences take (d + 1) M more.
-        # 2 ceil(sqrt N) position rows cover the node arrays and a step's
-        # transients. Working rows, a terminal, a block of fitted values or
-        # a second Y row per pass exceed that.
+        # Each pass holds its Y row, M floats, and no Z row: the experiment
+        # copies the base pass's Z, d M floats. All passes share one working
+        # block and one node design: the targets their fits overwrite, whose
+        # first d columns are the Z, and the design, (d + 1 + p) M floats,
+        # with a g * dkappa row only for a non-zero boundary; the
+        # differences take (d + 1) M more. 2 ceil(sqrt N) position rows
+        # cover the node arrays and a step's transients. Working rows, a
+        # terminal, a Z row, a block of fitted values or a second Y row per
+        # pass exceed that.
         spec = zero_problem(obstacle=SINE, brownian_dim=d)
         grid = TimeGrid(1.0, 100)
         cloud = simulate_forward(spec, grid, 4000, seed=3)
         u_k = mollify_obstacle(SINE, 20, grid)
         eps = (0.2, 0.1, 0.05, 0.025, -0.05, -0.1)
-        p = BASIS.size(d)
-        own, shared, diffs = (len(eps) + 1) * (d + 1), d + 2 + p, d + 1
+        p, g_dkappa = BASIS.size(d), spec.boundary.family != "zero"
+        own, shared, diffs = (len(eps) + 1) + d, d + 1 + p + g_dkappa, d + 1
         bound = (own + shared + diffs + 2 * math.ceil(math.sqrt(grid.N)) * d) * cloud.M * 8
         tracemalloc.start()
         try:
@@ -240,6 +242,29 @@ class TestStabilityExperiment:
         finally:
             tracemalloc.stop()
         assert peak <= bound
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_each_more_perturbation_holds_one_y_row(self, d):
+        # A pass's Z is the working block's until the next pass fits, and the
+        # experiment copies the base pass's alone, so six more perturbations
+        # hold six Y rows, their node arrays and result rows (about 1.1
+        # rows), with under one row of slack; a Z row per pass would add
+        # 6 d rows.
+        budget = 6 + 2
+        spec = zero_problem(obstacle=SINE, brownian_dim=d)
+        grid = TimeGrid(1.0, 100)
+        cloud = simulate_forward(spec, grid, 4000, seed=3)
+        u_k = mollify_obstacle(SINE, 20, grid)
+        solve_penalized(spec, u_k, 200, cloud, BASIS)  # fills the Gram cache
+        peaks = []
+        for eps in [(0.1, 0.05, 0.025), (0.2, 0.1, 0.05, 0.025, 0.0125, -0.025, -0.05, -0.1, -0.2)]:
+            tracemalloc.start()
+            try:
+                stability_experiment(spec, cloud, eps, u_k, 200, BASIS)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < budget * cloud.M * 8
 
     def test_each_node_design_is_built_once_for_all_passes(self, monkeypatch):
         builds, build_design = [], penalized.build_design
@@ -449,10 +474,9 @@ class TestRatesLadder:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_each_more_level_holds_one_y_row(self, d):
-        # only the last level's Z is read, for E|Z_j|^2, so the levels step
-        # in one shared Z row: six more levels hold their six Y rows and
-        # their node arrays, less than one row more; a Z row per level would
-        # add 6 d rows
+        # every level's Z is the working block's until the next level fits:
+        # six more levels hold their six Y rows and their node arrays, less
+        # than one row more; a Z row per level would add 6 d rows
         spec = zero_problem(obstacle=SINE, brownian_dim=d)
         grid = TimeGrid(1.0, 100)
         cloud = simulate_forward(spec, grid, 4000, seed=3)

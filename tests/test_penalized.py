@@ -438,7 +438,10 @@ def assert_moments_match(sol, full):
     for field in ("mean_path", "K", "mean_f_dt", "mean_g_dkappa"):
         assert_bits_equal(getattr(sol, field), getattr(full, field), field)
     assert_bits_equal(sol.Y, full.Y[:1], "Y")
-    assert_bits_equal(sol.mean_z, full.Z.mean(axis=1), "mean_z")
+    # mean Z is numpy's sum of each column of the working block, pairwise
+    # and not row by row over a C-ordered (M, d) array
+    m = full.Z.shape[1]
+    assert_bits_equal(sol.mean_z, [[np.add.reduce(col) / m for col in z.T] for z in full.Z], "mean_z")
     assert_bits_equal(sol.mean_y2, [np.mean(y**2) for y in full.Y], "mean_y2")
     assert_bits_equal(sol.mean_z2, [np.mean(np.sum(z**2, axis=1)) for z in full.Z[:-1]], "mean_z2")
 
@@ -488,10 +491,11 @@ def test_terminal_row_is_xi_plus_the_shift_to_the_bit():
     u_k = mollify_obstacle(SINE, 20, LEAN_GRID)
     basis = RegressionBasis("brownian", 2)
     shifts = [None, 0.0, 0.1, -0.05]
-    j, rows = next(penalized._lockstep(zero_problem(), u_k, cloud, basis, [(200, eps) for eps in shifts]))
-    assert j == LEAN_GRID.N and len(rows) == len(shifts)
-    for (y_n, z), want in zip(rows, [xi, xi + 0.0, xi + 0.1, xi - 0.05]):
-        assert z is None and np.array_equal(y_n, want) and np.array_equal(np.signbit(y_n), np.signbit(want))
+    sweep = penalized._lockstep(zero_problem(), u_k, cloud, basis, [(200, eps) for eps in shifts])
+    terminals = [next(sweep) for _ in shifts]
+    for i, ((j, k, y_n, z), want) in enumerate(zip(terminals, [xi, xi + 0.0, xi + 0.1, xi - 0.05])):
+        assert (j, k) == (LEAN_GRID.N, i) and z is None
+        assert np.array_equal(y_n, want) and np.array_equal(np.signbit(y_n), np.signbit(want))
 
 
 def test_a_step_at_two_coordinates_allocates_less_than_a_particle_row(monkeypatch):
@@ -508,7 +512,7 @@ def test_a_step_at_two_coordinates_allocates_less_than_a_particle_row(monkeypatc
     penalized.solve_penalized(spec, u_k, 200, cloud, basis)  # fills the Gram cache
     designs = [penalized._build_node_design(cloud, basis, j) for j in range(GRID.N)]
     monkeypatch.setattr(penalized, "_build_node_design", lambda cloud, basis, j: designs[j])
-    steps = penalized._lockstep(spec, u_k, cloud, basis, [(200, None)], moments=False)
+    steps = penalized._lockstep(spec, u_k, cloud, basis, [(200, None)])
     next(steps)
     worst = 0
     tracemalloc.start()
@@ -524,17 +528,19 @@ def test_a_step_at_two_coordinates_allocates_less_than_a_particle_row(monkeypatc
 
 
 def test_a_pass_holds_its_rows_and_one_working_block():
-    # A warm pass holds its Y and Z rows, (d + 1) M floats, a row of squares
-    # for its moments, and the working rows: the (M, d + 1) targets its fit
-    # overwrites, a g * dkappa row and the node design, (d + 2 + p) M
-    # floats. One more row covers the node arrays and a step's transients;
-    # a block of fitted values beside the targets exceeds that.
+    # A warm pass holds its Y row, M floats, a row of squares for its
+    # moments, and the working rows: the (M, d + 1) targets its fit
+    # overwrites, whose first d columns are its Z, and the node design,
+    # (d + 1 + p) M floats, with a g * dkappa row only for a non-zero
+    # boundary. One more row covers the node arrays and a step's
+    # transients; a Z row of the pass's own, or a block of fitted values
+    # beside the targets, exceeds that.
     spec = zero_problem(obstacle=SINE)
     grid = TimeGrid(1.0, 100)
     cloud = simulate_forward(spec, grid, 4000, seed=3)
     u_k = mollify_obstacle(SINE, 20, grid)
     basis = RegressionBasis("brownian", 2)
-    d, p = cloud.d, basis.size(cloud.d)
+    d, p, g_dkappa = cloud.d, basis.size(cloud.d), spec.boundary.family != "zero"
     solve_penalized(spec, u_k, 200, cloud, basis)  # fills the Gram cache
     tracemalloc.start()
     try:
@@ -542,7 +548,7 @@ def test_a_pass_holds_its_rows_and_one_working_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= ((d + 1) + 1 + (d + 2 + p) + 1) * cloud.M * 8
+    assert peak <= (1 + 1 + (d + 1 + p + g_dkappa) + 1) * cloud.M * 8
 
 
 FIT_BASES = [RegressionBasis("brownian", 1), RegressionBasis("brownian", 2), RegressionBasis("forward", 2),
@@ -710,18 +716,21 @@ def run_equivariance_sweep(spec, cloud, basis, u_k):
     """The n = 0 pass and every level of ``EQUIVARIANT_LEVELS`` in one lockstep sweep.
 
     Returns the solutions, per node and pass the largest |Y_j|, and per
-    node the largest spread across particles of Y^n_j - Y^0_j over levels.
+    node the largest spread across particles of Y^n_j - Y^0_j over levels,
+    taken at the last pass's yield: each pass's row holds Y_j until that
+    pass steps again.
     """
     N = cloud.grid.N
     passes = [(0.0, None)] + [(n, None) for n in EQUIVARIANT_LEVELS]
-    max_y, spread = np.empty((len(passes), N + 1)), np.empty(N + 1)
+    max_y, spread, rows = np.empty((len(passes), N + 1)), np.empty(N + 1), [None] * len(passes)
 
-    def record(j, rows):
-        base = rows[0][0]
-        max_y[:, j] = [np.max(np.abs(y)) for y, _ in rows]
-        spread[j] = max(np.ptp(y - base) for y, _ in rows[1:])
+    def record(j, i, y, z):
+        rows[i] = y
+        max_y[i, j] = np.max(np.abs(y))
+        if i == len(passes) - 1:
+            spread[j] = max(np.ptp(y - rows[0]) for y in rows[1:])
 
-    solutions, _ = drive(penalized._lockstep(spec, u_k, cloud, basis, passes, moments=False), record)
+    solutions, _ = drive(penalized._lockstep(spec, u_k, cloud, basis, passes), record)
     return solutions, max_y, spread
 
 

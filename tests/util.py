@@ -45,33 +45,32 @@ class FullPass(NamedTuple):
 def full_pass(spec, u_k, n, cloud, basis) -> FullPass:
     """The solver's backward pass at level n with every row kept.
 
-    Copies each row that ``penalized._lockstep`` yields for the pass into
-    full (N+1, M) Y and (N+1, M, d) Z arrays, so its rows are the rows
-    ``solve_penalized`` steps through, by construction; only the
+    Copies each Y row and Z view that ``penalized._lockstep`` yields for the
+    pass into full (N+1, M) Y and (N+1, M, d) Z arrays, so its rows are the
+    rows ``solve_penalized`` steps through, by construction; only the
     per-particle checks need them.
     """
     N, M, d = cloud.grid.N, cloud.M, cloud.d
     Y, Z = np.empty((N + 1, M)), np.empty((N + 1, M, d))
 
-    def keep(j, rows):
-        [(y, z)] = rows
+    def keep(j, i, y, z):
         Y[j] = y
         if z is not None:  # no Z at node N
             Z[j] = z
 
-    [sol], _ = drive(penalized._lockstep(spec, u_k, cloud, basis, [(n, None)], moments=False), keep)
+    [sol], _ = drive(penalized._lockstep(spec, u_k, cloud, basis, [(n, None)]), keep)
     Z[N] = Z[N - 1]
     return FullPass(Y, Z, sol.mean_path, sol.K, sol.mean_f_dt, sol.mean_g_dkappa)
 
 
 def drive(sweep, each):
-    """Run a ``penalized._lockstep`` sweep, calling ``each(j, rows)`` at every node; return what the sweep returns."""
+    """Run a ``penalized._lockstep`` sweep, calling ``each(j, i, Y_j, Z_j)`` at every yield; return what the sweep returns."""
     while True:
         try:
-            j, rows = next(sweep)
+            step = next(sweep)
         except StopIteration as done:
             return done.value
-        each(j, rows)
+        each(*step)
 
 
 def refit(cloud, basis, j, targets):
