@@ -75,11 +75,12 @@ def _penalized_backward(problem: MeanProblem, n_fine: int, n: float):
     y_arr = np.empty(n_fine + 1)
     dK_arr = np.empty(n_fine)
     y, dK = memoryview(y_arr), memoryview(dK_arr)
-    y[n_fine] = float(problem.terminal_mean)
+    drift, y_next = problem.drift, float(problem.terminal_mean)
+    y[n_fine] = y_next
     for j in range(n_fine - 1, -1, -1):
-        p = y[j + 1] + problem.drift(t[j + 1], y[j + 1]) * dt
-        y[j] = implicit_mean_penalty(p, u_vals[j], n, dt + dkap[j])
-        dK[j] = y[j] - p
+        p = y_next + drift(t[j + 1], y_next) * dt
+        y[j] = y_next = implicit_mean_penalty(p, u_vals[j], n, dt + dkap[j])
+        dK[j] = y_next - p
     K = np.concatenate([[0.0], np.cumsum(dK_arr)])
     return y_arr, K
 
@@ -172,9 +173,10 @@ def unconstrained_mean_path(problem: MeanProblem, times: np.ndarray) -> np.ndarr
     t = memoryview(np.asarray(times, dtype=float))
     y_arr = np.empty(len(t))
     y = memoryview(y_arr)
-    y[-1] = float(problem.terminal_mean)
+    drift, y_next = problem.drift, float(problem.terminal_mean)
+    y[-1] = y_next
     for j in range(len(t) - 2, -1, -1):
-        y[j] = y[j + 1] + problem.drift(t[j + 1], y[j + 1]) * (t[j + 1] - t[j])
+        y[j] = y_next = y_next + drift(t[j + 1], y_next) * (t[j + 1] - t[j])
     return y_arr
 
 

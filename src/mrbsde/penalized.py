@@ -19,7 +19,7 @@ import numpy as np
 from .errors import LengthMismatch, NonFinite, RankDeficient
 from .mollify import SmoothObstacle
 from .paths import ForwardCloud, TimeGrid
-from .problem import ProblemSpec, eval_boundary, eval_driver
+from .problem import ProblemSpec, _driver_terms, eval_boundary
 
 _COND_LIMIT = 1e12
 _COND_FUDGE_AT = 1e10
@@ -126,11 +126,12 @@ def implicit_mean_penalty(p_val: float, u_val: float, n: float, delta: float) ->
     """
     if not (n >= 0 and delta >= 0):  # also rejects NaN
         raise ValueError("n and delta must be >= 0")
-    if p_val >= u_val or math.isnan(n * delta):  # slack, or inf * 0: a penalty with no weight
+    weight = n * delta
+    if p_val >= u_val or weight != weight:  # slack, or inf * 0: a penalty with no weight
         return float(p_val)
-    if math.isinf(n * delta):
+    if weight == math.inf:
         return float(u_val)
-    return float((p_val + n * delta * u_val) / (1.0 + n * delta))
+    return float((p_val + weight * u_val) / (1.0 + weight))
 
 
 @dataclass(frozen=True)
@@ -212,7 +213,10 @@ def _lockstep(spec, u_k, cloud, basis, passes):
     pass i's step: the Y row stays valid until pass i steps again, the Z view
     until the next pass fits. Returns each pass's PenalizedSolution, without
     node moments, and its own step time in ms, the first pass paying for the
-    node's design.
+    node's design. The driver's terms are resolved once per sweep, and a
+    deterministic clock's dkappa and each node's penalty weight and obstacle
+    value become floats every pass shares, so no step dispatches on the
+    spec; a linear boundary writes beta E[Y|F] straight into the g * dkappa row.
     """
     if u_k.grid != cloud.grid:
         raise LengthMismatch("smooth obstacle grid does not match the cloud grid")
@@ -244,7 +248,14 @@ def _lockstep(spec, u_k, cloud, basis, passes):
     z, cond_mean = targets[:, :d], targets[:, d]
     has_boundary = spec.boundary.family != "zero"
     g_dkap = np.empty(M) if has_boundary else None
-    common_clock = cloud.kappa.strides[1] == 0  # a deterministic clock: one dkappa per step
+    # A common driver value's mean is numpy's sum of its M copies, which can
+    # differ from it in the last bit; the zero driver's is 0.0, not taken.
+    phi, common = _driver_terms(spec.driver)
+    sum_f, linear_g = spec.driver.family != "zero", spec.boundary.family == "linear-monotone"
+    f_one = np.empty(1)
+    f_vals = np.broadcast_to(f_one, M)
+    dkaps = np.diff(cloud.kappa[:, 0]).tolist() if cloud.kappa.strides[1] == 0 else None
+    deltas, u_vals = (dt + np.diff(cloud.mean_kappa)).tolist(), u_k.values.tolist()
     step_ms = [0.0] * len(own)
     for i, (_, y_row, *_) in enumerate(own):
         yield N, i, y_row[0], None
@@ -261,50 +272,44 @@ def _lockstep(spec, u_k, cloud, basis, passes):
             for c in range(d):
                 np.multiply(y, cloud.dB[j, :, c], out=targets[:, c])
             np.divide(z, dt, out=z)
-            targets[:, d] = y
+            cond_mean[...] = y
             _fit(cloud, basis, j, targets, design)
             z_mean[j] = np.add.reduce(z) / M
 
             # Law moments from the step-(j+1) cloud; Z beyond the last
             # regression step does not exist, so the first backward step
             # reuses its own Z.
-            m_y = float(mean_path[j + 1])
-            m_z = z_mean[min(j + 1, N - 1)]
+            m_y, mz1 = float(mean_path[j + 1]), float(z_mean[min(j + 1, N - 1), 0])
 
-            # Y_j = (cond_mean + f dt) + g dkappa, built in place in the
-            # row. A driver with one value for every particle comes back
-            # as a read-only broadcast, and its f dt is a single float,
-            # as is a deterministic dkappa.
-            f_vals = eval_driver(spec.driver, times[j], cond_mean, z, m_y, m_z)
-            if f_vals.strides[0] == 0:
-                np.add(cond_mean, float(f_vals[0]) * dt, out=y)
+            # Y_j = (cond_mean + f dt) + g dkappa, built in place in the row;
+            # a common driver value and a deterministic dkappa are one float.
+            if common:
+                f_one[0] = f = phi(None, None, m_y, mz1)
+                np.add(cond_mean, f * dt, out=y)
             else:
+                f_vals = phi(cond_mean, targets[:, 0], m_y, mz1)
                 np.multiply(f_vals, dt, out=y)
                 np.add(cond_mean, y, out=y)
+            if sum_f:
+                mean_f_dt[j] = float(np.add.reduce(f_vals) / M) * dt
             if has_boundary:
-                g_vals = eval_boundary(spec.boundary, times[j], cond_mean)
-                if common_clock:
-                    np.multiply(g_vals, float(cloud.kappa[j + 1, 0] - cloud.kappa[j, 0]), out=g_dkap)
+                if linear_g:
+                    g_vals = np.multiply(cond_mean, spec.boundary.beta, out=g_dkap)
                 else:
-                    np.subtract(cloud.kappa[j + 1], cloud.kappa[j], out=g_dkap)
-                    np.multiply(g_vals, g_dkap, out=g_dkap)
+                    g_vals = eval_boundary(spec.boundary, times[j], cond_mean)
+                dkap = dkaps[j] if dkaps is not None else cloud.kappa[j + 1] - cloud.kappa[j]
+                np.multiply(g_vals, dkap, out=g_dkap)
                 y += g_dkap
                 mean_g_dkappa[j] = float(np.add.reduce(g_dkap) / M)
 
             p_val = float(np.add.reduce(y) / M)
-            delta = dt + float(cloud.mean_kappa[j + 1] - cloud.mean_kappa[j])
-            shifted = implicit_mean_penalty(p_val, float(u_k.values[j]), n, delta)
-            dK[j] = shifted - p_val
-            y += dK[j]
+            dK[j] = dk = implicit_mean_penalty(p_val, u_vals[j], n, deltas[j]) - p_val
+            y += dk
             mean_path[j] = np.add.reduce(y) / M
 
             # A non-finite value anywhere in a row makes its mean non-finite.
-            if not (math.isfinite(mean_path[j]) and np.isfinite(z_mean[j]).all()):
+            if not (math.isfinite(mean_path[j]) and all(map(math.isfinite, z_mean[j]))):
                 raise NonFinite(f"non-finite solution values at step {j}")
-
-            # The mean over all M copies even for a common value: it can
-            # differ from that value in the last bit.
-            mean_f_dt[j] = float(np.add.reduce(f_vals) / M) * dt
             step_ms[i] += (time.perf_counter() - t0) * 1000.0
             yield j, i, y, z
             t0 = time.perf_counter()

@@ -266,30 +266,43 @@ class ProblemSpec:
         return self.terminal.mode == "functional-of-forward" or self.kappa.family == "integral"
 
 
+def _driver_terms(spec: DriverSpec):
+    """The driver as phi(y, z1, m_y, mz1), z1 and mz1 the first coordinates, and whether it reads neither y nor z.
+
+    An affine driver adds its declared terms to its const (0.0 by default)
+    left to right: y, z, mean_y, mean_z. A common driver takes floats.
+    """
+    c = spec.coefficients
+    if spec.family == "bounded-nonlinear":
+        a, b = c.get("sin_y", 1.0), c.get("cos_my", 1.0)
+        return (lambda y, z1, m_y, mz1: a * np.sin(y) + b * np.cos(m_y)), False
+    const = c.get("const", 0.0)
+    terms = [(i, c[key]) for i, key in enumerate(("y", "z", "mean_y", "mean_z")) if key in c]
+
+    def phi(*args):
+        out = const
+        for i, coef in terms:
+            out = out + coef * args[i]
+        return out
+
+    return phi, all(i >= 2 for i, _ in terms)
+
+
 def eval_driver(spec: DriverSpec, t, y, z, m_y, m_z):
     """Evaluate phi(t, y, z, m_y, m_z). Pure; broadcasts over particle arrays.
 
     The last axis of ``z`` / ``m_z`` is the Brownian-coordinate axis; the
-    affine z-coefficients act on the first coordinate.
+    affine z-coefficients act on the first coordinate. It evaluates the
+    resolution a backward sweep makes once, ``_driver_terms``, and
+    broadcasts a common driver's value, read-only, to the argument shape.
     """
     z = np.asarray(z, dtype=float)
     z1 = z if z.ndim == 0 else z[..., 0]
     m_z = np.asarray(m_z, dtype=float)
     mz1 = m_z if m_z.ndim == 0 else m_z[..., 0]
-    c = spec.coefficients
-    if spec.family in ("zero", "affine"):
-        # Only the declared terms, summed left to right; a sum of constant
-        # terms alone is broadcast, read-only, to the argument shape.
-        shapes = [np.shape(y), np.shape(z1), np.shape(m_y), np.shape(mz1)]
-        shape = max(shapes, key=len)
-        if any(s and s != shape for s in shapes):  # scalars and equal shapes broadcast to the longest
-            shape = np.broadcast_shapes(*shapes)
-        out = c.get("const", 0.0)
-        for key, arg in (("y", np.asarray(y, dtype=float)), ("z", z1), ("mean_y", m_y), ("mean_z", mz1)):
-            if key in c:
-                out = out + c[key] * arg
-        return out if np.shape(out) == shape else np.broadcast_to(out, shape)
-    return c.get("sin_y", 1.0) * np.sin(np.asarray(y, dtype=float)) + c.get("cos_my", 1.0) * np.cos(m_y)
+    shape = np.broadcast_shapes(np.shape(y), z1.shape, np.shape(m_y), mz1.shape)
+    out = _driver_terms(spec)[0](np.asarray(y, dtype=float), z1, m_y, mz1)
+    return out if np.shape(out) == shape else np.broadcast_to(out, shape)
 
 
 def eval_boundary(spec: BoundarySpec, t, y):

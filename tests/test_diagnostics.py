@@ -218,23 +218,30 @@ class TestStabilityExperiment:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_lockstep_passes_hold_their_rows_and_one_scratch(self, d):
-        # Each pass holds its Y row, M floats, and no Z row: the experiment
-        # copies the base pass's Z, d M floats. All passes share one working
-        # block and one node design: the targets their fits overwrite, whose
-        # first d columns are the Z, and the design, (d + 1 + p) M floats,
-        # with a g * dkappa row only for a non-zero boundary; the
-        # differences take (d + 1) M more. 2 ceil(sqrt N) position rows
-        # cover the node arrays and a step's transients. Working rows, a
-        # terminal, a Z row, a block of fitted values or a second Y row per
-        # pass exceed that.
+        """The base pass and k perturbed ones hold k + 1 Y rows and a copy of the base Z, (k + 1 + d) M floats.
+
+        All passes share one working block and one node design: the targets
+        their fits overwrite, whose first d columns are the Z, and the
+        design, (d + 1 + p) M floats, with a g * dkappa row only for a
+        non-zero boundary; the differences take (d + 1) M more. The rest
+        does not grow with M. Per node: each pass's node moments (4 + d
+        floats), the experiment's 2 k results, the cached Gram (p^2 floats)
+        and under 1 KB of Python objects (the Gram's array and key, the
+        sweep's node floats). Per step: the fit's small products, under
+        8 KB, and at d >= 2 the square of a later Z column, one row. A
+        working row, a terminal, a Z row or a second Y row per pass exceeds
+        that.
+        """
         spec = zero_problem(obstacle=SINE, brownian_dim=d)
         grid = TimeGrid(1.0, 100)
         cloud = simulate_forward(spec, grid, 4000, seed=3)
         u_k = mollify_obstacle(SINE, 20, grid)
         eps = (0.2, 0.1, 0.05, 0.025, -0.05, -0.1)
-        p, g_dkappa = BASIS.size(d), spec.boundary.family != "zero"
-        own, shared, diffs = (len(eps) + 1) + d, d + 1 + p + g_dkappa, d + 1
-        bound = (own + shared + diffs + 2 * math.ceil(math.sqrt(grid.N)) * d) * cloud.M * 8
+        k, p, g_dkappa, row = len(eps), BASIS.size(d), spec.boundary.family != "zero", cloud.M * 8
+        own, shared, diffs = (k + 1) + d, d + 1 + p + g_dkappa, d + 1
+        per_node = 8 * ((k + 1) * (4 + d) + 2 * k + p * p) + 1024
+        per_step = 8 * 1024 + (row if d >= 2 else 0)
+        bound = (own + shared + diffs) * row + grid.N * per_node + per_step
         tracemalloc.start()
         try:
             stability_experiment(spec, cloud, eps, u_k, 200, BASIS)

@@ -15,6 +15,7 @@ from mrbsde import (
     ObstacleCurve,
     TerminalSpec,
     TimeGrid,
+    implicit_mean_penalty,
     mean_reduction,
     reference_paths,
     skorokhod_closed_form,
@@ -186,6 +187,38 @@ class TestMeanReduction:
         m = unconstrained_mean_path(zdrift, times)
         np.testing.assert_allclose(m, 0.5 * (1.0 - times), atol=1e-12)
 
+
+def plain_penalized_backward(problem, n_fine, n):
+    """The reduced scheme written out: problem.drift and implicit_mean_penalty at every step, on numpy arrays."""
+    times = np.linspace(0.0, problem.horizon, n_fine + 1)
+    dt = problem.horizon / n_fine
+    u_vals, dkap = problem.obstacle.evaluate(times), np.diff(problem.mean_kappa(times))
+    y, dK = np.empty(n_fine + 1), np.empty(n_fine)
+    y[n_fine] = problem.terminal_mean
+    for j in range(n_fine - 1, -1, -1):
+        p = float(y[j + 1]) + problem.drift(float(times[j + 1]), float(y[j + 1])) * dt
+        y[j] = implicit_mean_penalty(p, float(u_vals[j]), n, dt + float(dkap[j]))
+        dK[j] = y[j] - p
+    return y, np.concatenate([[0.0], np.cumsum(dK)])
+
+
+def plain_unconstrained_path(problem, times):
+    y = np.empty(len(times))
+    y[-1] = problem.terminal_mean
+    for j in range(len(times) - 2, -1, -1):
+        y[j] = float(y[j + 1]) + problem.drift(float(times[j + 1]), float(y[j + 1])) * float(times[j + 1] - times[j])
+    return y
+
+
+@pytest.mark.parametrize("preset", ["AFFINE", "BOUNDARY"])
+def test_reduced_loops_are_the_plain_loops_to_the_bit(preset):
+    problem, _ = mean_reduction(build_config({"preset": preset}).spec)
+    for n in (1e6, math.inf):
+        for got, want in zip(_penalized_backward(problem, 1000, n), plain_penalized_backward(problem, 1000, n)):
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    times = np.linspace(0.0, problem.horizon, 1001)
+    got, want = unconstrained_mean_path(problem, times), plain_unconstrained_path(problem, times)
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestReferencePaths:

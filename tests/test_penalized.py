@@ -376,6 +376,18 @@ class TestSolvePenalized:
         assert np.max(np.abs(z_mean[:, 1])) <= band
 
 
+def plain_driver(spec, y, z1, m_y, mz1):
+    """The driver written out: an affine one adds its declared terms to const (0.0 by default) left to right."""
+    c = spec.coefficients
+    if spec.family == "bounded-nonlinear":
+        return c.get("sin_y", 1.0) * np.sin(y) + c.get("cos_my", 1.0) * np.cos(m_y)
+    out = c.get("const", 0.0)
+    for key, arg in (("y", y), ("z", z1), ("mean_y", m_y), ("mean_z", mz1)):
+        if key in c:
+            out = out + c[key] * arg
+    return np.broadcast_to(out, y.shape)
+
+
 def reference_pass(spec, u_k, n, cloud, basis):
     """The backward pass written out plainly: every step forms f dt, g dkappa and the shift for every particle."""
     grid = cloud.grid
@@ -389,9 +401,9 @@ def reference_pass(spec, u_k, n, cloud, basis):
         targets = np.column_stack([Y[j + 1][:, None] * cloud.dB[j] / dt, Y[j + 1]])
         fitted = refit(cloud, basis, j, targets)[0]
         Z[j], cond_mean = fitted[:, :d], fitted[:, d]
-        z_mean[j] = Z[j].mean(axis=0)
+        z_mean[j] = [np.add.reduce(col) / M for col in Z[j].T]  # each Z column summed on its own
         m_y, m_z = mean_path[j + 1], z_mean[min(j + 1, N - 1)]
-        f_vals = eval_driver(spec.driver, grid.times[j], cond_mean, Z[j], m_y, m_z)
+        f_vals = plain_driver(spec.driver, cond_mean, Z[j][:, 0], m_y, m_z[0])
         g_dkap = eval_boundary(spec.boundary, grid.times[j], cond_mean) * (cloud.kappa[j + 1] - cloud.kappa[j])
         y0 = cond_mean + f_vals * dt + g_dkap
         p_val = float(y0.mean())
@@ -406,11 +418,17 @@ def reference_pass(spec, u_k, n, cloud, basis):
 
 
 LEAN_GRID = TimeGrid(1.0, 12)
-DRIVERS = {
-    "zero": (DriverSpec("zero"), True),
-    "affine-common": (DriverSpec("affine", {"const": 0.1, "mean_y": 0.5, "mean_z": -0.3}), True),
-    "affine-per-particle": (DriverSpec("affine", {"y": -0.5, "z": 0.2, "mean_y": 0.3}), False),
-    "sin-cos": (DriverSpec("bounded-nonlinear", {"sin_y": 0.2, "cos_my": 0.1}), False),
+DRIVERS = {  # (driver, one value for every particle, Brownian coordinates)
+    "zero": (DriverSpec("zero"), True, 1),
+    "const": (DriverSpec("affine", {"const": 0.1}), True, 1),
+    "y": (DriverSpec("affine", {"y": -0.5}), False, 1),
+    "z": (DriverSpec("affine", {"z": 0.2}), False, 1),
+    "mean_y": (DriverSpec("affine", {"mean_y": 0.5}), True, 1),
+    "mean_z": (DriverSpec("affine", {"mean_z": -0.3}), True, 1),
+    "mean_z-d2": (DriverSpec("affine", {"mean_z": -0.3}), True, 2),
+    "affine-common": (DriverSpec("affine", {"const": 0.1, "mean_y": 0.5, "mean_z": -0.3}), True, 1),
+    "affine-per-particle": (DriverSpec("affine", {"y": -0.5, "z": 0.2, "mean_y": 0.3}), False, 1),
+    "sin-cos": (DriverSpec("bounded-nonlinear", {"sin_y": 0.2, "cos_my": 0.1}), False, 1),
 }
 BOUNDARIES = {
     "zero": BoundarySpec("zero", beta=-1.0),
@@ -453,13 +471,13 @@ class TestLeanStep:
     @pytest.mark.parametrize("boundary", sorted(BOUNDARIES))
     @pytest.mark.parametrize("driver", sorted(DRIVERS))
     def test_every_branch_matches_the_plain_pass(self, driver, boundary, clock):
-        driver_spec, common = DRIVERS[driver]
+        driver_spec, common, d = DRIVERS[driver]
         spec = zero_problem(driver=driver_spec, boundary=BOUNDARIES[boundary], kappa=CLOCKS[clock],
-                            obstacle=SINE, forward=ForwardSDESpec(x0=0.5, sigma=0.3))
+                            obstacle=SINE, forward=ForwardSDESpec(x0=0.5, sigma=0.3), brownian_dim=d)
         cloud = small_cloud(spec, M=600, grid=LEAN_GRID)
         basis = RegressionBasis("brownian", 2)
         u_k = mollify_obstacle(SINE, 20, LEAN_GRID)
-        f_vals = eval_driver(driver_spec, 0.0, cloud.xi, cloud.dB[0], 0.1, np.zeros(1))
+        f_vals = eval_driver(driver_spec, 0.0, cloud.xi, cloud.dB[0], 0.1, np.zeros(d))
         assert (f_vals.strides[0] == 0) == common  # which driver branch the pass takes
         ref = reference_pass(spec, u_k, 200, cloud, basis)
         slack = np.diff(ref.K) == 0.0
