@@ -7,10 +7,12 @@ absent key takes the dataclass default, unknown keys are errors, and every
 number must be finite. Artifacts are written atomically and the manifest
 is emitted even when a run fails, with a failed marker.
 
-The thread-count knob is recorded nowhere in the artifacts: outputs are a
-pure function of (problem, numerics, schedule, seed), so artifacts stay
-byte-identical across thread counts. Timings (wall_ms) are the one
-non-reproducible column.
+``threads`` caps the worker processes that ``rates`` and ``stability``
+split their passes across (0, the default, means one per CPU this process
+may use); ``solve`` and ``oracle-check`` run in one process. It is recorded
+nowhere in the artifacts: outputs are a pure function of (problem,
+numerics, schedule, seed), so artifacts stay byte-identical across thread
+counts. Timings (wall_ms) are the one non-reproducible column.
 """
 
 from __future__ import annotations
@@ -145,6 +147,7 @@ class RunConfig:
     quad_points: int
     schedule: ConvergenceSchedule
     seed: int
+    threads: int  # worker processes of rates and stability at most; 0 = one per CPU
     output: str
     preset: str | None
     document: dict  # merged config document; echoed in the manifest
@@ -210,7 +213,10 @@ def build_config(doc: dict) -> RunConfig:
     seed = _num(merged["seed"], "config.seed", integer=True)
     if not 0 <= seed < 2**64:
         raise ParseError(f"config.seed must be in [0, 2**64), got {seed}")
-    _num(merged.get("threads", 0), "config.threads", integer=True)  # validated; never affects a run
+    # How many processes rates and stability may use; never affects an artifact.
+    threads = _num(merged.get("threads", 0), "config.threads", integer=True)
+    if threads < 0:
+        raise ParseError(f"config.threads must be >= 0, got {threads}")
     output = merged["output"]
     if not isinstance(output, str):
         raise ParseError("config key 'output' must be a string")
@@ -223,6 +229,7 @@ def build_config(doc: dict) -> RunConfig:
         quad_points=quad_points,
         schedule=schedule,
         seed=seed,
+        threads=threads,
         output=output,
         preset=preset,
         document=merged,
@@ -402,7 +409,9 @@ def run_experiment(config: RunConfig, subcommand: str) -> dict:
 
         elif subcommand == "rates":
             u_k = mollify_obstacle(config.spec.obstacle, max(config.schedule.k_levels), grid, config.quad_points)
-            records, sol = penalty_sweep(config.spec, u_k, config.schedule.n_levels, cloud, config.basis)
+            records, sol = penalty_sweep(
+                config.spec, u_k, config.schedule.n_levels, cloud, config.basis, workers=config.threads
+            )
             levels = [rec.n for rec in records]
             diagnostics["rates"] = {
                 "k": u_k.level,
@@ -421,7 +430,9 @@ def run_experiment(config: RunConfig, subcommand: str) -> dict:
             k = max(config.schedule.k_levels)
             n = max(config.schedule.n_levels)
             u_k = mollify_obstacle(config.spec.obstacle, k, grid, config.quad_points)
-            rows = stability_experiment(config.spec, cloud, _STABILITY_EPS, u_k, n, config.basis)
+            rows = stability_experiment(
+                config.spec, cloud, _STABILITY_EPS, u_k, n, config.basis, workers=config.threads
+            )
             diagnostics["stability"] = {"k": k, "n": n, "rows": [dataclasses.asdict(r) for r in rows]}
             try:
                 fit = rate_fit([r.epsilon for r in rows], [r.sup_mean_sq_dy for r in rows])
@@ -452,7 +463,11 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="JSON config path")
     parser.add_argument("--preset", help=f"preset name: {', '.join(sorted(PRESETS))}")
     parser.add_argument("--seed", type=int, help="override the config seed")
-    parser.add_argument("--threads", type=int, help="worker count knob (0 = auto); never affects outputs")
+    parser.add_argument(
+        "--threads",
+        type=int,
+        help="most worker processes for rates and stability (0 = one per CPU); never affects outputs",
+    )
     parser.add_argument("--out", help="override the output directory")
     args = parser.parse_args(argv)
 

@@ -15,7 +15,15 @@ import numpy as np
 from .errors import LengthMismatch, NonPositiveError
 from .mollify import SmoothObstacle
 from .paths import ForwardCloud
-from .penalized import PenalizedSolution, RegressionBasis, _lockstep, _mean_sq_norm
+from .penalized import (
+    PenalizedSolution,
+    RegressionBasis,
+    _in_workers,
+    _lockstep,
+    _mean_sq_norm,
+    _split,
+    _worker_count,
+)
 from .problem import ProblemSpec, eval_driver
 
 
@@ -61,19 +69,23 @@ def stability_experiment(
     u_k: SmoothObstacle,
     n: float,
     basis: RegressionBasis,
+    workers: int = 1,
 ) -> tuple[StabilityRow, ...]:
     """Measure the solution shift under terminal perturbations xi -> xi + epsilon.
 
     Each epsilon pairs the base run with a perturbed run on the same cloud
     (common random numbers), so the reported differences isolate the
     perturbation; every run shares the cloud's cached Gram matrices. The
-    base pass and every perturbed pass step backward in lockstep, the base
-    pass first at each step, each in its own Y row from its own terminal row
-    xi + epsilon, taking turns in one working block and on one node design
-    built once per node. The base pass's Z is copied from the block once per
-    node; the per-node moments of the differences are taken as each perturbed
-    pass yields its step, in one Y and one Z difference row, so no full
-    solution is held; no pass reduces its own moments. Rows sort by epsilon.
+    sorted epsilons run in ``workers`` processes at most (0: one per CPU),
+    each taking a contiguous group of them; this process runs the last
+    group. In each group the base pass and the group's perturbed passes step
+    backward in lockstep, the base pass first at each step, each in its own
+    Y row from its own terminal row xi + epsilon, taking turns in one
+    working block and on one node design built once per node and worker.
+    The base pass's Z is copied from the block once per node; the per-node
+    moments of the differences are taken as each perturbed pass yields its
+    step, in one Y and one Z difference row, so no full solution is held; no
+    pass reduces its own moments. Rows sort by epsilon.
     """
     eps_list = sorted(float(e) for e in perturbations)
     if not eps_list or not np.all(np.isfinite(eps_list)):
@@ -81,11 +93,29 @@ def stability_experiment(
     if len(set(eps_list)) != len(eps_list):
         raise ValueError("perturbation values must be distinct")
 
+    groups = _split(eps_list, _worker_count(workers, len(eps_list)))
+    moments = _in_workers(lambda group: _difference_moments(spec, cloud, group, u_k, n, basis), groups)
+    mean_sq_dy, mean_sq_dz = (np.concatenate(rows) for rows in zip(*moments))
+    dt = cloud.grid.dt
+    return tuple(
+        StabilityRow(
+            epsilon=eps,
+            sup_mean_sq_dy=float(np.max(dy)),
+            integral_mean_sq_dz=float(np.sum(dz) * dt),
+        )
+        for eps, dy, dz in zip(eps_list, mean_sq_dy, mean_sq_dz)
+    )
+
+
+def _difference_moments(spec, cloud, eps_list, u_k, n, basis):
+    """Per-node E|dY|^2 and E|dZ|^2 rows of each of ``eps_list``'s perturbed passes against the base pass.
+
+    Stored by node, so the max and the sum run in forward node order.
+    """
     N, M, d = cloud.grid.N, cloud.M, cloud.d
     # The base pass (no shift), then each perturbed one.
     sweep = _lockstep(spec, u_k, cloud, basis, [(n, eps) for eps in [None, *eps_list]])
 
-    # Stored by node, so the max and the sum run in forward node order.
     mean_sq_dy = np.empty((len(eps_list), N + 1))
     mean_sq_dz = np.empty((len(eps_list), N))
     dy, dz, base_z = np.empty(M), np.empty((M, d)), np.empty((M, d))
@@ -99,15 +129,7 @@ def stability_experiment(
         mean_sq_dy[i - 1, j] = np.add.reduce(np.square(dy, out=dy)) / M
         if z is not None:
             mean_sq_dz[i - 1, j] = _mean_sq_norm(np.subtract(z, base_z, out=dz), dy)
-    dt = cloud.grid.dt
-    return tuple(
-        StabilityRow(
-            epsilon=eps,
-            sup_mean_sq_dy=float(np.max(dy)),
-            integral_mean_sq_dz=float(np.sum(dz) * dt),
-        )
-        for eps, dy, dz in zip(eps_list, mean_sq_dy, mean_sq_dz)
-    )
+    return mean_sq_dy, mean_sq_dz
 
 
 @dataclass(frozen=True)

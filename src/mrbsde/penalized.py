@@ -10,13 +10,18 @@ grow without bound at a fixed grid.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import pickle
+import signal
 import time
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import LengthMismatch, NonFinite, RankDeficient
+from .errors import LengthMismatch, MrbsdeError, NonFinite, RankDeficient
 from .mollify import SmoothObstacle
 from .paths import ForwardCloud, TimeGrid
 from .problem import ProblemSpec, _driver_terms, eval_boundary
@@ -179,23 +184,26 @@ def solve_penalized(
     return _drain(spec, u_k, cloud, basis, [(n, None)])[0][0]
 
 
-def _drain(spec, u_k, cloud, basis, passes):
+def _drain(spec, u_k, cloud, basis, passes, moments=True):
     """Run a lockstep sweep of ``passes`` to its end; return each pass's solution and step time in ms.
 
-    The last pass's E[Y_j^2] and E|Z_j|^2 are reduced from its yields, in a
-    row of squares allocated before the sweep's rows (peak RSS follows that heap order).
+    With ``moments``, the last pass's E[Y_j^2] and E|Z_j|^2 are reduced from
+    its yields, in a row of squares allocated before the sweep's rows (peak
+    RSS follows that heap order); without, no pass has node moments.
     """
     N, M, last = cloud.grid.N, cloud.M, len(passes) - 1
-    mean_y2, mean_z2, sq = np.empty(N + 1), np.empty(N), np.empty(M)
+    if moments:
+        mean_y2, mean_z2, sq = np.empty(N + 1), np.empty(N), np.empty(M)
     sweep = _lockstep(spec, u_k, cloud, basis, passes)
     while True:
         try:
             j, i, y, z = next(sweep)
         except StopIteration as done:
             solutions, step_ms = done.value
-            solutions[-1] = replace(solutions[-1], mean_y2=mean_y2, mean_z2=mean_z2)
+            if moments:
+                solutions[-1] = replace(solutions[-1], mean_y2=mean_y2, mean_z2=mean_z2)
             return solutions, step_ms
-        if i == last:
+        if moments and i == last:
             mean_y2[j] = np.add.reduce(np.square(y, out=sq)) / M
             if z is not None:
                 mean_z2[j] = _mean_sq_norm(z, sq)
@@ -259,60 +267,67 @@ def _lockstep(spec, u_k, cloud, basis, passes):
     step_ms = [0.0] * len(own)
     for i, (_, y_row, *_) in enumerate(own):
         yield N, i, y_row[0], None
-    for j in range(N - 1, -1, -1):
-        t0 = time.perf_counter()
-        # Drop the old design before the new one is built, so the two are never held at once.
-        design = None
-        design = _build_node_design(cloud, basis, j)
-        for i, (n, y_row, mean_path, z_mean, dK, mean_f_dt, mean_g_dkappa) in enumerate(own):
-            y = y_row[0]
-            # Y dB / dt straight into the targets' Z columns, one at a time
-            # (a broadcast Y would make numpy buffer an (M, d) temporary).
-            # Y_{j+1} is dead once it is the last column: Y_j takes its row.
-            for c in range(d):
-                np.multiply(y, cloud.dB[j, :, c], out=targets[:, c])
-            np.divide(z, dt, out=z)
-            cond_mean[...] = y
-            _fit(cloud, basis, j, targets, design)
-            z_mean[j] = np.add.reduce(z) / M
-
-            # Law moments from the step-(j+1) cloud; Z beyond the last
-            # regression step does not exist, so the first backward step
-            # reuses its own Z.
-            m_y, mz1 = float(mean_path[j + 1]), float(z_mean[min(j + 1, N - 1), 0])
-
-            # Y_j = (cond_mean + f dt) + g dkappa, built in place in the row;
-            # a common driver value and a deterministic dkappa are one float.
-            if common:
-                f_one[0] = f = phi(None, None, m_y, mz1)
-                np.add(cond_mean, f * dt, out=y)
-            else:
-                f_vals = phi(cond_mean, targets[:, 0], m_y, mz1)
-                np.multiply(f_vals, dt, out=y)
-                np.add(cond_mean, y, out=y)
-            if sum_f:
-                mean_f_dt[j] = float(np.add.reduce(f_vals) / M) * dt
-            if has_boundary:
-                if linear_g:
-                    g_vals = np.multiply(cond_mean, spec.boundary.beta, out=g_dkap)
-                else:
-                    g_vals = eval_boundary(spec.boundary, times[j], cond_mean)
-                dkap = dkaps[j] if dkaps is not None else cloud.kappa[j + 1] - cloud.kappa[j]
-                np.multiply(g_vals, dkap, out=g_dkap)
-                y += g_dkap
-                mean_g_dkappa[j] = float(np.add.reduce(g_dkap) / M)
-
-            p_val = float(np.add.reduce(y) / M)
-            dK[j] = dk = implicit_mean_penalty(p_val, u_vals[j], n, deltas[j]) - p_val
-            y += dk
-            mean_path[j] = np.add.reduce(y) / M
-
-            # A non-finite value anywhere in a row makes its mean non-finite.
-            if not (math.isfinite(mean_path[j]) and all(map(math.isfinite, z_mean[j]))):
-                raise NonFinite(f"non-finite solution values at step {j}")
-            step_ms[i] += (time.perf_counter() - t0) * 1000.0
-            yield j, i, y, z
+    j = i = None
+    try:
+        for j in range(N - 1, -1, -1):
             t0 = time.perf_counter()
+            # Drop the old design before the new one is built, so the two are never held at once.
+            design = None
+            design = _build_node_design(cloud, basis, j)
+            for i, (n, y_row, mean_path, z_mean, dK, mean_f_dt, mean_g_dkappa) in enumerate(own):
+                y = y_row[0]
+                # Y dB / dt straight into the targets' Z columns, one at a time
+                # (a broadcast Y would make numpy buffer an (M, d) temporary).
+                # Y_{j+1} is dead once it is the last column: Y_j takes its row.
+                for c in range(d):
+                    np.multiply(y, cloud.dB[j, :, c], out=targets[:, c])
+                np.divide(z, dt, out=z)
+                cond_mean[...] = y
+                _fit(cloud, basis, j, targets, design)
+                z_mean[j] = np.add.reduce(z) / M
+
+                # Law moments from the step-(j+1) cloud; Z beyond the last
+                # regression step does not exist, so the first backward step
+                # reuses its own Z.
+                m_y, mz1 = float(mean_path[j + 1]), float(z_mean[min(j + 1, N - 1), 0])
+
+                # Y_j = (cond_mean + f dt) + g dkappa, built in place in the row;
+                # a common driver value and a deterministic dkappa are one float.
+                if common:
+                    f_one[0] = f = phi(None, None, m_y, mz1)
+                    np.add(cond_mean, f * dt, out=y)
+                else:
+                    f_vals = phi(cond_mean, targets[:, 0], m_y, mz1)
+                    np.multiply(f_vals, dt, out=y)
+                    np.add(cond_mean, y, out=y)
+                if sum_f:
+                    mean_f_dt[j] = float(np.add.reduce(f_vals) / M) * dt
+                if has_boundary:
+                    if linear_g:
+                        g_vals = np.multiply(cond_mean, spec.boundary.beta, out=g_dkap)
+                    else:
+                        g_vals = eval_boundary(spec.boundary, times[j], cond_mean)
+                    dkap = dkaps[j] if dkaps is not None else cloud.kappa[j + 1] - cloud.kappa[j]
+                    np.multiply(g_vals, dkap, out=g_dkap)
+                    y += g_dkap
+                    mean_g_dkappa[j] = float(np.add.reduce(g_dkap) / M)
+
+                p_val = float(np.add.reduce(y) / M)
+                dK[j] = dk = implicit_mean_penalty(p_val, u_vals[j], n, deltas[j]) - p_val
+                y += dk
+                mean_path[j] = np.add.reduce(y) / M
+
+                # A non-finite value anywhere in a row makes its mean non-finite.
+                if not (math.isfinite(mean_path[j]) and all(map(math.isfinite, z_mean[j]))):
+                    raise NonFinite(f"non-finite solution values at step {j}")
+                step_ms[i] += (time.perf_counter() - t0) * 1000.0
+                yield j, i, y, z
+                t0 = time.perf_counter()
+    except Exception as exc:
+        # The step a failure happened at, so that a sweep split across worker
+        # processes can re-raise the failure the whole sweep would have met first.
+        exc._lockstep_step = (j, i)
+        raise
 
     solutions = []
     for _, y_row, mean_path, z_mean, dK, mean_f_dt, mean_g_dkappa in own:
@@ -340,3 +355,118 @@ def _mean_sq_norm(z: np.ndarray, out: np.ndarray) -> np.floating:
     for c in range(1, d):
         acc += np.square(z[:, c])
     return np.add.reduce(acc) / acc.shape[0]  # np.mean's bits, without its Python overhead
+
+
+def _worker_count(workers: int, parts: int) -> int:
+    """How many processes run ``parts`` independent parts when ``workers`` are asked for.
+
+    ``workers`` 0 means one per CPU this process may use and T means at most
+    T; never more than those CPUs or the parts, and 1 where os.fork does not
+    exist.
+    """
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(parts, cpus, workers or cpus))
+
+
+def _split(items: list, count: int) -> list:
+    """``items`` in ``count`` contiguous groups, in order, the first groups one longer where they do not divide."""
+    size, longer = divmod(len(items), count)
+    bounds = [g * size + min(g, longer) for g in range(count + 1)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _in_workers(fn, parts: list) -> list:
+    """``[fn(part) for part in parts]``, the last part in this process and each other in a forked child.
+
+    The children run their parts while this process runs the last one; each
+    sends its outcome back, pickled, over a pipe of its own, and leaves
+    through os._exit, so it runs no atexit handler and flushes no inherited
+    stdio. A child whose parent has gone exits at its write to the closed
+    pipe. Where parts fail, the failure raised is the one a single lockstep
+    sweep over all the parts' passes, in order, would have met first: the
+    one at the latest node, then in the earliest part, then at the lowest
+    pass of that part (so each part is a contiguous run of that sweep's
+    passes, and a pass that all parts share comes first in each). A child
+    that ends without an outcome raises MrbsdeError. On any other error,
+    KeyboardInterrupt included, the children still running are killed; no
+    child outlives this call.
+    """
+    children = {}  # pid -> the read end of its pipe, as a file; in part order
+    try:
+        for part in parts[:-1]:
+            read, write = os.pipe()
+            with warnings.catch_warnings():
+                # CPython >= 3.12 warns that fork() in a multi-threaded process may
+                # deadlock the child. The other threads here are OpenBLAS's pool,
+                # which OpenBLAS quiesces at fork (pthread_atfork) and restarts in the
+                # child on demand, and no lock of this process is held across it.
+                warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                _child(fn, part, write, [read, *(pipe.fileno() for pipe in children.values())])
+            os.close(write)
+            children[pid] = open(read, "rb")
+        outcomes = [None] * len(children) + [_attempt(fn, parts[-1])]
+        for index, (pid, pipe) in enumerate(list(children.items())):
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            try:
+                outcomes[index] = pickle.loads(data)
+            except Exception:  # no bytes, or a truncated pickle: the child died before it sent its outcome
+                code = os.waitstatus_to_exitcode(status)
+                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                raise MrbsdeError(f"worker process {pid} ended without a result ({how})") from None
+    except BaseException:
+        for pid, pipe in children.items():
+            pipe.close()
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+        raise
+    failures = [(_failure_order(exc, index), exc) for index, (ok, exc) in enumerate(outcomes) if not ok]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return [value for _, value in outcomes]
+
+
+def _attempt(fn, part):
+    """(True, fn(part)), or (False, the error) where it raises an Exception."""
+    try:
+        return True, fn(part)
+    except Exception as exc:
+        return False, exc
+
+
+def _child(fn, part, write: int, inherited: list):
+    """In a forked child: write the pickled outcome of ``fn(part)`` to the pipe ``write``, then exit.
+
+    The child first closes the pipe read ends it ``inherited``: holding none,
+    it meets a closed pipe at its write when its parent has gone.
+    """
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        outcome = _attempt(fn, part)
+        try:
+            data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:  # an outcome pickle cannot carry
+            data = pickle.dumps((False, MrbsdeError(f"a worker's outcome cannot be sent back: {exc!r}")))
+        with open(write, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _failure_order(exc: Exception, part: int) -> tuple:
+    """Where a part's failure comes in a single sweep: later nodes first, failures before any step first of all."""
+    j, i = getattr(exc, "_lockstep_step", (math.inf, -1))
+    return -j, part, i

@@ -11,14 +11,22 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import LengthMismatch, NotConverged
 from .mollify import SmoothObstacle, mollify_obstacle
 from .paths import ForwardCloud
-from .penalized import PenalizedSolution, RegressionBasis, _drain, solve_penalized
+from .penalized import (
+    PenalizedSolution,
+    RegressionBasis,
+    _drain,
+    _in_workers,
+    _split,
+    _worker_count,
+    solve_penalized,
+)
 from .problem import ProblemSpec
 
 
@@ -150,21 +158,36 @@ def _level_record(u_k, n, sol, prev_mean, wall_ms, mean_kappa) -> LevelRecord:
     )
 
 
-def penalty_sweep(spec: ProblemSpec, u_k: SmoothObstacle, n_levels, cloud: ForwardCloud, basis: RegressionBasis):
+def penalty_sweep(
+    spec: ProblemSpec, u_k: SmoothObstacle, n_levels, cloud: ForwardCloud, basis: RegressionBasis, workers: int = 1
+):
     """Run a pass at every level n against u_k in lockstep; return (records, last level's solution).
 
     The records are to the bit those of one ``solve_penalized`` pass per
-    level, but each node's design is built and each positions segment
-    rebuilt once for all levels. A record's ``wall_ms`` is its pass's own
-    step time, the first pass to reach a node paying for its design, and
-    its Cauchy distance is to the previous level's mean path. Only the last
-    level's solution has node moments. An empty ``n_levels`` raises
-    ValueError before any pass.
+    level. The levels run in ``workers`` processes at most (0: one per CPU),
+    each a lockstep sweep over a contiguous group of them, so each node's
+    design is built and each positions segment rebuilt once per worker, not
+    once per level; this process runs the last group, and the other groups'
+    solutions come back without their Y row. A record's ``wall_ms`` is its
+    pass's own step time, the first pass of its group to reach a node paying
+    for the node's design, and its Cauchy distance is to the previous
+    level's mean path. Only the last level's solution has node moments. An
+    empty ``n_levels`` raises ValueError before any pass.
     """
     passes = [(n, None) for n in n_levels]
     if not passes:
         raise ValueError("the penalty ladder needs at least one level")
-    solutions, step_ms = _drain(spec, u_k, cloud, basis, passes)
+    groups = _split(passes, _worker_count(workers, len(passes)))
+
+    def sweep(group):
+        here = group is groups[-1]  # the group this process runs, whose last level keeps its row and moments
+        solutions, step_ms = _drain(spec, u_k, cloud, basis, group, moments=here)
+        return (solutions if here else [replace(sol, Y=None) for sol in solutions]), step_ms
+
+    solutions, step_ms = [], []
+    for group_solutions, group_ms in _in_workers(sweep, groups):
+        solutions += group_solutions
+        step_ms += group_ms
     records, prev_mean = [], None
     for (n, _), sol, wall_ms in zip(passes, solutions, step_ms):
         records.append(_level_record(u_k, n, sol, prev_mean, wall_ms, cloud.mean_kappa))

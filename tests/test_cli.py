@@ -401,6 +401,33 @@ class TestMainEntry:
             tmp_path / "t4" / "report.json"
         ).read_bytes()
 
+    @pytest.mark.parametrize("subcommand", ["rates", "stability"])
+    def test_worker_processes_do_not_change_artifacts(self, tmp_path, subcommand):
+        path = write_doc(tmp_path, tiny_doc(tmp_path / "t1"))
+        outs = {}
+        for threads in ("1", "0", "2", "4"):
+            outs[threads] = tmp_path / f"t{threads}"
+            assert main([subcommand, "--config", str(path), "--threads", threads, "--out", str(outs[threads])]) == 0
+
+        def artifacts(out):  # every file's bytes, without convergence.csv's wall_ms column
+            return {
+                f.name: [line.rsplit(",", 1)[0] for line in f.read_text().splitlines()]
+                if f.name == "convergence.csv" else f.read_bytes()
+                for f in sorted(out.iterdir())
+            }
+
+        assert len(artifacts(outs["1"])) == (2 if subcommand == "rates" else 1)
+        assert all(artifacts(out) == artifacts(outs["1"]) for out in outs.values())
+
+    def test_negative_threads_fail_to_parse(self, tmp_path):
+        with pytest.raises(ParseError, match="config.threads must be >= 0, got -3"):
+            build_config(tiny_doc(tmp_path / "out", threads=-3))
+        path = write_doc(tmp_path, tiny_doc(tmp_path / "out"))
+        assert main(["rates", "--config", str(path), "--threads", "-3"]) == 1
+        assert not (tmp_path / "out").exists()
+        assert build_config(tiny_doc(tmp_path / "out")).threads == 0
+        assert build_config(tiny_doc(tmp_path / "out", threads=3)).threads == 3
+
 
 class TestWriteAtomic:
     def test_no_temp_residue(self, tmp_path):

@@ -35,6 +35,28 @@ SINE = ObstacleCurve("sine", amplitude=0.5)
 BASIS = RegressionBasis("brownian", 2)
 
 
+def stability_budget(spec, cloud, k: int) -> int:
+    """Bytes a stability sweep of the base pass and k perturbed ones may hold, in one process.
+
+    The passes hold k + 1 Y rows and a copy of the base Z, (k + 1 + d) M
+    floats. All passes share one working block and one node design: the
+    targets their fits overwrite, whose first d columns are the Z, and the
+    design, (d + 1 + p) M floats, with a g * dkappa row only for a non-zero
+    boundary; the differences take (d + 1) M more. The rest does not grow
+    with M. Per node: each pass's node moments (4 + d floats), the
+    experiment's 2 k results, the cached Gram (p^2 floats) and under 1 KB of
+    Python objects (the Gram's array and key, the sweep's node floats). Per
+    step: the fit's small products, under 8 KB, and at d >= 2 the square of
+    a later Z column, one row. A working row, a terminal, a Z row or a
+    second Y row per pass exceeds that.
+    """
+    d, p, g_dkappa, row = cloud.d, BASIS.size(cloud.d), spec.boundary.family != "zero", cloud.M * 8
+    own, shared, diffs = (k + 1) + d, d + 1 + p + g_dkappa, d + 1
+    per_node = 8 * ((k + 1) * (4 + d) + 2 * k + p * p) + 1024
+    per_step = 8 * 1024 + (row if d >= 2 else 0)
+    return (own + shared + diffs) * row + cloud.grid.N * per_node + per_step
+
+
 class TestRateFit:
     def test_exact_power_law(self):
         ns = np.array([10.0, 20.0, 40.0])
@@ -195,19 +217,19 @@ class TestStabilityExperiment:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_lockstep_passes_on_a_fresh_cloud_share_its_positions(self, d):
-        # Each pass holds its Y row, M floats, and all share the targets and
-        # the design, (d + 1 + p) M floats, the base pass's Z copy and the
-        # differences: the bound's (2d + 4) M per pass covers them and allows
-        # each perturbation one terminal; 2 ceil(sqrt N) position rows cover
-        # a step's transients.
-        # A segment and checkpoints per copy, or a full path, exceed that.
+        """Passes on a fresh cloud read its positions, and hold no more than ``stability_budget``.
+
+        The positions' checkpoints and segment buffer exist before the sweep,
+        and every pass reads the one segment the sweep rebuilds, so no
+        position row is allocated during the trace. A segment and checkpoints
+        per pass, a full path, or one more row per pass exceed the budget.
+        """
         spec = zero_problem(obstacle=SINE, brownian_dim=d)
         grid = TimeGrid(1.0, 100)
         cloud = simulate_forward(spec, grid, 4000, seed=3)
         u_k = mollify_obstacle(SINE, 20, grid)
         eps = (0.1, 0.05, 0.025)
-        row = cloud.M * 8
-        bound = ((len(eps) + 1) * (2 * d + 4) + len(eps)) * row + 2 * math.ceil(math.sqrt(grid.N)) * d * row
+        bound = stability_budget(spec, cloud, len(eps))
         tracemalloc.start()
         try:
             stability_experiment(spec, cloud, eps, u_k, 200, BASIS)
@@ -218,30 +240,13 @@ class TestStabilityExperiment:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_lockstep_passes_hold_their_rows_and_one_scratch(self, d):
-        """The base pass and k perturbed ones hold k + 1 Y rows and a copy of the base Z, (k + 1 + d) M floats.
-
-        All passes share one working block and one node design: the targets
-        their fits overwrite, whose first d columns are the Z, and the
-        design, (d + 1 + p) M floats, with a g * dkappa row only for a
-        non-zero boundary; the differences take (d + 1) M more. The rest
-        does not grow with M. Per node: each pass's node moments (4 + d
-        floats), the experiment's 2 k results, the cached Gram (p^2 floats)
-        and under 1 KB of Python objects (the Gram's array and key, the
-        sweep's node floats). Per step: the fit's small products, under
-        8 KB, and at d >= 2 the square of a later Z column, one row. A
-        working row, a terminal, a Z row or a second Y row per pass exceeds
-        that.
-        """
+        """The base pass and six perturbed ones on a fresh cloud hold no more than ``stability_budget``."""
         spec = zero_problem(obstacle=SINE, brownian_dim=d)
         grid = TimeGrid(1.0, 100)
         cloud = simulate_forward(spec, grid, 4000, seed=3)
         u_k = mollify_obstacle(SINE, 20, grid)
         eps = (0.2, 0.1, 0.05, 0.025, -0.05, -0.1)
-        k, p, g_dkappa, row = len(eps), BASIS.size(d), spec.boundary.family != "zero", cloud.M * 8
-        own, shared, diffs = (k + 1) + d, d + 1 + p + g_dkappa, d + 1
-        per_node = 8 * ((k + 1) * (4 + d) + 2 * k + p * p) + 1024
-        per_step = 8 * 1024 + (row if d >= 2 else 0)
-        bound = (own + shared + diffs) * row + grid.N * per_node + per_step
+        bound = stability_budget(spec, cloud, len(eps))
         tracemalloc.start()
         try:
             stability_experiment(spec, cloud, eps, u_k, 200, BASIS)
