@@ -225,6 +225,8 @@ def _lockstep(spec, u_k, cloud, basis, passes):
     deterministic clock's dkappa and each node's penalty weight and obstacle
     value become floats every pass shares, so no step dispatches on the
     spec; a linear boundary writes beta E[Y|F] straight into the g * dkappa row.
+    An error raised in a step carries the step's (node j, pass i) as
+    ``_lockstep_step``, which ``_in_workers`` orders split sweeps' failures by.
     """
     if u_k.grid != cloud.grid:
         raise LengthMismatch("smooth obstacle grid does not match the cloud grid")
@@ -324,8 +326,6 @@ def _lockstep(spec, u_k, cloud, basis, passes):
                 yield j, i, y, z
                 t0 = time.perf_counter()
     except Exception as exc:
-        # The step a failure happened at, so that a sweep split across worker
-        # processes can re-raise the failure the whole sweep would have met first.
         exc._lockstep_step = (j, i)
         raise
 
